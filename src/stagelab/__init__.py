@@ -19,7 +19,13 @@ from .checks import (
     idealized_checkpoint,
     run_all_checks,
 )
-from .config import DEFAULTS, ExperimentConfig, load_config, loads_config
+from .config import (
+    DEFAULTS,
+    ExperimentConfig,
+    load_config,
+    loads_config,
+    make_reference_family,
+)
 from .errors import (
     ConfigError,
     PreconditionError,
@@ -43,8 +49,6 @@ from .network import (
     Trajectory,
     aligned_spectrum,
     derived_diag_step,
-    gradient_step,
-    idealized_diag_step,
     init_from_spectrum,
     init_scaled_identity,
     population_gradient,
@@ -84,84 +88,8 @@ from .tasks import (
     TaskFamily,
     TaskSpectra,
     build_task_family,
-    cross_covariance_spectrum,
-    make_reference_family,
     mix_distributions,
     validate_assumptions,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionReport",
-    "CheckReport",
-    "CheckpointMetrics",
-    "ConfigError",
-    "DEFAULTS",
-    "DominanceReport",
-    "ExperimentConfig",
-    "FeaturePartition",
-    "FrontierPoint",
-    "NetworkState",
-    "ParetoFrontier",
-    "PipelineRun",
-    "PreconditionError",
-    "Snapshot",
-    "SpectralBasis",
-    "StageDistribution",
-    "StagePlan",
-    "StagelabError",
-    "TaskFamily",
-    "TaskSpectra",
-    "TaskValidationError",
-    "TrainConfig",
-    "TrainingDiverged",
-    "Trajectory",
-    "aligned_spectrum",
-    "build_task_family",
-    "check_assumptions",
-    "check_forgetting_gap",
-    "check_frozen_directions",
-    "check_posttrain_routing",
-    "check_sequential_order",
-    "check_specialized_acquisition",
-    "compute_forgetting",
-    "compute_matched_plans",
-    "continue_from_pretrained",
-    "cross_covariance_spectrum",
-    "derived_diag_step",
-    "dominates",
-    "dumps_record",
-    "forgetting_lower_bound",
-    "format_float",
-    "gradient_step",
-    "hypervolume",
-    "idealized_checkpoint",
-    "idealized_diag_step",
-    "init_from_spectrum",
-    "init_scaled_identity",
-    "load_config",
-    "loads_config",
-    "make_reference_family",
-    "make_run_id",
-    "mix_distributions",
-    "pareto_front",
-    "pipeline_run_record",
-    "points_from_records",
-    "population_gradient",
-    "population_loss",
-    "read_records",
-    "render_frontier_svg",
-    "run_all_checks",
-    "run_pipeline",
-    "run_sweep",
-    "scalar_fixed_point",
-    "snapshot_records",
-    "stable_hash",
-    "stage_training_distribution",
-    "stochastic_step",
-    "sweep_to_csv",
-    "train",
-    "validate_assumptions",
-    "write_records",
-]

@@ -12,24 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .checks import run_all_checks
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, StagelabError, TrainingDiverged
+from .errors import ConfigError, StagelabError
 from .frontier import pareto_front, points_from_records
-from .network import train
-from .pipeline import (
-    CSV_COLUMNS,
-    PipelineRun,
-    continue_from_pretrained,
-    make_run_id,
-    plan_key,
-    run_pipeline,
-    stage_training_distribution,
-)
+from .pipeline import make_run_id, run_pipeline, run_sweep, sweep_to_csv
 from .records import (
     existing_run_ids,
     format_float,
@@ -80,13 +71,13 @@ def _method_of(record: dict) -> str:
 
 def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
-    family = cfg.task_family()
     plans = cfg.stage_plans()
-    init = cfg.init_state()
-    run_id = make_run_id(*plans)
-    run = run_pipeline(family, plans, init, run_id=run_id)
-    record = pipeline_run_record(run, seed=args.seed, config_hash=stable_hash(cfg.canonical()))
-    write_records(os.path.join(out, RUNS_FILE), [record])
+    run = run_pipeline(cfg.task_family(), plans, cfg.init_state(), run_id=make_run_id(*plans))
+    runs_path = os.path.join(out, RUNS_FILE)
+    # the sweep's resume rule: a run id already on record is not written twice
+    if run.run_id not in existing_run_ids(runs_path):
+        record = pipeline_run_record(run, seed=args.seed, config_hash=stable_hash(cfg.canonical()))
+        write_records(runs_path, [record], append=True)
     if run.metrics is None:
         print(f"run {run.run_id}: diverged during {run.failed_stage}", file=sys.stderr)
         return 3
@@ -96,96 +87,28 @@ def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_tasks(cfg: ExperimentConfig):
-    family = cfg.task_family()
-    init = cfg.init_state()
-    stage1, stage2, stage3 = cfg.sweep_plans()
-    tasks = []
-    for plan1 in stage1:
-        for plan2 in stage2:
-            for plan3 in stage3:
-                tasks.append((plan1, plan2, plan3))
-    return family, init, tasks
-
-
 def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
-    family, init, tasks = _sweep_tasks(cfg)
+    tasks = list(itertools.product(*cfg.sweep_plans()))
     if not tasks:
         raise ConfigError("sweep grid is empty; every [sweep] list needs at least one value")
+    run_ids = [make_run_id(*plans) for plans in tasks]
     runs_path = os.path.join(out, RUNS_FILE)
     done = existing_run_ids(runs_path)
+    todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in done]
+    new_runs = run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads)
     config_hash = stable_hash(cfg.canonical())
-
-    # Stage-1 checkpoints depend only on the stage-1 plan; compute each once.
-    stage1_cache: dict[tuple, object] = {}
-
-    def pretrained_for(plan1):
-        key = plan_key(plan1)
-        if key not in stage1_cache:
-            dist = stage_training_distribution(family, plan1)
-            try:
-                stage1_cache[key] = train(
-                    init, dist, family.basis, plan1.train_config(), record_spectrum=False
-                )[0]
-            except TrainingDiverged as exc:
-                stage1_cache[key] = exc
-        return stage1_cache[key]
-
-    todo = [
-        (plan1, plan2, plan3)
-        for plan1, plan2, plan3 in tasks
-        if make_run_id(plan1, plan2, plan3) not in done
-    ]
-    for plan1, _, _ in todo:
-        pretrained_for(plan1)  # fill the cache serially, it is shared below
-
-    def execute(task) -> PipelineRun:
-        plan1, plan2, plan3 = task
-        run_id = make_run_id(plan1, plan2, plan3)
-        pretrained = pretrained_for(plan1)
-        if isinstance(pretrained, TrainingDiverged):
-            return PipelineRun(
-                run_id=run_id,
-                plans=task,
-                pretrained=None,
-                posttrained=None,
-                finetuned=None,
-                metrics=None,
-                failed_stage="pretrain",
-                failure=str(pretrained),
-            )
-        return continue_from_pretrained(family, pretrained, task, run_id)
-
-    if args.threads > 1 and todo:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            new_runs = list(pool.map(execute, todo))
-    else:
-        new_runs = [execute(task) for task in todo]
-
     new_records = [pipeline_run_record(r, seed=args.seed, config_hash=config_hash) for r in new_runs]
     write_records(runs_path, new_records, append=True)
 
     # Regenerate the CSV from all records, in the sweep's enumeration order.
     by_id = {rec["run_id"]: rec for rec in read_records(runs_path)}
-    with open(os.path.join(out, SWEEP_CSV), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for plan1, plan2, plan3 in tasks:
-            rec = by_id.get(make_run_id(plan1, plan2, plan3))
-            if rec is None or rec.get("L_im") is None:
-                continue
-            writer.writerow(
-                [rec["run_id"]]
-                + [format_float(float(rec[c])) for c in CSV_COLUMNS[1:6]]
-                + [str(int(rec["steps3"]))]
-                + [format_float(float(rec[c])) for c in CSV_COLUMNS[7:]]
-            )
+    sweep_to_csv((by_id[i] for i in run_ids if i in by_id), os.path.join(out, SWEEP_CSV))
     completed = len(tasks) - len(todo)
     print(f"sweep: {len(new_runs)} new runs, {completed} already recorded, out={out}")
-    failed = [r for r in new_runs if not r.succeeded]
-    for r in failed:
-        print(f"  diverged: {r.run_id} at stage {r.failed_stage}", file=sys.stderr)
+    for r in new_runs:
+        if not r.succeeded:
+            print(f"  diverged: {r.run_id} at stage {r.failed_stage}", file=sys.stderr)
     return 0
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
-
-import numpy as np
 
 from .errors import ConfigError
 from .network import NetworkState, init_scaled_identity
@@ -108,20 +106,8 @@ class ExperimentConfig:
     def task_family(self) -> TaskFamily:
         t = self.values["task"]
         partition = FeaturePartition(n=t["n"], k=t["k"])
-        spectra = TaskSpectra(
-            invariant=np.asarray(t["invariant"]),
-            pre_inconsistent=np.asarray(t["pre_inconsistent"]),
-            post_inconsistent=np.asarray(t["post_inconsistent"]),
-            ft_inconsistent=np.asarray(t["ft_inconsistent"]),
-            specialized_target=t["specialized_target"],
-            mismatch_gap=t["mismatch_gap"],
-        )
-        if t["basis"] == "identity":
-            basis = SpectralBasis.identity(partition.n)
-        elif t["basis"] == "random":
-            basis = SpectralBasis.random(partition.n, seed=t["basis_seed"])
-        else:
-            raise ConfigError(f"[task] basis must be 'identity' or 'random', got {t['basis']!r}")
+        spectra = TaskSpectra(**{f.name: t[f.name] for f in fields(TaskSpectra)})
+        basis = SpectralBasis.from_mode(t["basis"], partition.n, t["basis_seed"])
         return build_task_family(partition, spectra, basis=basis)
 
     def init_state(self) -> NetworkState:
@@ -163,14 +149,8 @@ class ExperimentConfig:
         return stage1, stage2, stage3
 
     def verify_kwargs(self) -> dict[str, Any]:
-        v = self.values["verify"]
-        return {
-            "alpha": v["alpha"],
-            "epsilon": v["epsilon"],
-            "literal_inconsistent": v["literal_inconsistent"],
-            "acquisition_steps": v["acquisition_steps"],
-            "routing_steps": v["routing_steps"],
-        }
+        """The [verify] section, keyed by run_all_checks' parameter names."""
+        return dict(self.values["verify"])
 
     def projection(self) -> str:
         return self.values["report"]["projection"]
@@ -184,6 +164,17 @@ class ExperimentConfig:
         return "\n".join(lines)
 
 
+def _default_values() -> dict[str, dict[str, Any]]:
+    return {section: {k: v for k, (_, v) in keys.items()} for section, keys in DEFAULTS.items()}
+
+
+def make_reference_family(basis_mode: str = "identity", basis_seed: int | None = None) -> TaskFamily:
+    """The 6-coordinate reference family: the [task] defaults in the given basis."""
+    values = _default_values()
+    values["task"].update(basis=basis_mode, basis_seed=0 if basis_seed is None else basis_seed)
+    return ExperimentConfig(values=values).task_family()
+
+
 def loads_config(text: str) -> ExperimentConfig:
     """Parse configuration text, rejecting unknown sections and keys by name."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -192,7 +183,7 @@ def loads_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    values = {section: dict((k, v) for k, (_, v) in keys.items()) for section, keys in DEFAULTS.items()}
+    values = _default_values()
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(

@@ -18,19 +18,13 @@ recursions in derived_diag_step faithful companions of the matrix updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, StagelabError, TrainingDiverged
-from .tasks import SpectralBasis, StageDistribution, target_matrix
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+from .tasks import SpectralBasis, StageDistribution, _freeze, target_matrix
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,10 @@ class NetworkState:
 
 def init_scaled_identity(n: int, tau: float, basis: SpectralBasis | None = None) -> NetworkState:
     """Balanced small init: aligned diagonal starts at exp(-2 tau) on every coordinate."""
-    scale = math.exp(-tau)
+    try:
+        scale = math.exp(-tau)
+    except OverflowError:
+        raise ConfigError(f"tau = {tau:g} overflows the init scale exp(-tau)") from None
     if basis is None or basis.is_identity:
         w = scale * np.eye(n)
         return NetworkState(W1=w, W2=w.copy())
@@ -79,15 +76,30 @@ def init_from_spectrum(basis: SpectralBasis, spectrum: np.ndarray) -> NetworkSta
     return NetworkState(W1=basis.U * root, W2=root[:, None] * basis.V.T)
 
 
+def check_step_size(eta: float, ridge_lambda: float = 0.0, gamma_bound: float = 2.0) -> None:
+    """Enforce the step-size budget 4 * eta * (ridge_lambda + 2) * gamma_bound < 1.
+
+    gamma_bound is the caller's bound on the squared operator norms involved;
+    this is a configuration-time sanity check, actual instability is still
+    caught at run time by the divergence guard.
+    """
+    if eta <= 0:
+        raise ConfigError(f"learning rate must be positive, got {eta}")
+    if ridge_lambda < 0:
+        raise ConfigError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
+    if gamma_bound <= 0:
+        raise ConfigError(f"gamma_bound must be positive, got {gamma_bound}")
+    budget = 4.0 * eta * (ridge_lambda + 2.0) * gamma_bound
+    if not budget < 1.0:
+        raise ConfigError(
+            "step-size budget violated: 4 * eta * (ridge_lambda + 2) * gamma_bound = "
+            f"{budget:.6g} >= 1"
+        )
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one full-batch training run.
-
-    Construction enforces the step-size budget 4 * eta * (ridge_lambda + 2) *
-    gamma_bound < 1, where gamma_bound is the caller's bound on the squared
-    operator norms involved; this is a configuration-time sanity check, actual
-    instability is still caught at run time by the divergence guard.
-    """
+    """Hyperparameters for one full-batch training run (step size checked by check_step_size)."""
 
     eta: float
     max_steps: int
@@ -100,20 +112,9 @@ class TrainConfig:
     probe_every: int = 50
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.eta}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be nonnegative, got {self.max_steps}")
-        if self.ridge_lambda < 0:
-            raise ConfigError(f"ridge_lambda must be nonnegative, got {self.ridge_lambda}")
-        if self.gamma_bound <= 0:
-            raise ConfigError(f"gamma_bound must be positive, got {self.gamma_bound}")
-        budget = 4.0 * self.eta * (self.ridge_lambda + 2.0) * self.gamma_bound
-        if not budget < 1.0:
-            raise ConfigError(
-                "step-size budget violated: 4 * eta * (ridge_lambda + 2) * gamma_bound = "
-                f"{budget:.6g} >= 1"
-            )
+        check_step_size(self.eta, self.ridge_lambda, self.gamma_bound)
         if self.ridge_lambda > 0 and self.ridge_anchor is None:
             raise ConfigError("ridge_lambda > 0 requires a ridge_anchor checkpoint")
         if self.stop_rule not in ("fixed_steps", "loss_plateau"):
@@ -164,11 +165,25 @@ class Trajectory:
         return np.stack([s.aligned_diag for s in self.snapshots])
 
 
-def _data_gradient(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> np.ndarray:
-    """Gradient of the population loss with respect to theta, given E = theta - A."""
-    if V is None:
-        return 2.0 * (E * v)
-    return 2.0 * ((E @ V) * v) @ V.T
+def _factor_gradients(
+    W1: np.ndarray,
+    W2: np.ndarray,
+    theta: np.ndarray,
+    E: np.ndarray,
+    v: np.ndarray,
+    V: np.ndarray | None,
+    ridge_lambda: float,
+    ridge_anchor: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dW1, dL/dW2) at theta = W1 @ W2 with residual E = theta - A: the update kernel.
+
+    G is the gradient with respect to theta; the chain rule through W1 @ W2
+    gives the factor gradients.
+    """
+    G = 2.0 * (E * v) if V is None else 2.0 * ((E @ V) * v) @ V.T
+    if ridge_lambda > 0:
+        G = G + 2.0 * ridge_lambda * (theta - ridge_anchor)
+    return G @ W2.T, W1.T @ G
 
 
 def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
@@ -193,41 +208,25 @@ def population_gradient(
     ridge_anchor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients (dL/dW1, dL/dW2), including the optional ridge term."""
+    if ridge_lambda > 0 and ridge_anchor is None:
+        raise ConfigError("ridge_lambda > 0 requires a ridge_anchor")
     A = target_matrix(dist, basis)
     V = None if basis.is_identity else basis.V
     theta = state.theta
-    G = _data_gradient(theta - A, dist.input_variances, V)
-    if ridge_lambda > 0:
-        if ridge_anchor is None:
-            raise ConfigError("ridge_lambda > 0 requires a ridge_anchor")
-        G = G + 2.0 * ridge_lambda * (theta - ridge_anchor)
-    return G @ state.W2.T, state.W1.T @ G
-
-
-def gradient_step(
-    state: NetworkState,
-    dist: StageDistribution,
-    basis: SpectralBasis,
-    config: TrainConfig,
-) -> NetworkState:
-    """One simultaneous full-batch update of both factors."""
-    G1, G2 = population_gradient(
-        state, dist, basis, ridge_lambda=config.ridge_lambda, ridge_anchor=config.ridge_anchor
+    return _factor_gradients(
+        state.W1, state.W2, theta, theta - A, dist.input_variances, V, ridge_lambda, ridge_anchor
     )
-    W1 = state.W1 - config.eta * G1
-    W2 = state.W2 - config.eta * G2
-    if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
-        raise TrainingDiverged(state.step + 1)
-    return NetworkState(W1=W1, W2=W2, step=state.step + 1)
+
+
+def _aligned(theta: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, float]:
+    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
+    diag = np.diag(M).copy()
+    return diag, float(np.linalg.norm(M - np.diag(diag)))
 
 
 def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndarray, float]:
     """(diagonal of U^T theta V, Frobenius norm of the off-diagonal remainder)."""
-    theta = state.theta
-    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
-    diag = np.diag(M).copy()
-    off = M - np.diag(diag)
-    return diag, float(np.linalg.norm(off))
+    return _aligned(state.theta, basis)
 
 
 def train(
@@ -249,7 +248,6 @@ def train(
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
-    U = None if basis.is_identity else basis.U
     probe_mats = {name: (target_matrix(d, basis), d.input_variances) for name, d in probes.items()}
     lam = config.ridge_lambda
     anchor = config.ridge_anchor
@@ -271,12 +269,7 @@ def train(
             final = step == config.max_steps
             if at_cadence or final:
                 loss = _data_loss(E, v, V)
-                if record_spectrum:
-                    M = theta if U is None else U.T @ theta @ basis.V
-                    diag = np.diag(M).copy()
-                    offdiag = float(np.linalg.norm(M - np.diag(diag)))
-                else:
-                    diag, offdiag = None, None
+                diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
                 probe_losses = {
                     name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
                 }
@@ -297,11 +290,7 @@ def train(
                 prev_loss = loss
             if final or stopped:
                 break
-            G = _data_gradient(E, v, V)
-            if lam > 0:
-                G = G + 2.0 * lam * (theta - anchor)
-            G1 = G @ W2.T
-            G2 = W1.T @ G
+            G1, G2 = _factor_gradients(W1, W2, theta, E, v, V, lam, anchor)
             W1 = W1 - config.eta * G1
             W2 = W2 - config.eta * G2
             step += 1
@@ -310,24 +299,6 @@ def train(
 
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + step)
     return final_state, Trajectory(snapshots=tuple(snaps))
-
-
-def idealized_diag_step(
-    sigma: np.ndarray | float,
-    target: np.ndarray | float,
-    eta: float,
-    ridge_lambda: float = 0.0,
-    anchor: np.ndarray | float = 0.0,
-) -> np.ndarray | float:
-    """Textbook cubic per-coordinate recursion (kept verbatim for comparison).
-
-    sigma' = sigma - 2 eta sigma (sigma^2 - target^2) + 2 eta ridge_lambda
-    (sigma^2 - anchor^2).  Note this is not the gradient recursion of the
-    anchored scalar objective; see derived_diag_step for the one that is.
-    """
-    return sigma - 2.0 * eta * sigma * (sigma**2 - target**2) + 2.0 * eta * ridge_lambda * (
-        sigma**2 - anchor**2
-    )
 
 
 def derived_diag_step(

@@ -18,11 +18,12 @@ The metrics recorded per run:
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, TrainingDiverged
-from .network import NetworkState, TrainConfig, Trajectory, population_loss, train
+from .network import NetworkState, TrainConfig, check_step_size, population_loss, train
 from .records import format_float
 from .tasks import StageDistribution, TaskFamily, mix_distributions
 
@@ -49,7 +50,7 @@ class StagePlan:
     """Scalar hyperparameters for one stage.
 
     Plans deliberately carry no ridge anchor: the anchor is the stage-1
-    checkpoint, which only exists once the pipeline runs, so run_pipeline
+    checkpoint, which only exists once the pipeline runs, so the pipeline
     injects it when it builds the effective TrainConfig.
     """
 
@@ -59,11 +60,6 @@ class StagePlan:
     mix_fraction: float = 0.0
     replay_fraction: float = 0.0
     ridge_lambda: float = 0.0
-    stop_rule: str = "fixed_steps"
-    plateau_threshold: float = 1e-9
-    plateau_patience: int = 10
-    gamma_bound: float = 2.0
-    probe_every: int = 50
 
     def __post_init__(self) -> None:
         if self.stage not in STAGE_ORDER:
@@ -83,28 +79,11 @@ class StagePlan:
                 f"ridge_lambda applies to the posttrain stage, not {self.stage!r}; "
                 "finetuning is always unregularized"
             )
-        # Delegate the remaining numeric checks to TrainConfig (eta positivity,
-        # stop rule names, cadence), then apply the stability budget with the
-        # plan's actual ridge strength.
-        TrainConfig(
-            eta=self.eta,
-            max_steps=self.steps,
-            stop_rule=self.stop_rule,
-            plateau_threshold=self.plateau_threshold,
-            plateau_patience=self.plateau_patience,
-            gamma_bound=self.gamma_bound,
-            probe_every=self.probe_every,
-        )
-        budget = 4.0 * self.eta * (self.ridge_lambda + 2.0) * self.gamma_bound
-        if not budget < 1.0:
-            raise ConfigError(
-                "step-size budget violated: 4 * eta * (ridge_lambda + 2) * gamma_bound = "
-                f"{budget:.6g} >= 1"
-            )
+        check_step_size(self.eta, self.ridge_lambda)
 
     @classmethod
-    def pretrain(cls, steps: int, eta: float, mix_fraction: float = 0.0, **kw) -> "StagePlan":
-        return cls(stage="pretrain", steps=steps, eta=eta, mix_fraction=mix_fraction, **kw)
+    def pretrain(cls, steps: int, eta: float, mix_fraction: float = 0.0) -> "StagePlan":
+        return cls(stage="pretrain", steps=steps, eta=eta, mix_fraction=mix_fraction)
 
     @classmethod
     def posttrain(
@@ -113,7 +92,6 @@ class StagePlan:
         eta: float,
         ridge_lambda: float = 0.1,
         replay_fraction: float = 0.01,
-        **kw,
     ) -> "StagePlan":
         return cls(
             stage="posttrain",
@@ -121,12 +99,11 @@ class StagePlan:
             eta=eta,
             ridge_lambda=ridge_lambda,
             replay_fraction=replay_fraction,
-            **kw,
         )
 
     @classmethod
-    def finetune(cls, steps: int, eta: float, **kw) -> "StagePlan":
-        return cls(stage="finetune", steps=steps, eta=eta, **kw)
+    def finetune(cls, steps: int, eta: float) -> "StagePlan":
+        return cls(stage="finetune", steps=steps, eta=eta)
 
     def train_config(self, ridge_anchor=None) -> TrainConfig:
         """Effective TrainConfig; the anchor is supplied by the pipeline at run time."""
@@ -141,11 +118,6 @@ class StagePlan:
             max_steps=self.steps,
             ridge_lambda=self.ridge_lambda,
             ridge_anchor=anchor,
-            stop_rule=self.stop_rule,
-            plateau_threshold=self.plateau_threshold,
-            plateau_patience=self.plateau_patience,
-            gamma_bound=self.gamma_bound,
-            probe_every=self.probe_every,
         )
 
 
@@ -195,24 +167,10 @@ class PipelineRun:
     metrics: CheckpointMetrics | None
     failed_stage: str | None = None
     failure: str | None = None
-    trajectories: dict[str, Trajectory] | None = None
 
     @property
     def succeeded(self) -> bool:
         return self.failed_stage is None
-
-    def params(self) -> dict[str, float | int | str]:
-        """Flat hyperparameter view matching the sweep CSV columns."""
-        p1, p2, p3 = self.plans
-        return {
-            "run_id": self.run_id,
-            "mix_fraction": p1.mix_fraction,
-            "replay_fraction": p2.replay_fraction,
-            "eta2": p2.eta,
-            "lambda_ridge": p2.ridge_lambda,
-            "eta3": p3.eta,
-            "steps3": p3.steps,
-        }
 
 
 def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, StagePlan]:
@@ -223,70 +181,91 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
+def _pretrain(
+    family: TaskFamily, plan: StagePlan, init_state: NetworkState
+) -> NetworkState | TrainingDiverged:
+    """The stage-1 checkpoint, or the divergence that prevented it."""
+    try:
+        state, _ = train(
+            init_state,
+            stage_training_distribution(family, plan),
+            family.basis,
+            plan.train_config(),
+            record_spectrum=False,
+        )
+    except TrainingDiverged as exc:
+        return exc
+    return state
+
+
 def run_pipeline(
     family: TaskFamily,
     plans: Sequence[StagePlan],
     init_state: NetworkState,
     run_id: str = "run",
-    keep_trajectories: bool = False,
 ) -> PipelineRun:
     """Execute the three stages in order.
 
     A divergence in any stage stops the run there; checkpoints from completed
     stages are preserved and the failed stage is named on the result.
     """
-    plan1, plan2, plan3 = _check_plans(plans)
-    probes = {name: family.distribution(name) for name in STAGE_ORDER} if keep_trajectories else None
-    trajectories: dict[str, Trajectory] = {}
+    plans = _check_plans(plans)
+    return continue_from_pretrained(family, _pretrain(family, plans[0], init_state), plans, run_id)
 
+
+def continue_from_pretrained(
+    family: TaskFamily,
+    pretrained: NetworkState | TrainingDiverged,
+    plans: Sequence[StagePlan],
+    run_id: str,
+) -> PipelineRun:
+    """Stages 2 and 3 from a stage-1 checkpoint (the ridge anchor), then the metrics.
+
+    Given the divergence that ended stage 1 instead, it returns that failed run.
+    """
+    plans = _check_plans(plans)
     states: dict[str, NetworkState] = {}
-    state = init_state
-    anchor = None
-    for plan in (plan1, plan2, plan3):
-        dist = stage_training_distribution(family, plan)
-        config = plan.train_config(ridge_anchor=anchor)
-        try:
-            state, traj = train(
-                state,
-                dist,
-                family.basis,
-                config,
-                probes=probes,
-                record_spectrum=keep_trajectories,
-            )
-        except TrainingDiverged as exc:
-            return PipelineRun(
-                run_id=run_id,
-                plans=(plan1, plan2, plan3),
-                pretrained=states.get("pretrain"),
-                posttrained=states.get("posttrain"),
-                finetuned=None,
-                metrics=None,
-                failed_stage=plan.stage,
-                failure=str(exc),
-                trajectories=trajectories if keep_trajectories else None,
-            )
-        states[plan.stage] = state
-        if keep_trajectories:
-            trajectories[plan.stage] = traj
-        if plan.stage == "pretrain":
-            anchor = state.theta
+    failure = pretrained if isinstance(pretrained, TrainingDiverged) else None
+    if failure is None:
+        state = states["pretrain"] = pretrained
+        anchor = pretrained.theta
+        for plan in plans[1:]:
+            config = plan.train_config(ridge_anchor=anchor)
+            dist = stage_training_distribution(family, plan)
+            try:
+                state, _ = train(state, dist, family.basis, config, record_spectrum=False)
+            except TrainingDiverged as exc:
+                failure = exc
+                break
+            states[plan.stage] = state
+    if failure is not None:
+        return PipelineRun(
+            run_id=run_id,
+            plans=plans,
+            pretrained=states.get("pretrain"),
+            posttrained=states.get("posttrain"),
+            finetuned=None,
+            metrics=None,
+            failed_stage=STAGE_ORDER[len(states)],
+            failure=str(failure),
+        )
 
-    basis = family.basis
+    def loss(stage: str, dist: str) -> float:
+        return population_loss(states[stage], family.distribution(dist), family.basis)
+
     metrics = CheckpointMetrics(
-        loss_post_immediate=population_loss(states["posttrain"], family.distribution("posttrain"), basis),
-        loss_post_retained=population_loss(states["finetune"], family.distribution("posttrain"), basis),
-        loss_finetune=population_loss(states["finetune"], family.distribution("finetune"), basis),
-        loss_pretrain_retained=population_loss(states["finetune"], family.distribution("pretrain"), basis),
+        loss_post_immediate=loss("posttrain", "posttrain"),
+        loss_post_retained=loss("finetune", "posttrain"),
+        loss_finetune=loss("finetune", "finetune"),
+        loss_pretrain_retained=loss("finetune", "pretrain"),
     )
     return PipelineRun(
         run_id=run_id,
-        plans=(plan1, plan2, plan3),
+        plans=plans,
         pretrained=states["pretrain"],
         posttrained=states["posttrain"],
         finetuned=states["finetune"],
         metrics=metrics,
-        trajectories=trajectories if keep_trajectories else None,
     )
 
 
@@ -318,20 +297,6 @@ def compute_matched_plans(
     return replace(stage1_template, steps=steps1), replace(stage2_template, steps=steps2)
 
 
-def plan_key(plan: StagePlan) -> tuple:
-    return (
-        plan.steps,
-        plan.eta,
-        plan.mix_fraction,
-        plan.replay_fraction,
-        plan.ridge_lambda,
-        plan.stop_rule,
-        plan.plateau_threshold,
-        plan.plateau_patience,
-        plan.probe_every,
-    )
-
-
 def make_run_id(plan1: StagePlan, plan2: StagePlan, plan3: StagePlan) -> str:
     """Deterministic identifier encoding the swept hyperparameters."""
     return (
@@ -344,101 +309,35 @@ def make_run_id(plan1: StagePlan, plan2: StagePlan, plan3: StagePlan) -> str:
 def run_sweep(
     family: TaskFamily,
     init_state: NetworkState,
-    stage1_plans: Sequence[StagePlan],
-    stage2_plans: Sequence[StagePlan],
-    stage3_plans: Sequence[StagePlan],
-    reuse_stage1: bool = True,
+    tasks: Iterable[Sequence[StagePlan]],
+    threads: int = 1,
 ) -> list[PipelineRun]:
-    """Cartesian sweep over per-stage plans.
+    """Run each (stage-1, stage-2, stage-3) plan triple, in the given order.
 
     Stage-1 training depends only on the stage-1 plan, so its checkpoint is
-    computed once per distinct plan and reused (bitwise identical to rerunning
-    it).  Diverged runs are kept in the result list with their failure marked;
-    the sweep itself never aborts.
+    computed once per distinct plan, before any worker starts, and shared
+    (bitwise identical to rerunning it).  With threads > 1 the later stages
+    run on a thread pool; results keep the task order either way.  Diverged
+    runs are kept in the result list with their failure marked; the sweep
+    itself never aborts.
     """
-    runs: list[PipelineRun] = []
-    stage1_cache: dict[tuple, NetworkState | TrainingDiverged] = {}
-    for plan1 in stage1_plans:
-        key = plan_key(plan1)
-        if not reuse_stage1 or key not in stage1_cache:
-            dist1 = stage_training_distribution(family, plan1)
-            try:
-                state1, _ = train(
-                    init_state, dist1, family.basis, plan1.train_config(), record_spectrum=False
-                )
-                stage1_cache[key] = state1
-            except TrainingDiverged as exc:
-                stage1_cache[key] = exc
-        cached = stage1_cache[key]
-        for plan2 in stage2_plans:
-            for plan3 in stage3_plans:
-                run_id = make_run_id(plan1, plan2, plan3)
-                if isinstance(cached, TrainingDiverged):
-                    runs.append(
-                        PipelineRun(
-                            run_id=run_id,
-                            plans=(plan1, plan2, plan3),
-                            pretrained=None,
-                            posttrained=None,
-                            finetuned=None,
-                            metrics=None,
-                            failed_stage="pretrain",
-                            failure=str(cached),
-                        )
-                    )
-                    continue
-                runs.append(
-                    continue_from_pretrained(family, cached, (plan1, plan2, plan3), run_id)
-                )
-    return runs
+    tasks = [_check_plans(plans) for plans in tasks]
+    pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
+    for plan1, _, _ in tasks:
+        if plan1 not in pretrained:
+            pretrained[plan1] = _pretrain(family, plan1, init_state)
+
+    def execute(plans: tuple[StagePlan, StagePlan, StagePlan]) -> PipelineRun:
+        return continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans))
+
+    if threads > 1 and tasks:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(execute, tasks))
+    return [execute(plans) for plans in tasks]
 
 
-def continue_from_pretrained(
-    family: TaskFamily,
-    pretrained: NetworkState,
-    plans: tuple[StagePlan, StagePlan, StagePlan],
-    run_id: str,
-) -> PipelineRun:
-    plan1, plan2, plan3 = plans
-    anchor = pretrained.theta
-    basis = family.basis
-    state = pretrained
-    states: dict[str, NetworkState] = {"pretrain": pretrained}
-    for plan in (plan2, plan3):
-        dist = stage_training_distribution(family, plan)
-        config = plan.train_config(ridge_anchor=anchor)
-        try:
-            state, _ = train(state, dist, basis, config, record_spectrum=False)
-        except TrainingDiverged as exc:
-            return PipelineRun(
-                run_id=run_id,
-                plans=plans,
-                pretrained=pretrained,
-                posttrained=states.get("posttrain"),
-                finetuned=None,
-                metrics=None,
-                failed_stage=plan.stage,
-                failure=str(exc),
-            )
-        states[plan.stage] = state
-    metrics = CheckpointMetrics(
-        loss_post_immediate=population_loss(states["posttrain"], family.distribution("posttrain"), basis),
-        loss_post_retained=population_loss(states["finetune"], family.distribution("posttrain"), basis),
-        loss_finetune=population_loss(states["finetune"], family.distribution("finetune"), basis),
-        loss_pretrain_retained=population_loss(states["finetune"], family.distribution("pretrain"), basis),
-    )
-    return PipelineRun(
-        run_id=run_id,
-        plans=plans,
-        pretrained=pretrained,
-        posttrained=states["posttrain"],
-        finetuned=states["finetune"],
-        metrics=metrics,
-    )
-
-
-def sweep_to_csv(runs: Iterable[PipelineRun], path: str) -> None:
-    """Write completed runs as CSV with a fixed column order.
+def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str) -> None:
+    """Write run records as CSV with a fixed column order.
 
     Failed runs carry no metrics and are omitted; they live in the JSONL
     records with their failure status instead.
@@ -446,16 +345,12 @@ def sweep_to_csv(runs: Iterable[PipelineRun], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for run in runs:
-            if run.metrics is None:
+        for rec in records:
+            if rec.get("L_im") is None:
                 continue
-            row = dict(run.params())
-            row.update(run.metrics.as_record())
             writer.writerow(
-                [
-                    row["run_id"],
-                    *(format_float(float(row[c])) for c in CSV_COLUMNS[1:6]),
-                    str(int(row["steps3"])),
-                    *(format_float(float(row[c])) for c in CSV_COLUMNS[7:]),
-                ]
+                [rec["run_id"]]
+                + [format_float(float(rec[c])) for c in CSV_COLUMNS[1:6]]
+                + [str(int(rec["steps3"]))]
+                + [format_float(float(rec[c])) for c in CSV_COLUMNS[7:]]
             )

@@ -20,7 +20,7 @@ which is what a quadratic learner actually regresses toward.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -89,6 +89,8 @@ class TaskSpectra:
     def __post_init__(self) -> None:
         for name in ("invariant", "pre_inconsistent", "post_inconsistent", "ft_inconsistent"):
             object.__setattr__(self, name, _freeze(np.atleast_1d(getattr(self, name))))
+        for name in ("specialized_target", "mismatch_gap"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def validate(self, partition: FeaturePartition) -> None:
         """Raise TaskValidationError naming the first violated inequality."""
@@ -111,34 +113,11 @@ class TaskSpectra:
         if np.any(self.pre_inconsistent < 0) or np.any(self.ft_inconsistent < 0):
             raise TaskValidationError("inconsistent spectra must be nonnegative")
 
-        pre_gap = float(np.min(self.post_inconsistent - self.pre_inconsistent))
-        if pre_gap <= self.mismatch_gap:
-            raise TaskValidationError(
-                "inconsistent_post_pre_gap violated: "
-                f"min(post - pre) = {pre_gap} <= mismatch_gap = {self.mismatch_gap}"
-            )
-        ft_gap = float(np.min(self.post_inconsistent - self.ft_inconsistent))
-        if ft_gap <= self.mismatch_gap:
-            raise TaskValidationError(
-                "inconsistent_post_ft_gap violated: "
-                f"min(post - ft) = {ft_gap} <= mismatch_gap = {self.mismatch_gap}"
-            )
-        if not self.specialized_target < self.mismatch_gap / 2:
-            raise TaskValidationError(
-                "specialized_magnitude violated: "
-                f"specialized_target = {self.specialized_target} >= mismatch_gap/2 = {self.mismatch_gap / 2}"
-            )
-        ceiling = max(
-            float(np.max(self.pre_inconsistent)),
-            float(np.max(self.post_inconsistent)),
-            self.specialized_target,
-        )
-        if not float(np.min(self.invariant)) > ceiling:
-            raise TaskValidationError(
-                "invariant_dominance violated: "
-                f"min(invariant) = {float(np.min(self.invariant))} <= "
-                f"max(inconsistent or specialized) = {ceiling}"
-            )
+        for check in _inequality_checks(self):
+            if not check.holds:
+                raise TaskValidationError(
+                    f"{check.name} violated: {check.detail} (margin {check.margin:+.6g})"
+                )
 
 
 @dataclass(frozen=True)
@@ -185,6 +164,17 @@ class SpectralBasis:
             mats.append(q)
         return cls(U=mats[0], V=mats[1], mode="random", seed=seed)
 
+    @classmethod
+    def from_mode(cls, mode: str, n: int, seed: int | None = None) -> "SpectralBasis":
+        """The basis a config or a serialized family names: identity, or random from a seed."""
+        if mode == "identity":
+            return cls.identity(n)
+        if mode != "random":
+            raise ConfigError(f"basis must be 'identity' or 'random', got {mode!r}")
+        if seed is None or seed < 0:
+            raise ConfigError(f"basis_seed must be a nonnegative integer, got {seed!r}")
+        return cls.random(n, seed)
+
 
 @dataclass(frozen=True)
 class StageDistribution:
@@ -216,23 +206,11 @@ class StageDistribution:
         return self.input_variances.size
 
 
-def cross_covariance_spectrum(dist: StageDistribution) -> np.ndarray:
-    """Per-coordinate input-target cross-covariance (variance * teacher value)."""
-    return dist.cross_covariance.copy()
-
-
 def target_matrix(dist: StageDistribution, basis: SpectralBasis) -> np.ndarray:
     """Teacher matrix U diag(target_spectrum) V^T."""
     if basis.is_identity:
         return np.diag(dist.target_spectrum)
     return (basis.U * dist.target_spectrum) @ basis.V.T
-
-
-def input_covariance(dist: StageDistribution, basis: SpectralBasis) -> np.ndarray:
-    """Input covariance V diag(input_variances) V^T."""
-    if basis.is_identity:
-        return np.diag(dist.input_variances)
-    return (basis.V * dist.input_variances) @ basis.V.T
 
 
 def mix_distributions(d1: StageDistribution, d2: StageDistribution, alpha: float) -> StageDistribution:
@@ -279,27 +257,13 @@ class TaskFamily:
             raise ConfigError(f"unknown stage {stage!r}, expected one of {STAGES}")
         return self.distributions[stage]
 
-    def target_matrix(self, dist_or_stage: StageDistribution | str) -> np.ndarray:
-        """Teacher matrix U diag(target) V^T for a stage name or a distribution."""
-        dist = dist_or_stage if isinstance(dist_or_stage, StageDistribution) else self.distribution(dist_or_stage)
-        return target_matrix(dist, self.basis)
-
-    def input_covariance(self, dist_or_stage: StageDistribution | str) -> np.ndarray:
-        dist = dist_or_stage if isinstance(dist_or_stage, StageDistribution) else self.distribution(dist_or_stage)
-        return input_covariance(dist, self.basis)
-
     def to_json(self) -> str:
         """Serialize the defining data (partition, spectra, basis mode + seed)."""
         doc = {
             "schema_version": _SCHEMA_VERSION,
             "partition": {"n": self.partition.n, "k": self.partition.k},
             "spectra": {
-                "invariant": self.spectra.invariant.tolist(),
-                "pre_inconsistent": self.spectra.pre_inconsistent.tolist(),
-                "post_inconsistent": self.spectra.post_inconsistent.tolist(),
-                "ft_inconsistent": self.spectra.ft_inconsistent.tolist(),
-                "specialized_target": self.spectra.specialized_target,
-                "mismatch_gap": self.spectra.mismatch_gap,
+                f.name: np.asarray(getattr(self.spectra, f.name)).tolist() for f in fields(TaskSpectra)
             },
             "basis": {"mode": self.basis.mode, "seed": self.basis.seed},
         }
@@ -311,22 +275,8 @@ class TaskFamily:
         if doc.get("schema_version") != _SCHEMA_VERSION:
             raise ConfigError(f"unsupported task family schema_version {doc.get('schema_version')!r}")
         partition = FeaturePartition(n=int(doc["partition"]["n"]), k=int(doc["partition"]["k"]))
-        sp = doc["spectra"]
-        spectra = TaskSpectra(
-            invariant=np.asarray(sp["invariant"], dtype=float),
-            pre_inconsistent=np.asarray(sp["pre_inconsistent"], dtype=float),
-            post_inconsistent=np.asarray(sp["post_inconsistent"], dtype=float),
-            ft_inconsistent=np.asarray(sp["ft_inconsistent"], dtype=float),
-            specialized_target=float(sp["specialized_target"]),
-            mismatch_gap=float(sp["mismatch_gap"]),
-        )
-        mode = doc["basis"]["mode"]
-        if mode == "identity":
-            basis = SpectralBasis.identity(partition.n)
-        elif mode == "random":
-            basis = SpectralBasis.random(partition.n, seed=int(doc["basis"]["seed"]))
-        else:
-            raise ConfigError(f"unknown basis mode {mode!r}")
+        spectra = TaskSpectra(**doc["spectra"])
+        basis = SpectralBasis.from_mode(doc["basis"]["mode"], partition.n, doc["basis"]["seed"])
         return build_task_family(partition, spectra, basis=basis)
 
 
@@ -371,26 +321,6 @@ def build_task_family(
     return TaskFamily(partition=partition, spectra=spectra, basis=basis, distributions=dists)
 
 
-def make_reference_family(basis_mode: str = "identity", basis_seed: int | None = None) -> TaskFamily:
-    """The 6-coordinate reference family used throughout the tests and docs."""
-    partition = FeaturePartition(n=6, k=2)
-    spectra = TaskSpectra(
-        invariant=np.array([5.0, 4.0]),
-        pre_inconsistent=np.array([1.0, 0.8]),
-        post_inconsistent=np.array([3.5, 3.3]),
-        ft_inconsistent=np.array([0.5, 0.3]),
-        specialized_target=0.9,
-        mismatch_gap=2.0,
-    )
-    if basis_mode == "identity":
-        basis = SpectralBasis.identity(partition.n)
-    elif basis_mode == "random":
-        basis = SpectralBasis.random(partition.n, seed=0 if basis_seed is None else basis_seed)
-    else:
-        raise ConfigError(f"unknown basis mode {basis_mode!r}")
-    return build_task_family(partition, spectra, basis=basis)
-
-
 @dataclass(frozen=True)
 class AssumptionCheck:
     name: str
@@ -420,6 +350,35 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
+def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:
+    """The four magnitude inequalities a valid family must satisfy, with signed margins."""
+    post, gap = spectra.post_inconsistent, spectra.mismatch_gap
+    ceiling = max(float(np.max(spectra.pre_inconsistent)), float(np.max(post)), spectra.specialized_target)
+    margins = (
+        (
+            "inconsistent_post_pre_gap",
+            float(np.min(post - spectra.pre_inconsistent)) - gap,
+            "min(post - pre) must exceed mismatch_gap on the inconsistent block",
+        ),
+        (
+            "inconsistent_post_ft_gap",
+            float(np.min(post - spectra.ft_inconsistent)) - gap,
+            "min(post - ft) must exceed mismatch_gap on the inconsistent block",
+        ),
+        (
+            "specialized_magnitude",
+            gap / 2 - spectra.specialized_target,
+            "specialized_target must stay below mismatch_gap / 2",
+        ),
+        (
+            "invariant_dominance",
+            float(np.min(spectra.invariant)) - ceiling,
+            "invariant teacher values must dominate inconsistent and specialized ones",
+        ),
+    )
+    return [AssumptionCheck(name, margin > 0, margin, detail) for name, margin, detail in margins]
+
+
 def validate_assumptions(spectra: TaskSpectra, alpha: float) -> AssumptionReport:
     """Report which structural premises hold for these spectra at mixing weight alpha.
 
@@ -441,49 +400,7 @@ def validate_assumptions(spectra: TaskSpectra, alpha: float) -> AssumptionReport
         )
     )
 
-    pre_gap = float(np.min(spectra.post_inconsistent - spectra.pre_inconsistent)) - spectra.mismatch_gap
-    entries.append(
-        AssumptionCheck(
-            name="inconsistent_post_pre_gap",
-            holds=pre_gap > 0,
-            margin=pre_gap,
-            detail="min(post - pre) must exceed mismatch_gap on the inconsistent block",
-        )
-    )
-    ft_gap = float(np.min(spectra.post_inconsistent - spectra.ft_inconsistent)) - spectra.mismatch_gap
-    entries.append(
-        AssumptionCheck(
-            name="inconsistent_post_ft_gap",
-            holds=ft_gap > 0,
-            margin=ft_gap,
-            detail="min(post - ft) must exceed mismatch_gap on the inconsistent block",
-        )
-    )
-
-    mag = spectra.mismatch_gap / 2 - spectra.specialized_target
-    entries.append(
-        AssumptionCheck(
-            name="specialized_magnitude",
-            holds=mag > 0,
-            margin=mag,
-            detail="specialized_target must stay below mismatch_gap / 2",
-        )
-    )
-
-    ceiling = max(
-        float(np.max(spectra.pre_inconsistent)),
-        float(np.max(spectra.post_inconsistent)),
-        spectra.specialized_target,
-    )
-    dom = float(np.min(spectra.invariant)) - ceiling
-    entries.append(
-        AssumptionCheck(
-            name="invariant_dominance",
-            holds=dom > 0,
-            margin=dom,
-            detail="invariant teacher values must dominate inconsistent and specialized ones",
-        )
-    )
+    entries.extend(_inequality_checks(spectra))
 
     def salience_margin(a: float) -> float:
         rhs = (1.0 - a) * spectra.pre_inconsistent + a * spectra.post_inconsistent

@@ -94,6 +94,34 @@ def test_simulate_reports_divergence_with_exit_3(tmp_path, capsys):
     assert records[0]["L_im"] is None
 
 
+def test_simulate_after_a_sweep_appends_without_destroying_records(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "sweep"]) == 0
+    swept = (out / "runs.jsonl").read_bytes()
+    assert swept.count(b"\n") == 30
+    assert main(["--out", str(out), "simulate"]) == 0
+    after = (out / "runs.jsonl").read_bytes()
+    assert after.startswith(swept)
+    assert after[len(swept):].count(b"\n") == 1
+    assert read_records(out / "runs.jsonl")[-1]["steps2"] == 2000
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "ini, names",
+    [
+        ("[task]\nbasis = random\nbasis_seed = -1\n", "basis_seed"),
+        ("[init]\ntau = -800\n", "tau"),
+    ],
+)
+def test_bad_basis_seed_and_overflowing_tau_exit_2(tmp_path, capsys, ini, names):
+    cfg = write_ini(tmp_path, ini)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_out_directory_falls_back_to_the_environment(tmp_path, monkeypatch, capsys):
     cfg = write_ini(tmp_path, SIMULATE_INI)
     env_out = tmp_path / "envout"

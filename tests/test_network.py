@@ -23,8 +23,6 @@ from stagelab import (
     TrainingDiverged,
     aligned_spectrum,
     derived_diag_step,
-    gradient_step,
-    idealized_diag_step,
     init_from_spectrum,
     init_scaled_identity,
     make_reference_family,
@@ -35,6 +33,7 @@ from stagelab import (
     stochastic_step,
     train,
 )
+from stagelab.tasks import target_matrix
 
 
 def scalar_problem(target: float = 2.0):
@@ -113,7 +112,7 @@ def test_population_loss_reference_values():
     assert population_loss(a_post, pre, family.basis) == 12.5
 
     # a bitwise copy of the teacher (sqrt round trips can be one ulp off)
-    a_pre = NetworkState(W1=family.target_matrix(pre), W2=np.eye(6))
+    a_pre = NetworkState(W1=target_matrix(pre, family.basis), W2=np.eye(6))
     assert population_loss(a_pre, pre, family.basis) == 0.0
 
 
@@ -179,7 +178,7 @@ def test_gradient_vanishes_at_the_teacher_and_at_the_origin():
     family = make_reference_family()
     post = family.distribution("posttrain")
     # a bitwise teacher: theta equals the target matrix exactly
-    teacher = NetworkState(W1=family.target_matrix(post), W2=np.eye(6))
+    teacher = NetworkState(W1=target_matrix(post, family.basis), W2=np.eye(6))
     G1, G2 = population_gradient(teacher, post, family.basis)
     np.testing.assert_array_equal(G1, np.zeros((6, 6)))
     np.testing.assert_array_equal(G2, np.zeros((6, 6)))
@@ -213,7 +212,7 @@ def test_zero_variance_coordinates_receive_no_gradient():
 def test_gradient_step_scalar_arithmetic():
     basis, dist = scalar_problem(target=2.0)
     state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
-    nxt = gradient_step(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
+    nxt, _ = train(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
     assert nxt.W1[0, 0] == 1.02
     assert nxt.W2[0, 0] == 1.02
     assert nxt.step == 1
@@ -224,19 +223,36 @@ def test_gradient_step_matches_derived_not_idealized_scalar_rule():
     # cubic rule; both share fixed points but differ at finite step size
     basis, dist = scalar_problem(target=2.0)
     state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
-    nxt = gradient_step(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
+    nxt, _ = train(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
     derived = derived_diag_step(1.0, 1.0, 2.0, 0.01)
-    cubic = idealized_diag_step(1.0, 2.0, 0.01)
+    # the textbook cubic rule sigma - 2 eta sigma (sigma^2 - target^2)
+    cubic = 1.0 - 2.0 * 0.01 * 1.0 * (1.0**2 - 2.0**2)
     assert nxt.theta[0, 0] == pytest.approx(derived, abs=1e-15)
     assert cubic == pytest.approx(1.06, abs=1e-12)
     assert abs(nxt.theta[0, 0] - cubic) > 1e-3
 
 
+@pytest.mark.parametrize("basis_mode", ["identity", "random"])
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
+def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda):
+    # train() and population_gradient share one update kernel, so the
+    # finite-difference check of the gradient covers the step that trains
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    rng = np.random.default_rng(11)
+    state = NetworkState(W1=rng.normal(0, 0.5, (6, 6)), W2=rng.normal(0, 0.5, (6, 6)))
+    anchor = rng.normal(0, 1.0, (6, 6)) if ridge_lambda > 0 else None
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    config = TrainConfig(eta=0.02, max_steps=1, ridge_lambda=ridge_lambda, ridge_anchor=anchor)
+    nxt, _ = train(state, dist, family.basis, config)
+    G1, G2 = population_gradient(state, dist, family.basis, ridge_lambda, anchor)
+    np.testing.assert_array_equal(nxt.W1, state.W1 - 0.02 * G1)
+    np.testing.assert_array_equal(nxt.W2, state.W2 - 0.02 * G2)
+    assert nxt.step == 1
+
+
 def test_scalar_rules_share_fixed_points():
     assert derived_diag_step(2.0, 1.0, 2.0, 0.01) == 2.0
-    assert idealized_diag_step(2.0, 2.0, 0.01) == 2.0
     assert derived_diag_step(0.0, 1.0, 2.0, 0.01) == 0.0
-    assert idealized_diag_step(0.0, 2.0, 0.01) == 0.0
 
 
 def test_scalar_fixed_point_limits():
@@ -258,7 +274,7 @@ def test_saddle_persistence_is_bitwise():
     state = init_from_spectrum(family.basis, np.array([5.0, 4.0, 1.0, 0.8, 0.0, 0.0]))
     config = TrainConfig(eta=0.02, max_steps=1)
     for _ in range(200):
-        state = gradient_step(state, post, family.basis, config)
+        state, _ = train(state, post, family.basis, config, record_spectrum=False)
     assert np.all(state.W1[:, 4:] == 0.0)
     assert np.all(state.W1[4:, :] == 0.0)
     assert np.all(state.W2[:, 4:] == 0.0)
@@ -274,7 +290,7 @@ def test_frozen_coordinates_stay_bitwise_constant_under_finetuning():
     frozen_w1 = state.W1[4:, 4:].copy()
     config = TrainConfig(eta=0.02, max_steps=1)
     for _ in range(500):
-        state = gradient_step(state, ft, family.basis, config)
+        state, _ = train(state, ft, family.basis, config, record_spectrum=False)
     diag, _ = aligned_spectrum(state, family.basis)
     assert diag[4] == before[4] and diag[5] == before[5]
     assert diag[4] == pytest.approx(0.9, abs=1e-12)
@@ -486,6 +502,6 @@ def test_derived_step_agrees_with_a_balanced_matrix_step(sigma, target, eta):
     basis, dist = scalar_problem(target=target)
     root = math.sqrt(sigma)
     state = NetworkState(W1=np.array([[root]]), W2=np.array([[root]]))
-    nxt = gradient_step(state, dist, basis, TrainConfig(eta=eta, max_steps=1, gamma_bound=0.1))
+    nxt, _ = train(state, dist, basis, TrainConfig(eta=eta, max_steps=1, gamma_bound=0.1))
     want = derived_diag_step(state.theta[0, 0], 1.0, target, eta)
     assert nxt.theta[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-15)

@@ -15,12 +15,11 @@ from stagelab import (
     TaskSpectra,
     TaskValidationError,
     build_task_family,
-    cross_covariance_spectrum,
     make_reference_family,
     mix_distributions,
     validate_assumptions,
 )
-from stagelab.tasks import input_covariance, target_matrix
+from stagelab.tasks import target_matrix
 
 
 def reference_spectra(**overrides) -> TaskSpectra:
@@ -51,7 +50,7 @@ def test_reference_family_stage_vectors():
     np.testing.assert_array_equal(ft.target_spectrum, [5, 4, 0.5, 0.3, 0, 0])
 
     np.testing.assert_array_equal(pre.cross_covariance, pre.input_variances * pre.target_spectrum)
-    np.testing.assert_array_equal(cross_covariance_spectrum(post), post.target_spectrum)
+    np.testing.assert_array_equal(post.cross_covariance, post.target_spectrum)
 
 
 def test_partition_blocks():
@@ -192,20 +191,12 @@ def test_target_and_covariance_matrices_in_both_bases():
     family = make_reference_family()
     post = family.distribution("posttrain")
     np.testing.assert_array_equal(target_matrix(post, family.basis), np.diag(post.target_spectrum))
-    np.testing.assert_array_equal(
-        input_covariance(post, family.basis), np.diag(post.input_variances)
-    )
 
     rot = make_reference_family(basis_mode="random", basis_seed=5)
     post_r = rot.distribution("posttrain")
     A = target_matrix(post_r, rot.basis)
     np.testing.assert_allclose(
         rot.basis.U.T @ A @ rot.basis.V, np.diag(post_r.target_spectrum), atol=1e-12
-    )
-    cov = input_covariance(post_r, rot.basis)
-    np.testing.assert_allclose(cov, cov.T, atol=1e-12)
-    np.testing.assert_allclose(
-        rot.basis.V.T @ cov @ rot.basis.V, np.diag(post_r.input_variances), atol=1e-12
     )
 
 
