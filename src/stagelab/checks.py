@@ -44,6 +44,17 @@ from .network import (
 from .records import format_float
 from .tasks import StageDistribution, TaskFamily, mix_distributions, validate_assumptions
 
+# Reference settings and tolerances shared by every check; verify.txt prints them.
+TAU = 12.0  # init scale exp(-2 tau) on every aligned coordinate
+ACQUISITION_ETA = 0.05
+ROUTING_ETA = 0.02
+FT_ETA = 0.02
+FT_STEPS = 10_000
+MIN_LEARNED_RATIO = 0.9
+UNLEARNED_TOL = 1e-3
+OFFDIAG_TOL = ORACLE_TOL = 1e-6
+MIXED_TOL = 0.0
+
 
 def _render_value(value: object) -> str:
     """Render a measured value with floats at full 17-digit precision."""
@@ -139,29 +150,22 @@ def _oracle_fixed_points(
 
 
 def check_specialized_acquisition(
-    family: TaskFamily,
-    alpha: float = 0.5,
-    eta: float = 0.05,
-    steps: int = 40_000,
-    tau: float = 12.0,
-    min_learned_ratio: float = 0.9,
-    unlearned_tol: float = 1e-3,
+    family: TaskFamily, alpha: float = 0.5, steps: int = 40_000
 ) -> CheckReport:
     """Specialized coordinates are acquired iff posttraining data is mixed in."""
     part = family.partition
     pre = family.distribution("pretrain")
     post = family.distribution("posttrain")
     mixed = mix_distributions(pre, post, alpha)
-    init = init_scaled_identity(part.n, tau, family.basis)
-    config = TrainConfig(eta=eta, max_steps=steps, probe_every=max(1, steps // 10))
+    init = init_scaled_identity(part.n, TAU, family.basis)
+    config = TrainConfig(eta=ACQUISITION_ETA, max_steps=steps, probe_every=max(1, steps // 10))
 
     state_mixed, _ = train(init, mixed, family.basis, config, record_spectrum=False)
     state_unmixed, _ = train(init, pre, family.basis, config, record_spectrum=False)
 
     diag_mixed, _ = aligned_spectrum(state_mixed, family.basis)
     diag_unmixed, _ = aligned_spectrum(state_unmixed, family.basis)
-    init_diag = np.full(part.n, math.exp(-2.0 * tau))
-    oracle = _oracle_fixed_points(mixed, eta, init_diag)
+    oracle = _oracle_fixed_points(mixed, ACQUISITION_ETA, np.full(part.n, math.exp(-2.0 * TAU)))
 
     spec = part.specialized
     ratios = diag_mixed[spec] / oracle[spec]
@@ -171,9 +175,9 @@ def check_specialized_acquisition(
     # scalar limit collapses to the init scale, so demand real escape too
     least_mixed = float(np.min(diag_mixed[spec]))
     passed = (
-        worst_ratio >= min_learned_ratio
-        and least_mixed > unlearned_tol
-        and worst_unmixed <= unlearned_tol
+        worst_ratio >= MIN_LEARNED_RATIO
+        and least_mixed > UNLEARNED_TOL
+        and worst_unmixed <= UNLEARNED_TOL
     )
     return CheckReport(
         name="specialized_acquisition",
@@ -188,18 +192,16 @@ def check_specialized_acquisition(
             "mixed_diag": diag_mixed.tolist(),
             "unmixed_diag": diag_unmixed.tolist(),
         },
-        thresholds={"min_learned_ratio": min_learned_ratio, "unlearned_tol": unlearned_tol},
-        notes=(f"alpha={alpha:g} eta={eta:g} steps={steps} tau={tau:g}",),
+        thresholds={"min_learned_ratio": MIN_LEARNED_RATIO, "unlearned_tol": UNLEARNED_TOL},
+        notes=(f"alpha={alpha:g} eta={ACQUISITION_ETA:g} steps={steps} tau={TAU:g}",),
     )
 
 
 def check_sequential_order(
     family: TaskFamily,
     dist: StageDistribution | None = None,
-    eta: float = 0.05,
+    eta: float = ACQUISITION_ETA,
     steps: int = 40_000,
-    tau: float = 12.0,
-    unlearned_tol: float = 1e-3,
 ) -> CheckReport:
     """Coordinates cross half their limit value in descending cross-covariance order.
 
@@ -209,24 +211,19 @@ def check_sequential_order(
     if dist is None:
         dist = family.distribution("pretrain")
     part = family.partition
-    init = init_scaled_identity(part.n, tau, family.basis)
+    init = init_scaled_identity(part.n, TAU, family.basis)
     config = TrainConfig(eta=eta, max_steps=steps, probe_every=1)
     _, traj = train(init, dist, family.basis, config)
 
     diags = traj.diagonals()
     steps_axis = traj.steps
-    init_diag = np.full(part.n, math.exp(-2.0 * tau))
+    oracle = _oracle_fixed_points(dist, eta, np.full(part.n, math.exp(-2.0 * TAU)))
     xc = dist.cross_covariance
     crossings: dict[int, int | None] = {}
     violations: list[str] = []
     for i in range(part.n):
         if xc[i] > 0:
-            fp = scalar_fixed_point(
-                variance=float(dist.input_variances[i]),
-                target=float(dist.target_spectrum[i]),
-                eta=eta,
-                init=float(init_diag[i]),
-            )
+            fp = oracle[i]
             above = diags[:, i] > fp / 2.0
             if not above.any():
                 crossings[i] = None
@@ -236,7 +233,7 @@ def check_sequential_order(
         else:
             crossings[i] = None
             peak = float(np.max(np.abs(diags[:, i])))
-            if peak > unlearned_tol:
+            if peak > UNLEARNED_TOL:
                 violations.append(f"inactive coordinate {i} reached {peak:.3g}")
 
     # Group active coordinates by exact cross-covariance value, then require
@@ -263,7 +260,7 @@ def check_sequential_order(
             "crossings": {str(i): crossings[i] for i in range(part.n)},
             "cross_covariance": xc.tolist(),
         },
-        thresholds={"unlearned_tol": unlearned_tol},
+        thresholds={"unlearned_tol": UNLEARNED_TOL},
         notes=tuple(violations) if violations else (f"eta={eta:g} steps={steps}",),
     )
 
@@ -317,9 +314,9 @@ def _epsilon_ceiling(family: TaskFamily) -> float:
 def _require_routing_preconditions(
     family: TaskFamily,
     epsilon: float,
-    eta: float,
     ridge_lambda: float,
     anchors: dict[str, np.ndarray],
+    oracles: dict[str, np.ndarray],
 ) -> None:
     ceiling = _epsilon_ceiling(family)
     if not 0.0 < epsilon < ceiling:
@@ -327,21 +324,13 @@ def _require_routing_preconditions(
             "posttrain routing requires epsilon < mismatch_gap / (2 * mismatch_gap - "
             f"4 * specialized_target) = {ceiling:.6g}, got epsilon = {epsilon:g}"
         )
-    post = family.distribution("posttrain")
+    target = family.distribution("posttrain").target_spectrum
     worst = 0.0
     for kind, diag in anchors.items():
-        for i in range(post.n):
-            if diag[i] <= 0:
-                continue  # saddle-pinned coordinates are covered by the routing claim itself
-            fp = scalar_fixed_point(
-                variance=float(post.input_variances[i]),
-                target=float(post.target_spectrum[i]),
-                eta=eta,
-                ridge_lambda=ridge_lambda,
-                anchor=float(diag[i]),
-                init=float(diag[i]),
-            )
-            worst = max(worst, abs(fp - float(post.target_spectrum[i])))
+        # saddle-pinned coordinates are covered by the routing claim itself
+        moving = diag > 0
+        if moving.any():
+            worst = max(worst, float(np.max(np.abs(oracles[kind][moving] - target[moving]))))
     if worst > epsilon / 2.0:
         raise PreconditionError(
             f"ridge_lambda = {ridge_lambda:g} shifts a fixed point by {worst:.6g}, "
@@ -353,12 +342,9 @@ def check_posttrain_routing(
     family: TaskFamily,
     alpha: float = 0.5,
     epsilon: float = 0.1,
-    eta: float = 0.02,
     steps: int = 10_000,
     ridge_lambda: float = 0.02,
     literal_inconsistent: bool = False,
-    offdiag_tol: float = 1e-6,
-    oracle_tol: float = 1e-6,
 ) -> tuple[CheckReport, dict[str, NetworkState]]:
     """Posttraining moves active coordinates to the posttrain spectrum, within epsilon.
 
@@ -366,7 +352,7 @@ def check_posttrain_routing(
     on the pure posttraining distribution with a ridge anchored at the
     checkpoint.  Saddle-pinned coordinates must remain at exactly zero at every
     snapshot; all other coordinates must land within epsilon of their stage
-    targets and within oracle_tol of independent scalar-recursion limits.
+    targets and within ORACLE_TOL of independent scalar-recursion limits.
     """
     part = family.partition
     spectra = family.spectra
@@ -380,7 +366,11 @@ def check_posttrain_routing(
         ),
     }
     anchors = {kind: aligned_spectrum(state, basis)[0] for kind, state in inits.items()}
-    _require_routing_preconditions(family, epsilon, eta, ridge_lambda, anchors)
+    oracles = {
+        kind: _oracle_fixed_points(post, ROUTING_ETA, diag, ridge_lambda=ridge_lambda)
+        for kind, diag in anchors.items()
+    }
+    _require_routing_preconditions(family, epsilon, ridge_lambda, anchors, oracles)
 
     expected = {
         "mixed": np.concatenate(
@@ -401,7 +391,7 @@ def check_posttrain_routing(
     failures: list[str] = []
     for kind, init in inits.items():
         config = TrainConfig(
-            eta=eta,
+            eta=ROUTING_ETA,
             max_steps=steps,
             ridge_lambda=ridge_lambda,
             ridge_anchor=init.theta,
@@ -417,9 +407,9 @@ def check_posttrain_routing(
         err = np.abs(final - expected[kind])
         worst_err = float(np.max(err))
 
-        oracle = _oracle_fixed_points(post, eta, anchors[kind], ridge_lambda=ridge_lambda)
         moving = anchors[kind] > 0
-        oracle_err = float(np.max(np.abs(final[moving] - oracle[moving]))) if moving.any() else 0.0
+        oracle = oracles[kind][moving]
+        oracle_err = float(np.max(np.abs(final[moving] - oracle))) if moving.any() else 0.0
 
         measured[kind] = {
             "final_diag": final.tolist(),
@@ -431,21 +421,21 @@ def check_posttrain_routing(
         }
         if worst_err > epsilon:
             failures.append(f"{kind}: spectrum error {worst_err:.3g} > epsilon {epsilon:g}")
-        if offdiag_max > offdiag_tol:
+        if offdiag_max > OFFDIAG_TOL:
             failures.append(f"{kind}: off-diagonal reached {offdiag_max:.3g}")
         if not pinned_exact:
             failures.append(f"{kind}: saddle-pinned coordinates moved off zero")
-        if oracle_err > oracle_tol:
+        if oracle_err > ORACLE_TOL:
             failures.append(f"{kind}: disagrees with scalar oracle by {oracle_err:.3g}")
 
-    notes = [f"alpha={alpha:g} eta={eta:g} steps={steps} ridge_lambda={ridge_lambda:g}"]
+    notes = [f"alpha={alpha:g} eta={ROUTING_ETA:g} steps={steps} ridge_lambda={ridge_lambda:g}"]
     if literal_inconsistent:
         notes.append("unmixed checkpoint used the literal posttrain inconsistent values")
     report = CheckReport(
         name="posttrain_routing_literal" if literal_inconsistent else "posttrain_routing",
         passed=not failures,
         measured=measured,
-        thresholds={"epsilon": epsilon, "offdiag_tol": offdiag_tol, "oracle_tol": oracle_tol},
+        thresholds={"epsilon": epsilon, "offdiag_tol": OFFDIAG_TOL, "oracle_tol": ORACLE_TOL},
         notes=tuple(failures) if failures else tuple(notes),
     )
     return report, states
@@ -466,38 +456,24 @@ def forgetting_lower_bound(k: int, mismatch_gap: float, specialized_target: floa
 
 def check_forgetting_gap(
     family: TaskFamily,
-    alpha: float = 0.5,
+    posttrain_states: dict[str, NetworkState],
     epsilon: float = 0.1,
-    routing_eta: float = 0.02,
-    routing_steps: int = 10_000,
-    ridge_lambda: float = 0.02,
-    ft_eta: float = 0.02,
-    ft_steps: int = 10_000,
+    ft_steps: int = FT_STEPS,
     literal_inconsistent: bool = False,
-    mixed_tol: float = 0.0,
-    posttrain_states: dict[str, NetworkState] | None = None,
 ) -> CheckReport:
     """Finetuning forgets the posttrained skills only on the unmixed arm.
 
-    delta = posttrain loss after finetuning minus posttrain loss before it.
-    The mixed arm's checkpoints are parameter-frozen under finetuning (saddle
-    plus zero-variance coordinates), so its delta is exactly zero; the unmixed
-    arm's delta must be at least forgetting_lower_bound.
+    posttrain_states are the "mixed" and "unmixed" checkpoints returned by
+    check_posttrain_routing.  delta = posttrain loss after finetuning minus
+    posttrain loss before it.  The mixed arm's checkpoints are parameter-frozen
+    under finetuning (saddle plus zero-variance coordinates), so its delta is
+    exactly zero; the unmixed arm's delta must be at least
+    forgetting_lower_bound.
     """
-    if posttrain_states is None:
-        _, posttrain_states = check_posttrain_routing(
-            family,
-            alpha=alpha,
-            epsilon=epsilon,
-            eta=routing_eta,
-            steps=routing_steps,
-            ridge_lambda=ridge_lambda,
-            literal_inconsistent=literal_inconsistent,
-        )
     post = family.distribution("posttrain")
     ft = family.distribution("finetune")
     basis = family.basis
-    config = TrainConfig(eta=ft_eta, max_steps=ft_steps)
+    config = TrainConfig(eta=FT_ETA, max_steps=ft_steps)
 
     deltas: dict[str, float] = {}
     for kind, state in posttrain_states.items():
@@ -512,7 +488,7 @@ def check_forgetting_gap(
         family.spectra.specialized_target,
         epsilon,
     )
-    passed = abs(deltas["mixed"]) <= mixed_tol and deltas["unmixed"] >= bound
+    passed = abs(deltas["mixed"]) <= MIXED_TOL and deltas["unmixed"] >= bound
     return CheckReport(
         name="forgetting_gap_literal" if literal_inconsistent else "forgetting_gap",
         passed=passed,
@@ -521,8 +497,8 @@ def check_forgetting_gap(
             "delta_unmixed": deltas["unmixed"],
             "lower_bound": bound,
         },
-        thresholds={"mixed_tol": mixed_tol, "unmixed_min": bound},
-        notes=(f"epsilon={epsilon:g} ft_eta={ft_eta:g} ft_steps={ft_steps}",),
+        thresholds={"mixed_tol": MIXED_TOL, "unmixed_min": bound},
+        notes=(f"epsilon={epsilon:g} ft_eta={FT_ETA:g} ft_steps={ft_steps}",),
     )
 
 
@@ -569,19 +545,11 @@ def run_all_checks(
     reports.append(routing_report)
 
     ft = family.distribution("finetune")
-    frozen_config = TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
+    frozen_config = TrainConfig(eta=FT_ETA, max_steps=FT_STEPS, probe_every=1)
     _, ft_traj = train(states["mixed"], ft, family.basis, frozen_config)
     reports.append(check_frozen_directions(ft_traj, ft, family))
 
-    reports.append(
-        check_forgetting_gap(
-            family,
-            alpha=alpha,
-            epsilon=epsilon,
-            routing_steps=routing_steps,
-            posttrain_states=states,
-        )
-    )
+    reports.append(check_forgetting_gap(family, states, epsilon=epsilon))
     if literal_inconsistent:
         literal_report, literal_states = check_posttrain_routing(
             family,
@@ -592,13 +560,6 @@ def run_all_checks(
         )
         reports.append(literal_report)
         reports.append(
-            check_forgetting_gap(
-                family,
-                alpha=alpha,
-                epsilon=epsilon,
-                routing_steps=routing_steps,
-                literal_inconsistent=True,
-                posttrain_states=literal_states,
-            )
+            check_forgetting_gap(family, literal_states, epsilon=epsilon, literal_inconsistent=True)
         )
     return reports

@@ -94,7 +94,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         raise ConfigError("sweep grid is empty; every [sweep] list needs at least one value")
     run_ids = [make_run_id(*plans) for plans in tasks]
     runs_path = os.path.join(out, RUNS_FILE)
-    done = existing_run_ids(runs_path)
+    records = read_records(runs_path) if os.path.exists(runs_path) else []
+    done = {rec["run_id"] for rec in records if "run_id" in rec}
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in done]
     new_runs = run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads)
     config_hash = stable_hash(cfg.canonical())
@@ -102,7 +103,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     write_records(runs_path, new_records, append=True)
 
     # Regenerate the CSV from all records, in the sweep's enumeration order.
-    by_id = {rec["run_id"]: rec for rec in read_records(runs_path)}
+    by_id = {rec["run_id"]: rec for rec in records + new_records if "run_id" in rec}
     sweep_to_csv((by_id[i] for i in run_ids if i in by_id), os.path.join(out, SWEEP_CSV))
     completed = len(tasks) - len(todo)
     print(f"sweep: {len(new_runs)} new runs, {completed} already recorded, out={out}")

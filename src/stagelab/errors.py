@@ -28,7 +28,7 @@ class TaskValidationError(ConfigError):
 
 
 class TrainingDiverged(StagelabError):
-    """A gradient run produced a non-finite parameter value.
+    """A gradient run produced a non-finite parameter value or training loss.
 
     Carries the step index at which divergence was detected.
     """

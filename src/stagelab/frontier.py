@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigError
 
 PROJECTIONS: dict[str, tuple[str, str]] = {
@@ -48,14 +46,6 @@ class ParetoFrontier:
 
     def __iter__(self):
         return iter(self.points)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points])
 
 
 def _check_point(p: FrontierPoint) -> None:

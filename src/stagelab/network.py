@@ -76,24 +76,21 @@ def init_from_spectrum(basis: SpectralBasis, spectrum: np.ndarray) -> NetworkSta
     return NetworkState(W1=basis.U * root, W2=root[:, None] * basis.V.T)
 
 
-def check_step_size(eta: float, ridge_lambda: float = 0.0, gamma_bound: float = 2.0) -> None:
-    """Enforce the step-size budget 4 * eta * (ridge_lambda + 2) * gamma_bound < 1.
+def check_step_size(eta: float, ridge_lambda: float = 0.0) -> None:
+    """Enforce the step-size budget 4 * eta * (ridge_lambda + 2) * 2 < 1.
 
-    gamma_bound is the caller's bound on the squared operator norms involved;
-    this is a configuration-time sanity check, actual instability is still
-    caught at run time by the divergence guard.
+    The last factor bounds the squared operator norms involved; this is a
+    configuration-time sanity check, actual instability is still caught at
+    run time by the divergence guard.
     """
     if eta <= 0:
         raise ConfigError(f"learning rate must be positive, got {eta}")
     if ridge_lambda < 0:
         raise ConfigError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
-    if gamma_bound <= 0:
-        raise ConfigError(f"gamma_bound must be positive, got {gamma_bound}")
-    budget = 4.0 * eta * (ridge_lambda + 2.0) * gamma_bound
+    budget = 8.0 * eta * (ridge_lambda + 2.0)
     if not budget < 1.0:
         raise ConfigError(
-            "step-size budget violated: 4 * eta * (ridge_lambda + 2) * gamma_bound = "
-            f"{budget:.6g} >= 1"
+            f"step-size budget violated: 4 * eta * (ridge_lambda + 2) * 2 = {budget:.6g} >= 1"
         )
 
 
@@ -105,24 +102,14 @@ class TrainConfig:
     max_steps: int
     ridge_lambda: float = 0.0
     ridge_anchor: np.ndarray | None = None
-    stop_rule: str = "fixed_steps"
-    plateau_threshold: float = 1e-9
-    plateau_patience: int = 10
-    gamma_bound: float = 2.0
     probe_every: int = 50
 
     def __post_init__(self) -> None:
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be nonnegative, got {self.max_steps}")
-        check_step_size(self.eta, self.ridge_lambda, self.gamma_bound)
+        check_step_size(self.eta, self.ridge_lambda)
         if self.ridge_lambda > 0 and self.ridge_anchor is None:
             raise ConfigError("ridge_lambda > 0 requires a ridge_anchor checkpoint")
-        if self.stop_rule not in ("fixed_steps", "loss_plateau"):
-            raise ConfigError(f"unknown stop_rule {self.stop_rule!r}")
-        if self.plateau_threshold <= 0:
-            raise ConfigError(f"plateau_threshold must be positive, got {self.plateau_threshold}")
-        if self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.probe_every < 1:
             raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
         if self.ridge_anchor is not None:
@@ -237,12 +224,11 @@ def train(
     probes: Mapping[str, StageDistribution] | None = None,
     record_spectrum: bool = True,
 ) -> tuple[NetworkState, Trajectory]:
-    """Run full-batch gradient descent, recording snapshots every probe_every steps.
+    """Run max_steps of full-batch gradient descent, snapshotting every probe_every steps.
 
-    The first and final states are always snapshotted.  With stop_rule
-    "loss_plateau" the run ends once the relative training-loss improvement
-    between consecutive snapshots stays below plateau_threshold for
-    plateau_patience snapshots in a row.
+    The first and final states are always snapshotted.  The run raises
+    TrainingDiverged on non-finite weights after a step, or on a non-finite
+    training loss at a snapshot (finite weights can still overflow the loss).
     """
     probes = dict(probes or {})
     A = target_matrix(dist, basis)
@@ -255,10 +241,7 @@ def train(
     W1 = np.array(state.W1, copy=True)
     W2 = np.array(state.W2, copy=True)
     snaps: list[Snapshot] = []
-    prev_loss: float | None = None
-    flat_streak = 0
     step = 0
-    stopped = False
     # overflow is caught by the finiteness check, so numpy's own warning about
     # it is noise on a run that is about to raise anyway
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,6 +252,8 @@ def train(
             final = step == config.max_steps
             if at_cadence or final:
                 loss = _data_loss(E, v, V)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(state.step + step)
                 diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
                 probe_losses = {
                     name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
@@ -282,13 +267,7 @@ def train(
                         probe_losses=probe_losses,
                     )
                 )
-                if config.stop_rule == "loss_plateau" and prev_loss is not None:
-                    rel = (prev_loss - loss) / max(prev_loss, 1e-300)
-                    flat_streak = flat_streak + 1 if rel < config.plateau_threshold else 0
-                    if flat_streak >= config.plateau_patience:
-                        stopped = True
-                prev_loss = loss
-            if final or stopped:
+            if final:
                 break
             G1, G2 = _factor_gradients(W1, W2, theta, E, v, V, lam, anchor)
             W1 = W1 - config.eta * G1

@@ -297,12 +297,19 @@ def compute_matched_plans(
     return replace(stage1_template, steps=steps1), replace(stage2_template, steps=steps2)
 
 
+def _id_float(x: float) -> str:
+    """The short :g form when it parses back to x, else repr, so distinct values never collide."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def make_run_id(plan1: StagePlan, plan2: StagePlan, plan3: StagePlan) -> str:
     """Deterministic identifier encoding the swept hyperparameters."""
     return (
-        f"m{plan1.mix_fraction:g}-s1_{plan1.steps}"
-        f"-r{plan2.replay_fraction:g}-l{plan2.ridge_lambda:g}-e2_{plan2.eta:g}-s2_{plan2.steps}"
-        f"-e3_{plan3.eta:g}-s3_{plan3.steps}"
+        f"m{_id_float(plan1.mix_fraction)}-s1_{plan1.steps}"
+        f"-r{_id_float(plan2.replay_fraction)}-l{_id_float(plan2.ridge_lambda)}"
+        f"-e2_{_id_float(plan2.eta)}-s2_{plan2.steps}"
+        f"-e3_{_id_float(plan3.eta)}-s3_{plan3.steps}"
     )
 
 

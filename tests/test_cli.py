@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+import stagelab.cli
+import stagelab.records
 from stagelab.cli import main
 from stagelab.records import read_records
 
@@ -107,6 +109,22 @@ def test_simulate_after_a_sweep_appends_without_destroying_records(tmp_path, cap
     capsys.readouterr()
 
 
+def test_simulate_with_an_infinite_loss_reports_divergence(tmp_path, capsys):
+    # finite weights of size exp(180) whose loss overflows before any step
+    cfg = write_ini(
+        tmp_path,
+        "[init]\ntau = -180\n[pretrain]\nsteps = 0\n[posttrain]\nsteps = 0\n"
+        "[finetune]\nsteps = 0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == 3
+    err = capsys.readouterr().err
+    assert "diverged during pretrain" in err and "Traceback" not in err
+    records = read_records(out / "runs.jsonl")
+    assert len(records) == 1
+    assert records[0]["status"] == "diverged"
+
+
 @pytest.mark.parametrize(
     "ini, names",
     [
@@ -153,13 +171,25 @@ def test_sweep_runs_the_grid_and_resumes(sweep_out, capsys):
     assert open(csv_path, "rb").read() == before_csv
 
 
-def test_interrupted_sweep_converges_to_the_uninterrupted_result(tmp_path):
+def test_interrupted_sweep_converges_to_the_uninterrupted_result(tmp_path, monkeypatch):
     partial_cfg = write_ini(tmp_path, SWEEP_INI.replace("eta3 = 0.01, 0.05", "eta3 = 0.05"), "p.ini")
     full_cfg = write_ini(tmp_path, SWEEP_INI, "f.ini")
     resumed = str(tmp_path / "resumed")
     straight = str(tmp_path / "straight")
     assert main(["--config", partial_cfg, "--out", resumed, "sweep"]) == 0
+    # the resumed sweep reads runs.jsonl once, for both the resume and the CSV
+    reads = []
+    original = stagelab.records.read_records
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    for module in (stagelab.records, stagelab.cli):
+        monkeypatch.setattr(module, "read_records", counting)
     assert main(["--config", full_cfg, "--out", resumed, "sweep"]) == 0
+    assert len(reads) == 1
+    monkeypatch.undo()
     assert main(["--config", full_cfg, "--out", straight, "sweep"]) == 0
     # the CSV is regenerated in grid order, so it converges byte for byte;
     # the JSONL keeps arrival order, so compare it as a set of rows with the
@@ -188,6 +218,22 @@ def test_sweep_with_threads_matches_the_serial_records(tmp_path):
     assert open(os.path.join(serial, "sweep.csv"), "rb").read() == open(
         os.path.join(threaded, "sweep.csv"), "rb"
     ).read()
+
+
+def test_sweep_run_ids_keep_close_values_apart(tmp_path, capsys):
+    # both values print as 0.01 at six significant digits
+    cfg = write_ini(
+        tmp_path, SWEEP_INI.replace("eta3 = 0.01, 0.05", "eta3 = 0.0100001, 0.01000012")
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == 0
+    assert "sweep: 4 new runs" in capsys.readouterr().out
+    ids = [r["run_id"] for r in read_records(out / "runs.jsonl")]
+    assert len(set(ids)) == 4
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len({tuple(row) for row in rows}) == 4
+    assert {row[0] for row in rows} == set(ids)
 
 
 def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
