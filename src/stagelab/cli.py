@@ -97,19 +97,22 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     records = read_records(runs_path) if os.path.exists(runs_path) else []
     done = {rec["run_id"] for rec in records if "run_id" in rec}
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in done]
-    new_runs = run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads)
     config_hash = stable_hash(cfg.canonical())
-    new_records = [pipeline_run_record(r, seed=args.seed, config_hash=config_hash) for r in new_runs]
-    write_records(runs_path, new_records, append=True)
+    new_records = []
+    for run in run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads):
+        record = pipeline_run_record(run, seed=args.seed, config_hash=config_hash)
+        # one append per run, so an interrupted sweep keeps every finished run
+        write_records(runs_path, [record], append=True)
+        new_records.append(record)
 
     # Regenerate the CSV from all records, in the sweep's enumeration order.
     by_id = {rec["run_id"]: rec for rec in records + new_records if "run_id" in rec}
     sweep_to_csv((by_id[i] for i in run_ids if i in by_id), os.path.join(out, SWEEP_CSV))
     completed = len(tasks) - len(todo)
-    print(f"sweep: {len(new_runs)} new runs, {completed} already recorded, out={out}")
-    for r in new_runs:
-        if not r.succeeded:
-            print(f"  diverged: {r.run_id} at stage {r.failed_stage}", file=sys.stderr)
+    print(f"sweep: {len(new_records)} new runs, {completed} already recorded, out={out}")
+    for rec in new_records:
+        if rec["failed_stage"] is not None:
+            print(f"  diverged: {rec['run_id']} at stage {rec['failed_stage']}", file=sys.stderr)
     return 0
 
 

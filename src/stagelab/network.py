@@ -161,23 +161,41 @@ def _factor_gradients(
     V: np.ndarray | None,
     ridge_lambda: float,
     ridge_anchor: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+    G: np.ndarray,
+    work: np.ndarray,
+    out: np.ndarray,
+) -> None:
     """(dL/dW1, dL/dW2) at theta = W1 @ W2 with residual E = theta - A: the update kernel.
 
-    G is the gradient with respect to theta; the chain rule through W1 @ W2
-    gives the factor gradients.
+    Writes the gradient with respect to theta into G and the factor gradients
+    into out[0] and out[1], with work as scratch; all three are (n, n) buffers
+    the caller owns, and none may alias an input.  The operation order is the
+    one the expressions 2.0 * (E * v), (2.0 * ((E @ V) * v)) @ V.T and
+    G + (2.0 * lam) * (theta - anchor) evaluate, so results are bitwise those
+    of the allocating forms.
     """
-    G = 2.0 * (E * v) if V is None else 2.0 * ((E @ V) * v) @ V.T
+    if V is None:
+        np.multiply(E, v, out=G)
+        np.multiply(2.0, G, out=G)
+    else:
+        np.matmul(E, V, out=work)
+        np.multiply(work, v, out=work)
+        np.multiply(2.0, work, out=work)
+        np.matmul(work, V.T, out=G)
     if ridge_lambda > 0:
-        G = G + 2.0 * ridge_lambda * (theta - ridge_anchor)
-    return G @ W2.T, W1.T @ G
+        np.subtract(theta, ridge_anchor, out=work)
+        np.multiply(2.0 * ridge_lambda, work, out=work)
+        np.add(G, work, out=G)
+    # both factor gradients are taken before either factor moves
+    np.matmul(G, W2.T, out=out[0])
+    np.matmul(W1.T, G, out=out[1])
 
 
 def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
     if V is None:
-        return float(np.sum(E * E * v))
+        return float(np.add.reduce(E * E * v, axis=None))
     EV = E @ V
-    return float(np.sum(EV * EV * v))
+    return float(np.add.reduce(EV * EV * v, axis=None))
 
 
 def population_loss(state: NetworkState, dist: StageDistribution, basis: SpectralBasis) -> float:
@@ -200,15 +218,31 @@ def population_gradient(
     A = target_matrix(dist, basis)
     V = None if basis.is_identity else basis.V
     theta = state.theta
-    return _factor_gradients(
-        state.W1, state.W2, theta, theta - A, dist.input_variances, V, ridge_lambda, ridge_anchor
+    n = state.n
+    grads = np.empty((2, n, n))
+    _factor_gradients(
+        state.W1,
+        state.W2,
+        theta,
+        theta - A,
+        dist.input_variances,
+        V,
+        ridge_lambda,
+        ridge_anchor,
+        np.empty((n, n)),
+        np.empty((n, n)),
+        grads,
     )
+    return grads[0], grads[1]
 
 
 def _aligned(theta: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, float]:
     M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
-    diag = np.diag(M).copy()
-    return diag, float(np.linalg.norm(M - np.diag(diag)))
+    diag = M.diagonal().copy()
+    # the Frobenius norm of M - diag(diag), by the operations np.linalg.norm runs
+    rest = M.ravel().copy()
+    rest[:: M.shape[0] + 1] = 0.0
+    return diag, math.sqrt(rest.dot(rest))
 
 
 def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndarray, float]:
@@ -227,8 +261,9 @@ def train(
     """Run max_steps of full-batch gradient descent, snapshotting every probe_every steps.
 
     The first and final states are always snapshotted.  The run raises
-    TrainingDiverged on non-finite weights after a step, or on a non-finite
-    training loss at a snapshot (finite weights can still overflow the loss).
+    TrainingDiverged at the first step whose weights are not finite, or on a
+    non-finite training loss at a snapshot (finite weights can still overflow
+    the loss).
     """
     probes = dict(probes or {})
     A = target_matrix(dist, basis)
@@ -237,44 +272,74 @@ def train(
     probe_mats = {name: (target_matrix(d, basis), d.input_variances) for name, d in probes.items()}
     lam = config.ridge_lambda
     anchor = config.ridge_anchor
+    eta = config.eta
 
-    W1 = np.array(state.W1, copy=True)
-    W2 = np.array(state.W2, copy=True)
+    # both factors live in one buffer, so the update and the finiteness check
+    # each cover them in one numpy call
+    n = state.n
+    W = np.empty((2, n, n))
+    W1, W2 = W
+    grads = np.empty_like(W)
+    theta, E, G, work = np.empty((4, n, n))
+
+    def restart(src: np.ndarray) -> None:
+        np.copyto(W, src)
+        np.matmul(W1, W2, out=theta)
+        np.subtract(theta, A, out=E)
+
+    def advance(count: int) -> None:
+        for _ in range(count):
+            _factor_gradients(W1, W2, theta, E, v, V, lam, anchor, G, work, grads)
+            np.multiply(eta, grads, out=grads)
+            np.subtract(W, grads, out=W)
+            np.matmul(W1, W2, out=theta)
+            np.subtract(theta, A, out=E)
+
+    def first_nonfinite(start: int, stop: int) -> int:
+        """The first step in (start, stop] whose weights are not finite, by replay from checked."""
+        restart(checked)
+        for replayed in range(start + 1, stop):
+            advance(1)
+            if not np.isfinite(W).all():
+                return replayed
+        return stop
+
     snaps: list[Snapshot] = []
-    step = 0
-    # overflow is caught by the finiteness check, so numpy's own warning about
-    # it is noise on a run that is about to raise anyway
+    step = checked_step = 0
+    # The update has no division, so a weight that turns inf or nan stays
+    # non-finite; checking at snapshots and replaying from the last checked
+    # state therefore finds the same first non-finite step as a check after
+    # every step.  Overflow is caught that way, so numpy's own warning about
+    # it is noise on a run that is about to raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
+        restart(np.stack((state.W1, state.W2)))
+        checked = W.copy()
         while True:
-            theta = W1 @ W2
-            E = theta - A
-            at_cadence = step % config.probe_every == 0
-            final = step == config.max_steps
-            if at_cadence or final:
-                loss = _data_loss(E, v, V)
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(state.step + step)
-                diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
-                probe_losses = {
-                    name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
-                }
-                snaps.append(
-                    Snapshot(
-                        step=step,
-                        train_loss=loss,
-                        aligned_diag=diag,
-                        aligned_offdiag=offdiag,
-                        probe_losses=probe_losses,
-                    )
-                )
-            if final:
-                break
-            G1, G2 = _factor_gradients(W1, W2, theta, E, v, V, lam, anchor)
-            W1 = W1 - config.eta * G1
-            W2 = W2 - config.eta * G2
-            step += 1
-            if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
+            if not np.isfinite(W).all():
+                raise TrainingDiverged(state.step + first_nonfinite(checked_step, step))
+            np.copyto(checked, W)
+            checked_step = step
+            loss = _data_loss(E, v, V)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(state.step + step)
+            diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
+            probe_losses = {
+                name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
+            }
+            snaps.append(
+                Snapshot(
+                    step=step,
+                    train_loss=loss,
+                    aligned_diag=diag,
+                    aligned_offdiag=offdiag,
+                    probe_losses=probe_losses,
+                )
+            )
+            if step == config.max_steps:
+                break
+            nxt = min(step + config.probe_every, config.max_steps)
+            advance(nxt - step)
+            step = nxt
 
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + step)
     return final_state, Trajectory(snapshots=tuple(snaps))

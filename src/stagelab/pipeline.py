@@ -18,9 +18,12 @@ The metrics recorded per run:
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
 from .network import NetworkState, TrainConfig, check_step_size, population_loss, train
@@ -238,34 +241,37 @@ def continue_from_pretrained(
                 failure = exc
                 break
             states[plan.stage] = state
-    if failure is not None:
-        return PipelineRun(
-            run_id=run_id,
-            plans=plans,
-            pretrained=states.get("pretrain"),
-            posttrained=states.get("posttrain"),
-            finetuned=None,
-            metrics=None,
-            failed_stage=STAGE_ORDER[len(states)],
-            failure=str(failure),
-        )
+    metrics = None
+    failed_stage = None if failure is None else STAGE_ORDER[len(states)]
+    if failure is None:
 
-    def loss(stage: str, dist: str) -> float:
-        return population_loss(states[stage], family.distribution(dist), family.basis)
+        def loss(stage: str, dist: str) -> float:
+            return population_loss(states[stage], family.distribution(dist), family.basis)
 
-    metrics = CheckpointMetrics(
-        loss_post_immediate=loss("posttrain", "posttrain"),
-        loss_post_retained=loss("finetune", "posttrain"),
-        loss_finetune=loss("finetune", "finetune"),
-        loss_pretrain_retained=loss("finetune", "pretrain"),
-    )
+        # the metrics are losses on distributions no stage may have trained
+        # on, so finite weights can still overflow them
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics = CheckpointMetrics(
+                loss_post_immediate=loss("posttrain", "posttrain"),
+                loss_post_retained=loss("finetune", "posttrain"),
+                loss_finetune=loss("finetune", "finetune"),
+                loss_pretrain_retained=loss("finetune", "pretrain"),
+            )
+        bad = [name for name, value in metrics.as_record().items() if not math.isfinite(value)]
+        if bad:
+            # the stage whose checkpoint gave the first non-finite metric
+            failed_stage = "posttrain" if "L_im" in bad else "finetune"
+            failure = f"{', '.join(bad)} not finite at the {failed_stage} checkpoint"
+            metrics = None
     return PipelineRun(
         run_id=run_id,
         plans=plans,
-        pretrained=states["pretrain"],
-        posttrained=states["posttrain"],
-        finetuned=states["finetune"],
+        pretrained=states.get("pretrain"),
+        posttrained=states.get("posttrain"),
+        finetuned=states.get("finetune"),
         metrics=metrics,
+        failed_stage=failed_stage,
+        failure=None if failure is None else str(failure),
     )
 
 
@@ -318,14 +324,15 @@ def run_sweep(
     init_state: NetworkState,
     tasks: Iterable[Sequence[StagePlan]],
     threads: int = 1,
-) -> list[PipelineRun]:
-    """Run each (stage-1, stage-2, stage-3) plan triple, in the given order.
+) -> Iterator[PipelineRun]:
+    """Run each (stage-1, stage-2, stage-3) plan triple, yielding the runs in task order.
 
     Stage-1 training depends only on the stage-1 plan, so its checkpoint is
     computed once per distinct plan, before any worker starts, and shared
     (bitwise identical to rerunning it).  With threads > 1 the later stages
-    run on a thread pool; results keep the task order either way.  Diverged
-    runs are kept in the result list with their failure marked; the sweep
+    run on a thread pool.  Each run is yielded as soon as it and every run
+    before it have completed, so a caller can record it before the next one
+    finishes.  Diverged runs are yielded with their failure marked; the sweep
     itself never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
@@ -339,8 +346,9 @@ def run_sweep(
 
     if threads > 1 and tasks:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(execute, tasks))
-    return [execute(plans) for plans in tasks]
+            yield from pool.map(execute, tasks)
+    else:
+        yield from map(execute, tasks)
 
 
 def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str) -> None:

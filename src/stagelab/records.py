@@ -55,7 +55,13 @@ def dumps_record(record: Mapping[str, Any]) -> str:
 
 
 def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]], append: bool = False) -> int:
-    """Write records one per line; returns the number written."""
+    """Write records one per line; returns the number written.
+
+    An append first mends the end of the file (see _mend_tail), so a record
+    never lands on the line of a write that was cut short.
+    """
+    if append:
+        _mend_tail(path)
     mode = "a" if append else "w"
     count = 0
     with open(path, mode, encoding="utf-8") as fh:
@@ -66,13 +72,48 @@ def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]],
     return count
 
 
+def _parses(text: bytes | str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _mend_tail(path: str | os.PathLike) -> None:
+    """Cut an unterminated last line that does not parse; terminate one that does."""
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        if _parses(data[start:]):
+            fh.write(b"\n")
+        else:
+            fh.truncate(start)
+
+
 def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
+    """Every record in the file, without an unterminated last line that does not parse.
+
+    Such a line is a write that was cut short; the run it held is not on record.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            text = line.strip()
+            if not text:
+                continue
+            if line.endswith("\n") or _parses(text):
+                out.append(json.loads(text))
     return out
 
 

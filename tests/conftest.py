@@ -56,7 +56,7 @@ def frontier_sweep(family, tau12_init):
         for eta in (0.008, 0.012, 0.02)
     ]
     stage3 = [StagePlan.finetune(300, eta) for eta in (0.0003, 0.001, 0.003, 0.01, 0.05)]
-    return run_sweep(family, tau12_init, list(itertools.product(stage1, stage2, stage3)))
+    return list(run_sweep(family, tau12_init, itertools.product(stage1, stage2, stage3)))
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
 import stagelab.cli
+import stagelab.pipeline
 import stagelab.records
 from stagelab.cli import main
 from stagelab.records import read_records
@@ -125,6 +127,32 @@ def test_simulate_with_an_infinite_loss_reports_divergence(tmp_path, capsys):
     assert records[0]["status"] == "diverged"
 
 
+@pytest.mark.parametrize("tau, code", [("-176.998", 3), ("-176.996", 0)])
+def test_a_non_finite_metric_counts_as_divergence(tmp_path, capsys, tau, code):
+    # every training loss is finite at these scales, but at -176.998 the
+    # metrics on distributions no stage trained on overflow
+    cfg = write_ini(
+        tmp_path,
+        f"[init]\ntau = {tau}\n[pretrain]\nsteps = 0\n[posttrain]\nsteps = 0\n"
+        "[finetune]\nsteps = 0\n",
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", cfg, "--out", str(out), "simulate"]) == code
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    records = read_records(out / "runs.jsonl")
+    assert len(records) == 1
+    if code:
+        assert "diverged during posttrain" in err
+        assert records[0]["status"] == "diverged"
+        assert records[0]["failed_stage"] == "posttrain"
+    else:
+        assert records[0]["status"] == "ok"
+
+
 @pytest.mark.parametrize(
     "ini, names",
     [
@@ -204,6 +232,45 @@ def test_interrupted_sweep_converges_to_the_uninterrupted_result(tmp_path, monke
         return {json.dumps({k: v for k, v in r.items() if k != "config_hash"}, sort_keys=True) for r in rows}
 
     assert row_set(resumed) == row_set(straight)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_sweep_killed_mid_grid_keeps_its_finished_runs(tmp_path, monkeypatch, threads):
+    cfg = write_ini(tmp_path, SWEEP_INI)
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert main(["--config", cfg, "--out", str(straight), "sweep"]) == 0
+    original = stagelab.pipeline.continue_from_pretrained
+    calls = []
+
+    def dies_on_the_fourth_run(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("killed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stagelab.pipeline, "continue_from_pretrained", dies_on_the_fourth_run)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["--config", cfg, "--out", str(killed), "--threads", threads, "sweep"])
+    monkeypatch.undo()
+    assert len(read_records(killed / "runs.jsonl")) == 3
+    assert main(["--config", cfg, "--out", str(killed), "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_a_torn_last_record_is_dropped_and_the_resume_converges(tmp_path, capsys):
+    cfg = write_ini(tmp_path, SWEEP_INI)
+    straight, torn = tmp_path / "straight", tmp_path / "torn"
+    assert main(["--config", cfg, "--out", str(straight), "sweep"]) == 0
+    full = (straight / "runs.jsonl").read_bytes()
+    last = full.rindex(b"\n", 0, len(full) - 1) + 1
+    torn.mkdir()
+    (torn / "runs.jsonl").write_bytes(full[: (last + len(full)) // 2])
+    assert len(read_records(torn / "runs.jsonl")) == 3
+    assert main(["--config", cfg, "--out", str(torn), "sweep"]) == 0
+    assert "sweep: 1 new runs, 3 already recorded" in capsys.readouterr().out
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (torn / name).read_bytes() == (straight / name).read_bytes()
 
 
 def test_sweep_with_threads_matches_the_serial_records(tmp_path):

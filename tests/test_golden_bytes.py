@@ -1,25 +1,50 @@
 """The default config's outputs match the SHA-256s pinned in bench/golden.json.
 
 Every command runs on the default config in one fresh output directory, as
-the benchmark's golden pass does; the pinned file is only read.
+the benchmark's golden pass does; the pinned file is only read.  The same
+pass counts the steps train() takes, which the benchmark's traced run pins
+too.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+from stagelab import checks, network, pipeline
 from stagelab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
-def test_default_outputs_match_the_pinned_hashes(tmp_path, capsys):
+def test_default_outputs_match_the_pinned_hashes(tmp_path, capsys, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     pinned = {**golden["default"], "verify.txt": golden["verify.txt"]}
     assert len(pinned) == 5
+
+    steps = []
+    original = network.train
+
+    def counting(state, *args, **kwargs):
+        result = original(state, *args, **kwargs)
+        steps.append(result[0].step - state.step)
+        return result
+
+    # every module attribute that binds train, as the benchmark's tracer wraps it
+    for module in (network, pipeline, checks):
+        monkeypatch.setattr(module, "train", counting)
+
     out = tmp_path / "out"
+    trained = {}
     for command in ("simulate", "sweep", "plot", "frontier", "verify"):
+        before = sum(steps)
         assert main(["--out", str(out), command]) == 0, command
+        trained[command] = sum(steps) - before
     capsys.readouterr()
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert got == pinned
+    # bench/run.py --trace 1 fails an op whose train() calls take other step
+    # counts, so a change that trains fewer steps (batching outside train(),
+    # caching repeated stages) needs a benchmark change first
+    assert trained["simulate"] + trained["sweep"] == 29_500
+    assert trained["verify"] == 170_000
+    assert trained["plot"] == trained["frontier"] == 0

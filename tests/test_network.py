@@ -250,6 +250,117 @@ def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda)
     assert nxt.step == 1
 
 
+def reference_train(state, dist, basis, config, probes, record_spectrum):
+    """train() as allocating numpy expressions, checking the weights after every step."""
+    A = target_matrix(dist, basis)
+    v = dist.input_variances
+    V = None if basis.is_identity else basis.V
+    probe_mats = {name: (target_matrix(d, basis), d.input_variances) for name, d in probes.items()}
+
+    def data_loss(E, weights):
+        EV = E if V is None else E @ V
+        return float(np.sum(EV * EV * weights))
+
+    W1, W2 = state.W1.copy(), state.W2.copy()
+    snaps = []
+    for step in range(config.max_steps + 1):
+        theta = W1 @ W2
+        E = theta - A
+        if step % config.probe_every == 0 or step == config.max_steps:
+            loss = data_loss(E, v)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(state.step + step)
+            diag = offdiag = None
+            if record_spectrum:
+                M = theta if V is None else basis.U.T @ theta @ V
+                diag = np.diag(M).copy()
+                offdiag = float(np.linalg.norm(M - np.diag(diag)))
+            losses = {name: data_loss(theta - pA, pv) for name, (pA, pv) in probe_mats.items()}
+            snaps.append((step, loss, diag, offdiag, losses))
+        if step == config.max_steps:
+            break
+        G = 2.0 * (E * v) if V is None else 2.0 * ((E @ V) * v) @ V.T
+        if config.ridge_lambda > 0:
+            G = G + 2.0 * config.ridge_lambda * (theta - config.ridge_anchor)
+        W1, W2 = W1 - config.eta * (G @ W2.T), W2 - config.eta * (W1.T @ G)
+        if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
+            raise TrainingDiverged(state.step + step + 1)
+    return W1, W2, snaps
+
+
+@given(
+    basis_mode=st.sampled_from(["identity", "random"]),
+    ridge_lambda=st.sampled_from([0.0, 0.3]),
+    with_probe=st.booleans(),
+    probe_every=st.sampled_from([1, 7, 50]),
+    record_spectrum=st.booleans(),
+    scale=st.sampled_from([0.5, 2.0]),
+    max_steps=st.integers(0, 120),
+    start=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_train_is_bitwise_the_allocating_reference_loop(
+    basis_mode, ridge_lambda, with_probe, probe_every, record_spectrum, scale, max_steps, start, seed
+):
+    # scale 2.0 with the larger step sizes diverges, which covers the replay
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    rng = np.random.default_rng(seed)
+    state = NetworkState(
+        W1=rng.normal(0, scale, (6, 6)), W2=rng.normal(0, scale, (6, 6)), step=start
+    )
+    anchor = rng.normal(0, 1.0, (6, 6)) if ridge_lambda > 0 else None
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    config = TrainConfig(
+        eta=float(rng.uniform(0.005, 0.1 / (ridge_lambda + 2.0))),
+        max_steps=max_steps,
+        ridge_lambda=ridge_lambda,
+        ridge_anchor=anchor,
+        probe_every=probe_every,
+    )
+    probes = {"finetune": family.distribution("finetune")} if with_probe else {}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_train(state, dist, family.basis, config, probes, record_spectrum)
+    except TrainingDiverged as exc:
+        with pytest.raises(TrainingDiverged) as err:
+            train(state, dist, family.basis, config, probes, record_spectrum)
+        assert err.value.step == exc.step
+        return
+    final, traj = train(state, dist, family.basis, config, probes, record_spectrum)
+    np.testing.assert_array_equal(final.W1, want[0])
+    np.testing.assert_array_equal(final.W2, want[1])
+    assert final.step == start + max_steps
+    assert len(traj.snapshots) == len(want[2])
+    for snap, (step, loss, diag, offdiag, losses) in zip(traj.snapshots, want[2]):
+        assert snap.step == step and snap.train_loss == loss
+        assert snap.aligned_offdiag == offdiag and dict(snap.probe_losses) == losses
+        if diag is None:
+            assert snap.aligned_diag is None
+        else:
+            np.testing.assert_array_equal(snap.aligned_diag, diag)
+
+
+def test_train_keeps_the_reference_rounding_in_the_subnormal_range():
+    # E * v is subnormal here, where 2.0 * (E * v) and E * (2.0 * v) round
+    # differently; the factor w2 = 1e10 carries the difference into W1
+    basis = SpectralBasis.identity(1)
+    dist = StageDistribution(
+        label="faint",
+        input_variances=np.array([1e-20]),
+        target_spectrum=np.array([0.0]),
+        cross_covariance=np.array([0.0]),
+    )
+    state = NetworkState(W1=np.array([[3.3e-300]]), W2=np.array([[1e10]]))
+    E, v = state.theta, dist.input_variances
+    assert (2.0 * (E * v))[0, 0] != (E * (2.0 * v))[0, 0]
+    config = TrainConfig(eta=0.01, max_steps=1)
+    want_W1, want_W2, _ = reference_train(state, dist, basis, config, {}, False)
+    final, _ = train(state, dist, basis, config, record_spectrum=False)
+    np.testing.assert_array_equal(final.W1, want_W1)
+    np.testing.assert_array_equal(final.W2, want_W2)
+
+
 def test_scalar_rules_share_fixed_points():
     assert derived_diag_step(2.0, 1.0, 2.0, 0.01) == 2.0
     assert derived_diag_step(0.0, 1.0, 2.0, 0.01) == 0.0
@@ -440,15 +551,39 @@ def test_probe_losses_are_recorded_per_distribution():
         traj.probe_losses("posttrain")
 
 
+def scalar_divergence_step(target: float, eta: float, probe_every: int) -> int:
+    """train()'s stop rule for scalar_problem in Python floats, which are the same doubles.
+
+    The run stops at the first step whose weights are not finite, or at an
+    earlier snapshot whose loss is not.
+    """
+    w1 = w2 = 1.0
+    step = 0
+    while True:
+        e = w1 * w2 - target
+        if step % probe_every == 0 and not math.isfinite(e * e):
+            return step
+        g = 2.0 * e
+        w1, w2 = w1 - eta * (g * w2), w2 - eta * (w1 * g)
+        step += 1
+        if not (math.isfinite(w1) and math.isfinite(w2)):
+            return step
+
+
 def test_divergence_raises_with_the_offending_step():
     basis, dist = scalar_problem(target=50.0)
-    state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
     # budget check passes with its fixed norm bound, but the actual teacher value
-    # is far above it, so the iteration blows up
-    config = TrainConfig(eta=0.06, max_steps=1000)
-    with pytest.raises(TrainingDiverged) as err:
-        train(state, dist, basis, config)
-    assert err.value.step >= 1
+    # is far above it, so the iteration blows up.  The loss overflows at step 7
+    # and the weights at step 9: every snapshot sees the first, and at cadences
+    # 5 and 50 the weights go non-finite between two snapshots.
+    for probe_every, expected in ((1, 7), (5, 9), (50, 9)):
+        assert scalar_divergence_step(50.0, 0.06, probe_every) == expected
+        config = TrainConfig(eta=0.06, max_steps=1000, probe_every=probe_every)
+        for start in (0, 5):
+            state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]), step=start)
+            with pytest.raises(TrainingDiverged) as err:
+                train(state, dist, basis, config)
+            assert err.value.step == start + expected
 
 
 def test_an_infinite_loss_from_finite_weights_counts_as_divergence():

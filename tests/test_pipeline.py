@@ -227,7 +227,7 @@ def test_pipeline_reports_the_diverging_stage():
 
 def test_sweep_singleton_matches_run_pipeline(family, tau12_init):
     plans = small_plans()
-    runs = run_sweep(family, tau12_init, [plans])
+    runs = list(run_sweep(family, tau12_init, [plans]))
     assert len(runs) == 1
     single = run_pipeline(family, plans, tau12_init, run_id=runs[0].run_id)
     assert runs[0].run_id == single.run_id
@@ -239,7 +239,7 @@ def test_sweep_trains_each_stage1_plan_once(family, tau12_init):
     p1, p2, p3 = small_plans()
     p2b = StagePlan.posttrain(150, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
     p3b = StagePlan.finetune(150, 0.02)
-    runs = run_sweep(family, tau12_init, list(itertools.product([p1], [p2, p2b], [p3, p3b])))
+    runs = list(run_sweep(family, tau12_init, itertools.product([p1], [p2, p2b], [p3, p3b])))
     assert len(runs) == 4
     assert all(run.pretrained is runs[0].pretrained for run in runs)
     assert len({run.run_id for run in runs}) == 4
@@ -252,7 +252,7 @@ def test_sweep_keeps_diverged_runs_and_csv_omits_them(tmp_path):
     bad = StagePlan.pretrain(1000, 0.06)
     p2 = StagePlan.posttrain(50, 0.002, ridge_lambda=0.0, replay_fraction=0.0)
     p3 = StagePlan.finetune(50, 0.002)
-    runs = run_sweep(family, init, [(good, p2, p3), (bad, p2, p3)])
+    runs = list(run_sweep(family, init, [(good, p2, p3), (bad, p2, p3)]))
     assert len(runs) == 2
     assert runs[0].succeeded and not runs[1].succeeded
     assert runs[1].failed_stage == "pretrain"

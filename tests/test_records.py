@@ -87,6 +87,24 @@ def test_append_mode_extends_the_file(tmp_path):
     assert [r["run_id"] for r in read_records(path)] == ["c"]
 
 
+def test_only_an_unparsable_unterminated_last_line_is_dropped(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    # a write cut short: dropped on read, cut before the next append
+    path.write_text('{"a": 1}\n{"b": ')
+    assert read_records(path) == [{"a": 1}]
+    write_records(path, [{"c": 3}], append=True)
+    assert path.read_text() == '{"a": 1}\n{"c": 3}\n'
+    # a complete record that only lacks its newline is kept and terminated
+    path.write_text('{"a": 1}')
+    assert read_records(path) == [{"a": 1}]
+    write_records(path, [{"c": 3}], append=True)
+    assert path.read_text() == '{"a": 1}\n{"c": 3}\n'
+    # a damaged line that is not the last still fails the read
+    path.write_text('{"a": \n{"c": 3}\n')
+    with pytest.raises(json.JSONDecodeError):
+        read_records(path)
+
+
 def test_existing_run_ids(tmp_path):
     path = tmp_path / "runs.jsonl"
     assert existing_run_ids(path) == set()
