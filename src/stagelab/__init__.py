@@ -54,29 +54,26 @@ from .network import (
     population_gradient,
     population_loss,
     scalar_fixed_point,
-    stochastic_step,
     train,
 )
 from .pipeline import (
     CheckpointMetrics,
     PipelineRun,
     StagePlan,
-    compute_forgetting,
     compute_matched_plans,
     continue_from_pretrained,
     make_run_id,
     run_pipeline,
     run_sweep,
     stage_training_distribution,
-    sweep_to_csv,
 )
 from .records import (
     dumps_record,
     format_float,
     pipeline_run_record,
     read_records,
-    snapshot_records,
     stable_hash,
+    sweep_to_csv,
     write_records,
 )
 from .svgplot import render_frontier_svg

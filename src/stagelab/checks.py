@@ -114,6 +114,15 @@ def idealized_checkpoint(
     literal_inconsistent=True substitutes the posttrain values instead, for
     side-by-side comparison with the stricter reading of the claim.
     """
+    return init_from_spectrum(
+        family.basis, _idealized_spectrum(family, kind, alpha, literal_inconsistent)
+    )
+
+
+def _idealized_spectrum(
+    family: TaskFamily, kind: str, alpha: float = 0.5, literal_inconsistent: bool = False
+) -> np.ndarray:
+    """The aligned diagonal idealized_checkpoint builds its state from."""
     part = family.partition
     spectra = family.spectra
     diag = np.zeros(part.n)
@@ -126,7 +135,7 @@ def idealized_checkpoint(
         )
     else:
         raise StagelabError(f"unknown checkpoint kind {kind!r}")
-    return init_from_spectrum(family.basis, diag)
+    return diag
 
 
 def _oracle_fixed_points(
@@ -315,7 +324,7 @@ def _require_routing_preconditions(
     family: TaskFamily,
     epsilon: float,
     ridge_lambda: float,
-    anchors: dict[str, np.ndarray],
+    moving: dict[str, np.ndarray],
     oracles: dict[str, np.ndarray],
 ) -> None:
     ceiling = _epsilon_ceiling(family)
@@ -326,11 +335,10 @@ def _require_routing_preconditions(
         )
     target = family.distribution("posttrain").target_spectrum
     worst = 0.0
-    for kind, diag in anchors.items():
-        # saddle-pinned coordinates are covered by the routing claim itself
-        moving = diag > 0
-        if moving.any():
-            worst = max(worst, float(np.max(np.abs(oracles[kind][moving] - target[moving]))))
+    # saddle-pinned coordinates are covered by the routing claim itself
+    for kind, mask in moving.items():
+        if mask.any():
+            worst = max(worst, float(np.max(np.abs(oracles[kind][mask] - target[mask]))))
     if worst > epsilon / 2.0:
         raise PreconditionError(
             f"ridge_lambda = {ridge_lambda:g} shifts a fixed point by {worst:.6g}, "
@@ -355,36 +363,25 @@ def check_posttrain_routing(
     targets and within ORACLE_TOL of independent scalar-recursion limits.
     """
     part = family.partition
-    spectra = family.spectra
     post = family.distribution("posttrain")
     basis = family.basis
 
-    inits = {
-        "mixed": idealized_checkpoint(family, "mixed", alpha=alpha),
-        "unmixed": idealized_checkpoint(
-            family, "unmixed", literal_inconsistent=literal_inconsistent
-        ),
-    }
+    arms = {"mixed": {"alpha": alpha}, "unmixed": {"literal_inconsistent": literal_inconsistent}}
+    inits = {kind: idealized_checkpoint(family, kind, **opts) for kind, opts in arms.items()}
+    # the moving set comes from the built spectrum, not from the rounded
+    # product, which carries noise on zero coordinates in a random basis
+    moving = {kind: _idealized_spectrum(family, kind, **opts) > 0 for kind, opts in arms.items()}
     anchors = {kind: aligned_spectrum(state, basis)[0] for kind, state in inits.items()}
     oracles = {
         kind: _oracle_fixed_points(post, ROUTING_ETA, diag, ridge_lambda=ridge_lambda)
         for kind, diag in anchors.items()
     }
-    _require_routing_preconditions(family, epsilon, ridge_lambda, anchors, oracles)
+    _require_routing_preconditions(family, epsilon, ridge_lambda, moving, oracles)
 
-    expected = {
-        "mixed": np.concatenate(
-            [
-                spectra.invariant,
-                np.zeros(part.k),
-                np.full(part.k, spectra.specialized_target),
-            ]
-        ),
-        "unmixed": np.concatenate(
-            [spectra.invariant, spectra.post_inconsistent, np.zeros(part.k)]
-        ),
-    }
     pinned = {"mixed": part.inconsistent, "unmixed": part.specialized}
+    expected = {kind: post.target_spectrum.copy() for kind in pinned}
+    for kind, block in pinned.items():
+        expected[kind][block] = 0.0
 
     states: dict[str, NetworkState] = {}
     measured: dict[str, object] = {"epsilon": epsilon}
@@ -407,9 +404,8 @@ def check_posttrain_routing(
         err = np.abs(final - expected[kind])
         worst_err = float(np.max(err))
 
-        moving = anchors[kind] > 0
-        oracle = oracles[kind][moving]
-        oracle_err = float(np.max(np.abs(final[moving] - oracle))) if moving.any() else 0.0
+        mask = moving[kind]
+        oracle_err = float(np.max(np.abs(final[mask] - oracles[kind][mask]))) if mask.any() else 0.0
 
         measured[kind] = {
             "final_diag": final.tolist(),

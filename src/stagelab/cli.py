@@ -11,7 +11,6 @@ STAGELAB_OUT environment variable, then ./stagelab-out.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import os
 import sys
@@ -20,13 +19,15 @@ from .checks import run_all_checks
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, StagelabError
 from .frontier import pareto_front, points_from_records
-from .pipeline import make_run_id, run_pipeline, run_sweep, sweep_to_csv
+from .pipeline import make_run_id, run_pipeline, run_sweep
 from .records import (
+    _write_csv,
     existing_run_ids,
     format_float,
     pipeline_run_record,
     read_records,
     stable_hash,
+    sweep_to_csv,
     write_records,
 )
 from .svgplot import render_frontier_svg
@@ -162,18 +163,13 @@ def cmd_frontier(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
     projection = cfg.projection()
     by_method = _load_points(out, projection)
+    rows = []
+    for method in sorted(by_method):
+        points = sorted(by_method[method], key=lambda p: (p.x, p.y, p.run_id))
+        on_front = set(pareto_front(points))
+        rows.extend([projection, p.run_id, p.x, p.y, p in on_front, method] for p in points)
     path = os.path.join(out, FRONTIER_CSV)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["projection", "run_id", "x", "y", "on_front", "method"])
-        for method in sorted(by_method):
-            points = sorted(by_method[method], key=lambda p: (p.x, p.y, p.run_id))
-            on_front = {(p.x, p.y, p.run_id) for p in pareto_front(points)}
-            for p in points:
-                flag = "true" if (p.x, p.y, p.run_id) in on_front else "false"
-                writer.writerow(
-                    [projection, p.run_id, format_float(p.x), format_float(p.y), flag, method]
-                )
+    _write_csv(path, ["projection", "run_id", "x", "y", "on_front", "method"], rows)
     print(f"wrote {path}")
     return 0
 

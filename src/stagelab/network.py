@@ -55,13 +55,14 @@ class NetworkState:
 
 def init_scaled_identity(n: int, tau: float, basis: SpectralBasis | None = None) -> NetworkState:
     """Balanced small init: aligned diagonal starts at exp(-2 tau) on every coordinate."""
+    if not math.isfinite(tau):
+        raise ConfigError(f"tau = {tau:g} is not finite")
     try:
         scale = math.exp(-tau)
     except OverflowError:
         raise ConfigError(f"tau = {tau:g} overflows the init scale exp(-tau)") from None
-    if basis is None or basis.is_identity:
-        w = scale * np.eye(n)
-        return NetworkState(W1=w, W2=w.copy())
+    if basis is None:
+        basis = SpectralBasis.identity(n)
     return NetworkState(W1=scale * basis.U, W2=scale * basis.V.T)
 
 
@@ -71,8 +72,6 @@ def init_from_spectrum(basis: SpectralBasis, spectrum: np.ndarray) -> NetworkSta
     if np.any(spectrum < 0):
         raise ConfigError("init_from_spectrum needs nonnegative entries")
     root = np.sqrt(spectrum)
-    if basis.is_identity:
-        return NetworkState(W1=np.diag(root), W2=np.diag(root))
     return NetworkState(W1=basis.U * root, W2=root[:, None] * basis.V.T)
 
 
@@ -383,52 +382,3 @@ def scalar_fixed_point(
             return nxt
         sigma = nxt
     raise StagelabError(f"scalar fixed point did not converge within {max_iter} iterations")
-
-
-def stochastic_step(
-    state: NetworkState,
-    dist: StageDistribution,
-    basis: SpectralBasis,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    batch_size: int,
-    hidden_dropout: float = 0.0,
-) -> NetworkState:
-    """One minibatch update with optional per-sample masking of hidden units.
-
-    Inputs are Gaussian with the stage covariance; targets come from the stage
-    teacher.  With hidden_dropout = 0 the expected update equals the population
-    gradient step.  Masked units are rescaled by 1 / (1 - hidden_dropout).
-    """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if not 0.0 <= hidden_dropout < 1.0:
-        raise ConfigError(f"hidden_dropout must lie in [0, 1), got {hidden_dropout}")
-    n = state.n
-    A = target_matrix(dist, basis)
-    root_v = np.sqrt(dist.input_variances)
-    Z = rng.standard_normal((n, batch_size))
-    X = root_v[:, None] * Z if basis.is_identity else basis.V @ (root_v[:, None] * Z)
-    Y = A @ X
-    H = state.W2 @ X
-    if hidden_dropout > 0.0:
-        keep = 1.0 - hidden_dropout
-        mask = (rng.random(H.shape) < keep) / keep
-        H = H * mask
-    else:
-        mask = None
-    E = state.W1 @ H - Y
-    G1 = (2.0 / batch_size) * (E @ H.T)
-    back = state.W1.T @ E
-    if mask is not None:
-        back = back * mask
-    G2 = (2.0 / batch_size) * (back @ X.T)
-    if config.ridge_lambda > 0:
-        drift = 2.0 * config.ridge_lambda * (state.theta - config.ridge_anchor)
-        G1 = G1 + drift @ state.W2.T
-        G2 = G2 + state.W1.T @ drift
-    W1 = state.W1 - config.eta * G1
-    W2 = state.W2 - config.eta * G2
-    if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
-        raise TrainingDiverged(state.step + 1)
-    return NetworkState(W1=W1, W2=W2, step=state.step + 1)

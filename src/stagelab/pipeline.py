@@ -17,35 +17,18 @@ The metrics recorded per run:
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
 from .network import NetworkState, TrainConfig, check_step_size, population_loss, train
-from .records import format_float
 from .tasks import StageDistribution, TaskFamily, mix_distributions
 
 STAGE_ORDER = ("pretrain", "posttrain", "finetune")
-
-CSV_COLUMNS = (
-    "run_id",
-    "mix_fraction",
-    "replay_fraction",
-    "eta2",
-    "lambda_ridge",
-    "eta3",
-    "steps3",
-    "L_im",
-    "L_ret",
-    "L_ft",
-    "L_pre",
-    "delta",
-)
 
 
 @dataclass(frozen=True)
@@ -275,13 +258,6 @@ def continue_from_pretrained(
     )
 
 
-def compute_forgetting(run: PipelineRun) -> float:
-    """delta = L_ret - L_im for a completed run."""
-    if run.metrics is None:
-        raise ConfigError(f"run {run.run_id} has no metrics (failed at stage {run.failed_stage})")
-    return run.metrics.forgetting
-
-
 def compute_matched_plans(
     total_budget: int,
     alloc_fraction: float,
@@ -349,23 +325,3 @@ def run_sweep(
             yield from pool.map(execute, tasks)
     else:
         yield from map(execute, tasks)
-
-
-def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str) -> None:
-    """Write run records as CSV with a fixed column order.
-
-    Failed runs carry no metrics and are omitted; they live in the JSONL
-    records with their failure status instead.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            if rec.get("L_im") is None:
-                continue
-            writer.writerow(
-                [rec["run_id"]]
-                + [format_float(float(rec[c])) for c in CSV_COLUMNS[1:6]]
-                + [str(int(rec["steps3"]))]
-                + [format_float(float(rec[c])) for c in CSV_COLUMNS[7:]]
-            )

@@ -1,4 +1,5 @@
-"""Append-only JSONL run records with deterministic byte-level layout.
+"""Append-only JSONL run records, and the CSV tables made from them, with
+deterministic byte-level layout.
 
 Floats are written with 17 significant digits so every value survives a
 write/read round trip exactly; stdlib json is only used for parsing and for
@@ -9,17 +10,33 @@ of the same experiment produces byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .network import Trajectory
     from .pipeline import PipelineRun
 
 RECORD_SCHEMA_VERSION = 1
+
+# sweep.csv's columns, in order: the swept settings, then the metrics
+CSV_COLUMNS = (
+    "run_id",
+    "mix_fraction",
+    "replay_fraction",
+    "eta2",
+    "lambda_ridge",
+    "eta3",
+    "steps3",
+    "L_im",
+    "L_ret",
+    "L_ft",
+    "L_pre",
+    "delta",
+)
 
 
 def format_float(x: float) -> str:
@@ -128,26 +145,6 @@ def stable_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def snapshot_records(trajectory: "Trajectory") -> list[dict[str, Any]]:
-    """One flat record per snapshot: step, losses, aligned diagonal, offdiag norm."""
-    out = []
-    for snap in trajectory.snapshots:
-        record: dict[str, Any] = {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "kind": "snapshot",
-            "step": snap.step,
-            "train_loss": snap.train_loss,
-        }
-        for name in sorted(snap.probe_losses):
-            record[f"probe_{name}"] = snap.probe_losses[name]
-        record["aligned_diag"] = (
-            None if snap.aligned_diag is None else [float(v) for v in snap.aligned_diag]
-        )
-        record["offdiag_norm"] = snap.aligned_offdiag
-        out.append(record)
-    return out
-
-
 def pipeline_run_record(run: "PipelineRun", seed: int, config_hash: str) -> dict[str, Any]:
     """Flatten a pipeline run into a record row (metrics null on failure)."""
     plan1, plan2, plan3 = run.plans
@@ -174,3 +171,29 @@ def pipeline_run_record(run: "PipelineRun", seed: int, config_hash: str) -> dict
     else:
         record.update(run.metrics.as_record())
     return record
+
+
+def _write_csv(path: str | os.PathLike, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header and rows; strings go in verbatim, other values as in records."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else _json_value(v) for v in row])
+
+
+def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str | os.PathLike) -> None:
+    """Write run records in CSV_COLUMNS order.
+
+    Failed runs carry no metrics and are omitted; they live in the JSONL
+    records with their failure status instead.
+    """
+    _write_csv(
+        path,
+        CSV_COLUMNS,
+        (
+            [rec["run_id"], *(int(rec[c]) if c == "steps3" else float(rec[c]) for c in CSV_COLUMNS[1:])]
+            for rec in records
+            if rec.get("L_im") is not None
+        ),
+    )

@@ -43,8 +43,10 @@ def render_frontier_svg(
     xmax = max(p.x for p in all_pts)
     ymin = min(p.y for p in all_pts)
     ymax = max(p.y for p in all_pts)
-    xspan = max(xmax - xmin, 1e-9)
-    yspan = max(ymax - ymin, 1e-9)
+    # a zero span is widened relative to the values, so rounding cannot
+    # swallow the margins at any magnitude
+    xspan = max(xmax - xmin, 1e-9 * max(1.0, abs(xmin), abs(xmax)))
+    yspan = max(ymax - ymin, 1e-9 * max(1.0, abs(ymin), abs(ymax)))
     xmin -= 0.05 * xspan
     xmax += 0.05 * xspan
     ymin -= 0.05 * yspan

@@ -19,8 +19,7 @@ which is what a quadratic learner actually regresses toward.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -28,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, TaskValidationError
 
 STAGES = ("pretrain", "posttrain", "finetune")
-
-_SCHEMA_VERSION = 1
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -166,7 +163,7 @@ class SpectralBasis:
 
     @classmethod
     def from_mode(cls, mode: str, n: int, seed: int | None = None) -> "SpectralBasis":
-        """The basis a config or a serialized family names: identity, or random from a seed."""
+        """The basis a config names: identity, or random from a seed."""
         if mode == "identity":
             return cls.identity(n)
         if mode != "random":
@@ -208,8 +205,6 @@ class StageDistribution:
 
 def target_matrix(dist: StageDistribution, basis: SpectralBasis) -> np.ndarray:
     """Teacher matrix U diag(target_spectrum) V^T."""
-    if basis.is_identity:
-        return np.diag(dist.target_spectrum)
     return (basis.U * dist.target_spectrum) @ basis.V.T
 
 
@@ -256,28 +251,6 @@ class TaskFamily:
         if stage not in self.distributions:
             raise ConfigError(f"unknown stage {stage!r}, expected one of {STAGES}")
         return self.distributions[stage]
-
-    def to_json(self) -> str:
-        """Serialize the defining data (partition, spectra, basis mode + seed)."""
-        doc = {
-            "schema_version": _SCHEMA_VERSION,
-            "partition": {"n": self.partition.n, "k": self.partition.k},
-            "spectra": {
-                f.name: np.asarray(getattr(self.spectra, f.name)).tolist() for f in fields(TaskSpectra)
-            },
-            "basis": {"mode": self.basis.mode, "seed": self.basis.seed},
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TaskFamily":
-        doc = json.loads(text)
-        if doc.get("schema_version") != _SCHEMA_VERSION:
-            raise ConfigError(f"unsupported task family schema_version {doc.get('schema_version')!r}")
-        partition = FeaturePartition(n=int(doc["partition"]["n"]), k=int(doc["partition"]["k"]))
-        spectra = TaskSpectra(**doc["spectra"])
-        basis = SpectralBasis.from_mode(doc["basis"]["mode"], partition.n, doc["basis"]["seed"])
-        return build_task_family(partition, spectra, basis=basis)
 
 
 def _stage_distribution(partition: FeaturePartition, spectra: TaskSpectra, stage: str) -> StageDistribution:
@@ -340,14 +313,6 @@ class AssumptionReport:
             if entry.name == name:
                 return entry
         raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = []
-        for e in self.entries:
-            status = "holds" if e.holds else "FAILS"
-            margin = "" if e.margin is None else f" (margin {e.margin:+.6g})"
-            lines.append(f"{e.name}: {status}{margin} - {e.detail}")
-        return "\n".join(lines)
 
 
 def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:

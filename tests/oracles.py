@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the math, not from the package
 internals: finite differences for gradients, all-pairs scans for frontiers,
-Monte-Carlo estimates for losses, moments and hypervolumes, and a direct
-transcription of the per-coordinate scalar recursion.  Keep these dumb; their
-value is that they cannot share a bug with the fast implementations.
+Monte-Carlo estimates for losses, moments and hypervolumes, a minibatch step
+with hidden-unit dropout, and a direct transcription of the per-coordinate
+scalar recursion.  Keep these dumb; their value is that they cannot share a
+bug with the fast implementations.
 """
 
 from __future__ import annotations
@@ -130,6 +131,35 @@ def population_loss_monte_carlo(
     est = float(per_sample.mean())
     se = float(per_sample.std(ddof=1) / math.sqrt(samples))
     return est, se
+
+
+def stochastic_step(
+    W1: np.ndarray,
+    W2: np.ndarray,
+    A: np.ndarray,
+    variances: np.ndarray,
+    V: np.ndarray,
+    eta: float,
+    rng: np.random.Generator,
+    batch_size: int,
+    hidden_dropout: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One minibatch gradient step on (W1, W2), with per-sample masking of hidden units.
+
+    Inputs are x = V (sqrt(variances) * z) with z standard normal, targets A x.
+    Each hidden unit of each sample is kept with probability 1 - hidden_dropout
+    and a kept unit is rescaled by 1 / (1 - hidden_dropout).  With
+    hidden_dropout = 0 the expected update is the population gradient step.
+    """
+    n = W1.shape[0]
+    X = V @ (np.sqrt(variances)[:, None] * rng.standard_normal((n, batch_size)))
+    keep = 1.0 - hidden_dropout
+    mask = (rng.random((n, batch_size)) < keep) / keep
+    H = (W2 @ X) * mask
+    E = W1 @ H - A @ X
+    G1 = (2.0 / batch_size) * (E @ H.T)
+    G2 = (2.0 / batch_size) * (((W1.T @ E) * mask) @ X.T)
+    return W1 - eta * G1, W2 - eta * G2
 
 
 def mixture_moments_monte_carlo(

@@ -176,6 +176,15 @@ def test_routing_rejects_a_ridge_that_drags_fixed_points(family):
         check_posttrain_routing(family, ridge_lambda=0.4)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_routing_preconditions_hold_in_a_random_basis(seed):
+    # rounding leaves about 1e-16 on the zero coordinates of a random-basis
+    # checkpoint; those coordinates are still pinned, not moving
+    family = make_reference_family(basis_mode="random", basis_seed=seed)
+    _, states = check_posttrain_routing(family, steps=100)
+    assert set(states) == {"mixed", "unmixed"}
+
+
 # --------------------------------------------------------------- forgetting
 
 

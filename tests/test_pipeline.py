@@ -15,7 +15,6 @@ from stagelab import (
     TaskSpectra,
     aligned_spectrum,
     build_task_family,
-    compute_forgetting,
     compute_matched_plans,
     init_scaled_identity,
     make_reference_family,
@@ -27,7 +26,7 @@ from stagelab import (
     stage_training_distribution,
     sweep_to_csv,
 )
-from stagelab.pipeline import CSV_COLUMNS
+from stagelab.records import CSV_COLUMNS
 
 
 def small_plans(mix: float = 0.5):
@@ -167,7 +166,6 @@ def test_zero_finetune_steps_means_zero_forgetting(family, tau12_init):
     np.testing.assert_array_equal(run.finetuned.W1, run.posttrained.W1)
     np.testing.assert_array_equal(run.finetuned.W2, run.posttrained.W2)
     assert run.metrics.forgetting == 0.0
-    assert compute_forgetting(run) == 0.0
 
 
 def test_metrics_are_recomputable_from_the_checkpoints(family, tau12_init):
@@ -218,8 +216,6 @@ def test_pipeline_reports_the_diverging_stage():
     assert not run.succeeded
     assert run.failed_stage == "pretrain"
     assert run.metrics is None and run.pretrained is None
-    with pytest.raises(ConfigError, match="no metrics"):
-        compute_forgetting(run)
 
 
 # -------------------------------------------------------------------- sweeps

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from stagelab import (
     StagePlan,
-    TrainConfig,
     init_scaled_identity,
     run_pipeline,
-    train,
 )
 from stagelab.records import (
     dumps_record,
@@ -21,7 +19,6 @@ from stagelab.records import (
     format_float,
     pipeline_run_record,
     read_records,
-    snapshot_records,
     stable_hash,
     write_records,
 )
@@ -118,29 +115,6 @@ def test_stable_hash_is_short_and_deterministic():
     assert all(c in "0123456789abcdef" for c in h)
     assert h == stable_hash("config text")
     assert h != stable_hash("config text!")
-
-
-def test_snapshot_records_schema(family):
-    init = init_scaled_identity(6, 12.0, family.basis)
-    probes = {"retention": family.distribution("posttrain")}
-    _, traj = train(
-        init,
-        family.distribution("pretrain"),
-        family.basis,
-        TrainConfig(eta=0.02, max_steps=100, probe_every=50),
-        probes=probes,
-    )
-    records = snapshot_records(traj)
-    assert [r["step"] for r in records] == [0, 50, 100]
-    first = records[0]
-    assert first["schema_version"] == 1
-    assert first["kind"] == "snapshot"
-    assert isinstance(first["train_loss"], float)
-    assert isinstance(first["probe_retention"], float)
-    assert len(first["aligned_diag"]) == 6
-    assert first["offdiag_norm"] == 0.0
-    # records must be serializable byte-identically
-    assert dumps_record(first) == dumps_record(dict(json.loads(dumps_record(first))))
 
 
 def test_pipeline_run_record_for_a_successful_run(family, tau12_init):

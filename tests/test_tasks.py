@@ -11,7 +11,6 @@ from stagelab import (
     FeaturePartition,
     SpectralBasis,
     StageDistribution,
-    TaskFamily,
     TaskSpectra,
     TaskValidationError,
     build_task_family,
@@ -138,36 +137,6 @@ def test_mixture_moments_match_monte_carlo():
     assert np.all(np.abs(xc - mixed.cross_covariance) <= 5 * np.maximum(xc_se, 1e-12))
 
 
-def test_serialization_round_trip():
-    family = make_reference_family()
-    clone = TaskFamily.from_json(family.to_json())
-    assert clone.partition == family.partition
-    np.testing.assert_array_equal(clone.spectra.invariant, family.spectra.invariant)
-    np.testing.assert_array_equal(
-        clone.spectra.post_inconsistent, family.spectra.post_inconsistent
-    )
-    assert clone.basis.mode == family.basis.mode
-    for stage in ("pretrain", "posttrain", "finetune"):
-        np.testing.assert_array_equal(
-            clone.distribution(stage).cross_covariance,
-            family.distribution(stage).cross_covariance,
-        )
-
-
-def test_serialization_round_trip_random_basis():
-    family = make_reference_family(basis_mode="random", basis_seed=7)
-    clone = TaskFamily.from_json(family.to_json())
-    np.testing.assert_array_equal(clone.basis.U, family.basis.U)
-    np.testing.assert_array_equal(clone.basis.V, family.basis.V)
-
-
-def test_from_json_rejects_unknown_schema():
-    family = make_reference_family()
-    text = family.to_json().replace('"schema_version": 1', '"schema_version": 99')
-    with pytest.raises(ConfigError, match="schema_version"):
-        TaskFamily.from_json(text)
-
-
 def test_random_basis_is_orthonormal_and_seeded():
     basis = SpectralBasis.random(6, seed=42)
     eye = np.eye(6)
@@ -262,7 +231,6 @@ def test_assumption_margins_for_the_reference_family():
     assert not salience.holds
     assert salience.margin == pytest.approx(0.45 - 2.25)
     assert "fails for every alpha in a 101-point grid" in salience.detail
-    assert "specialized_mixing_salience" in report.summary()
 
 
 @given(alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
