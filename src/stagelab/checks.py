@@ -44,7 +44,12 @@ from .network import (
 from .records import format_float
 from .tasks import StageDistribution, TaskFamily, mix_distributions, validate_assumptions
 
-# Reference settings and tolerances shared by every check; verify.txt prints them.
+# Reference settings and tolerances shared by every check; verify.txt prints
+# them, and the first four are also the [verify] defaults.
+ALPHA = 0.5  # fraction of posttraining data mixed into the mixed arm
+EPSILON = 0.1  # routing tolerance on the posttrained spectrum
+ACQUISITION_STEPS = 40_000
+ROUTING_STEPS = 10_000
 TAU = 12.0  # init scale exp(-2 tau) on every aligned coordinate
 ACQUISITION_ETA = 0.05
 ROUTING_ETA = 0.02
@@ -58,14 +63,8 @@ MIXED_TOL = 0.0
 
 def _render_value(value: object) -> str:
     """Render a measured value with floats at full 17-digit precision."""
-    if isinstance(value, bool) or value is None:
-        return str(value)
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, Mapping):
         return "{" + ", ".join(f"{k}: {_render_value(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
@@ -100,7 +99,7 @@ class CheckReport:
 def idealized_checkpoint(
     family: TaskFamily,
     kind: str,
-    alpha: float = 0.5,
+    alpha: float = ALPHA,
     literal_inconsistent: bool = False,
 ) -> NetworkState:
     """Balanced diagonal state matching the idealized end-of-pretraining spectra.
@@ -120,7 +119,7 @@ def idealized_checkpoint(
 
 
 def _idealized_spectrum(
-    family: TaskFamily, kind: str, alpha: float = 0.5, literal_inconsistent: bool = False
+    family: TaskFamily, kind: str, alpha: float = ALPHA, literal_inconsistent: bool = False
 ) -> np.ndarray:
     """The aligned diagonal idealized_checkpoint builds its state from."""
     part = family.partition
@@ -159,7 +158,7 @@ def _oracle_fixed_points(
 
 
 def check_specialized_acquisition(
-    family: TaskFamily, alpha: float = 0.5, steps: int = 40_000
+    family: TaskFamily, alpha: float = ALPHA, steps: int = ACQUISITION_STEPS
 ) -> CheckReport:
     """Specialized coordinates are acquired iff posttraining data is mixed in."""
     part = family.partition
@@ -210,7 +209,7 @@ def check_sequential_order(
     family: TaskFamily,
     dist: StageDistribution | None = None,
     eta: float = ACQUISITION_ETA,
-    steps: int = 40_000,
+    steps: int = ACQUISITION_STEPS,
 ) -> CheckReport:
     """Coordinates cross half their limit value in descending cross-covariance order.
 
@@ -348,9 +347,9 @@ def _require_routing_preconditions(
 
 def check_posttrain_routing(
     family: TaskFamily,
-    alpha: float = 0.5,
-    epsilon: float = 0.1,
-    steps: int = 10_000,
+    alpha: float = ALPHA,
+    epsilon: float = EPSILON,
+    steps: int = ROUTING_STEPS,
     ridge_lambda: float = 0.02,
     literal_inconsistent: bool = False,
 ) -> tuple[CheckReport, dict[str, NetworkState]]:
@@ -453,7 +452,7 @@ def forgetting_lower_bound(k: int, mismatch_gap: float, specialized_target: floa
 def check_forgetting_gap(
     family: TaskFamily,
     posttrain_states: dict[str, NetworkState],
-    epsilon: float = 0.1,
+    epsilon: float = EPSILON,
     ft_steps: int = FT_STEPS,
     literal_inconsistent: bool = False,
 ) -> CheckReport:
@@ -498,7 +497,7 @@ def check_forgetting_gap(
     )
 
 
-def check_assumptions(family: TaskFamily, alpha: float = 0.5) -> CheckReport:
+def check_assumptions(family: TaskFamily, alpha: float = ALPHA) -> CheckReport:
     """Wrap the structural assumption report as a check.
 
     specialized_mixing_salience is diagnostic only: it is unsatisfiable for
@@ -519,11 +518,11 @@ def check_assumptions(family: TaskFamily, alpha: float = 0.5) -> CheckReport:
 
 def run_all_checks(
     family: TaskFamily,
-    alpha: float = 0.5,
-    epsilon: float = 0.1,
+    alpha: float = ALPHA,
+    epsilon: float = EPSILON,
     literal_inconsistent: bool = False,
-    acquisition_steps: int = 40_000,
-    routing_steps: int = 10_000,
+    acquisition_steps: int = ACQUISITION_STEPS,
+    routing_steps: int = ROUTING_STEPS,
 ) -> list[CheckReport]:
     """Every check at its reference budget, in a stable order.
 

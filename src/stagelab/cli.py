@@ -14,6 +14,7 @@ import argparse
 import itertools
 import os
 import sys
+from typing import Iterable
 
 from .checks import run_all_checks
 from .config import ExperimentConfig, load_config
@@ -22,9 +23,9 @@ from .frontier import pareto_front, points_from_records
 from .pipeline import make_run_id, run_pipeline, run_sweep
 from .records import (
     _write_csv,
-    existing_run_ids,
     format_float,
     pipeline_run_record,
+    plan_fields,
     read_records,
     stable_hash,
     sweep_to_csv,
@@ -36,10 +37,6 @@ RUNS_FILE = "runs.jsonl"
 SWEEP_CSV = "sweep.csv"
 FRONTIER_SVG = "frontier.svg"
 FRONTIER_CSV = "frontier.csv"
-
-
-def _default_out() -> str:
-    return os.environ.get("STAGELAB_OUT", "stagelab-out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args: argparse.Namespace) -> str:
-    out = args.out if args.out is not None else _default_out()
+    out = args.out if args.out is not None else os.environ.get("STAGELAB_OUT", "stagelab-out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -70,13 +67,32 @@ def _method_of(record: dict) -> str:
     return "mixed" if float(record.get("mix_fraction", 0.0)) > 0 else "unmixed"
 
 
+def _recorded_runs(runs_path: str, tasks: Iterable[tuple[str, tuple]]) -> dict[str, dict]:
+    """The records on file by run id, refusing one whose plans differ from its (run id, plans) task."""
+    records = read_records(runs_path) if os.path.exists(runs_path) else []
+    by_id = {rec["run_id"]: rec for rec in records if "run_id" in rec}
+    for run_id, plans in tasks:
+        record = by_id.get(run_id)
+        if record is None:
+            continue
+        for name, value in plan_fields(plans).items():
+            if record.get(name) != value:
+                raise ConfigError(
+                    f"run {run_id} is recorded in {runs_path} with {name} = "
+                    f"{record.get(name)!r}, but the config gives {value!r}; use a fresh --out"
+                )
+    return by_id
+
+
 def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
     plans = cfg.stage_plans()
-    run = run_pipeline(cfg.task_family(), plans, cfg.init_state(), run_id=make_run_id(*plans))
+    run_id = make_run_id(*plans)
     runs_path = os.path.join(out, RUNS_FILE)
+    recorded = _recorded_runs(runs_path, [(run_id, plans)])
+    run = run_pipeline(cfg.task_family(), plans, cfg.init_state(), run_id=run_id)
     # the sweep's resume rule: a run id already on record is not written twice
-    if run.run_id not in existing_run_ids(runs_path):
+    if run.run_id not in recorded:
         record = pipeline_run_record(run, seed=args.seed, config_hash=stable_hash(cfg.canonical()))
         write_records(runs_path, [record], append=True)
     if run.metrics is None:
@@ -95,9 +111,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         raise ConfigError("sweep grid is empty; every [sweep] list needs at least one value")
     run_ids = [make_run_id(*plans) for plans in tasks]
     runs_path = os.path.join(out, RUNS_FILE)
-    records = read_records(runs_path) if os.path.exists(runs_path) else []
-    done = {rec["run_id"] for rec in records if "run_id" in rec}
-    todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in done]
+    by_id = _recorded_runs(runs_path, zip(run_ids, tasks))
+    todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in by_id]
     config_hash = stable_hash(cfg.canonical())
     new_records = []
     for run in run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads):
@@ -105,9 +120,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         # one append per run, so an interrupted sweep keeps every finished run
         write_records(runs_path, [record], append=True)
         new_records.append(record)
+        by_id[run.run_id] = record
 
     # Regenerate the CSV from all records, in the sweep's enumeration order.
-    by_id = {rec["run_id"]: rec for rec in records + new_records if "run_id" in rec}
     sweep_to_csv((by_id[i] for i in run_ids if i in by_id), os.path.join(out, SWEEP_CSV))
     completed = len(tasks) - len(todo)
     print(f"sweep: {len(new_records)} new runs, {completed} already recorded, out={out}")
@@ -187,9 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StagelabError as exc:

@@ -13,10 +13,11 @@ import io
 from dataclasses import dataclass, fields
 from typing import Any
 
+from .checks import ACQUISITION_STEPS, ALPHA, EPSILON, ROUTING_STEPS
 from .errors import ConfigError
 from .network import NetworkState, init_scaled_identity
 from .pipeline import StagePlan
-from .tasks import FeaturePartition, SpectralBasis, TaskFamily, TaskSpectra, build_task_family
+from .tasks import STAGES, FeaturePartition, SpectralBasis, TaskFamily, TaskSpectra, build_task_family
 
 # type tags: int | float | bool | str | floats (comma-separated list)
 DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
@@ -60,11 +61,11 @@ DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
         "replay_fraction": ("float", 0.0),
     },
     "verify": {
-        "alpha": ("float", 0.5),
-        "epsilon": ("float", 0.1),
+        "alpha": ("float", ALPHA),
+        "epsilon": ("float", EPSILON),
         "literal_inconsistent": ("bool", False),
-        "acquisition_steps": ("int", 40000),
-        "routing_steps": ("int", 10000),
+        "acquisition_steps": ("int", ACQUISITION_STEPS),
+        "routing_steps": ("int", ROUTING_STEPS),
     },
     "report": {
         "projection": ("str", "ret_ft"),
@@ -115,37 +116,18 @@ class ExperimentConfig:
         return init_scaled_identity(family.n, self.values["init"]["tau"], family.basis)
 
     def stage_plans(self) -> tuple[StagePlan, StagePlan, StagePlan]:
-        pre = self.values["pretrain"]
-        post = self.values["posttrain"]
-        ft = self.values["finetune"]
-        return (
-            StagePlan.pretrain(steps=pre["steps"], eta=pre["eta"], mix_fraction=pre["mix_fraction"]),
-            StagePlan.posttrain(
-                steps=post["steps"],
-                eta=post["eta"],
-                ridge_lambda=post["ridge_lambda"],
-                replay_fraction=post["replay_fraction"],
-            ),
-            StagePlan.finetune(steps=ft["steps"], eta=ft["eta"]),
-        )
+        """One plan per stage section; each section's keys are StagePlan's field names."""
+        return tuple(StagePlan(stage, **self.values[stage]) for stage in STAGES)
 
     def sweep_plans(self) -> tuple[list[StagePlan], list[StagePlan], list[StagePlan]]:
-        pre = self.values["pretrain"]
-        sw = self.values["sweep"]
+        pre, sw = self.values["pretrain"], self.values["sweep"]
         stage1 = [
-            StagePlan.pretrain(steps=pre["steps"], eta=pre["eta"], mix_fraction=m)
+            StagePlan("pretrain", pre["steps"], pre["eta"], mix_fraction=m)
             for m in sw["mix_fractions"]
         ]
-        stage2 = [
-            StagePlan.posttrain(
-                steps=sw["steps2"],
-                eta=eta2,
-                ridge_lambda=sw["ridge_lambda"],
-                replay_fraction=sw["replay_fraction"],
-            )
-            for eta2 in sw["eta2"]
-        ]
-        stage3 = [StagePlan.finetune(steps=sw["steps3"], eta=eta3) for eta3 in sw["eta3"]]
+        post = {"replay_fraction": sw["replay_fraction"], "ridge_lambda": sw["ridge_lambda"]}
+        stage2 = [StagePlan("posttrain", sw["steps2"], eta2, **post) for eta2 in sw["eta2"]]
+        stage3 = [StagePlan("finetune", sw["steps3"], eta3) for eta3 in sw["eta3"]]
         return stage1, stage2, stage3
 
     def verify_kwargs(self) -> dict[str, Any]:

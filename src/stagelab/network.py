@@ -26,6 +26,9 @@ import numpy as np
 from .errors import ConfigError, StagelabError, TrainingDiverged
 from .tasks import SpectralBasis, StageDistribution, _freeze, target_matrix
 
+FIXED_POINT_TOL = 1e-12  # scalar_fixed_point stops once an update is this small
+FIXED_POINT_MAX_ITER = 2_000_000
+
 
 @dataclass(frozen=True)
 class NetworkState:
@@ -108,7 +111,9 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be nonnegative, got {self.max_steps}")
         check_step_size(self.eta, self.ridge_lambda)
         if self.ridge_lambda > 0 and self.ridge_anchor is None:
-            raise ConfigError("ridge_lambda > 0 requires a ridge_anchor checkpoint")
+            raise ConfigError(
+                f"ridge_lambda = {self.ridge_lambda:g} but no anchor checkpoint was supplied"
+            )
         if self.probe_every < 1:
             raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
         if self.ridge_anchor is not None:
@@ -260,9 +265,8 @@ def train(
     """Run max_steps of full-batch gradient descent, snapshotting every probe_every steps.
 
     The first and final states are always snapshotted.  The run raises
-    TrainingDiverged at the first step whose weights are not finite, or on a
-    non-finite training loss at a snapshot (finite weights can still overflow
-    the loss).
+    TrainingDiverged at the first step whose weights or training loss are not
+    finite (finite weights can still overflow the loss).
     """
     probes = dict(probes or {})
     A = target_matrix(dist, basis)
@@ -294,33 +298,36 @@ def train(
             np.matmul(W1, W2, out=theta)
             np.subtract(theta, A, out=E)
 
+    def finite_loss() -> float | None:
+        loss = _data_loss(E, v, V)
+        return loss if math.isfinite(loss) and np.isfinite(W).all() else None
+
     def first_nonfinite(start: int, stop: int) -> int:
-        """The first step in (start, stop] whose weights are not finite, by replay from checked."""
+        """The first step in (start, stop] without a finite_loss(), by replay from checked."""
         restart(checked)
         for replayed in range(start + 1, stop):
             advance(1)
-            if not np.isfinite(W).all():
+            if finite_loss() is None:
                 return replayed
         return stop
 
     snaps: list[Snapshot] = []
     step = checked_step = 0
     # The update has no division, so a weight that turns inf or nan stays
-    # non-finite; checking at snapshots and replaying from the last checked
-    # state therefore finds the same first non-finite step as a check after
-    # every step.  Overflow is caught that way, so numpy's own warning about
+    # non-finite, and a loss that overflows from finite weights drives them
+    # to overflow too; checking at snapshots and replaying from the last
+    # checked state therefore finds the first step a check after every step
+    # would find.  Overflow is caught that way, so numpy's own warning about
     # it is noise on a run that is about to raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
         restart(np.stack((state.W1, state.W2)))
         checked = W.copy()
         while True:
-            if not np.isfinite(W).all():
+            loss = finite_loss()
+            if loss is None:
                 raise TrainingDiverged(state.step + first_nonfinite(checked_step, step))
             np.copyto(checked, W)
             checked_step = step
-            loss = _data_loss(E, v, V)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(state.step + step)
             diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
             probe_losses = {
                 name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
@@ -369,16 +376,14 @@ def scalar_fixed_point(
     ridge_lambda: float = 0.0,
     anchor: float = 0.0,
     init: float = 1.0,
-    tol: float = 1e-12,
-    max_iter: int = 2_000_000,
 ) -> float:
-    """Iterate derived_diag_step from init until the update falls below tol."""
+    """Iterate derived_diag_step from init until the update falls below FIXED_POINT_TOL."""
     sigma = float(init)
-    for i in range(max_iter):
+    for i in range(FIXED_POINT_MAX_ITER):
         nxt = float(derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor))
         if not math.isfinite(nxt):
             raise TrainingDiverged(i + 1, f"scalar recursion diverged at iteration {i + 1}")
-        if abs(nxt - sigma) <= tol:
+        if abs(nxt - sigma) <= FIXED_POINT_TOL:
             return nxt
         sigma = nxt
-    raise StagelabError(f"scalar fixed point did not converge within {max_iter} iterations")
+    raise StagelabError(f"scalar fixed point did not converge within {FIXED_POINT_MAX_ITER} iterations")

@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
 from .network import NetworkState, TrainConfig, check_step_size, population_loss, train
-from .tasks import StageDistribution, TaskFamily, mix_distributions
-
-STAGE_ORDER = ("pretrain", "posttrain", "finetune")
+from .tasks import STAGES, StageDistribution, TaskFamily, mix_distributions
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,8 @@ class StagePlan:
     ridge_lambda: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stage not in STAGE_ORDER:
-            raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGE_ORDER}")
+        if self.stage not in STAGES:
+            raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
         for name in ("mix_fraction", "replay_fraction"):
@@ -67,43 +65,13 @@ class StagePlan:
             )
         check_step_size(self.eta, self.ridge_lambda)
 
-    @classmethod
-    def pretrain(cls, steps: int, eta: float, mix_fraction: float = 0.0) -> "StagePlan":
-        return cls(stage="pretrain", steps=steps, eta=eta, mix_fraction=mix_fraction)
-
-    @classmethod
-    def posttrain(
-        cls,
-        steps: int,
-        eta: float,
-        ridge_lambda: float = 0.1,
-        replay_fraction: float = 0.01,
-    ) -> "StagePlan":
-        return cls(
-            stage="posttrain",
-            steps=steps,
-            eta=eta,
-            ridge_lambda=ridge_lambda,
-            replay_fraction=replay_fraction,
-        )
-
-    @classmethod
-    def finetune(cls, steps: int, eta: float) -> "StagePlan":
-        return cls(stage="finetune", steps=steps, eta=eta)
-
     def train_config(self, ridge_anchor=None) -> TrainConfig:
         """Effective TrainConfig; the anchor is supplied by the pipeline at run time."""
-        anchor = ridge_anchor if self.ridge_lambda > 0 else None
-        if self.ridge_lambda > 0 and anchor is None:
-            raise ConfigError(
-                f"{self.stage} plan has ridge_lambda={self.ridge_lambda:g} but no anchor "
-                "checkpoint was supplied"
-            )
         return TrainConfig(
             eta=self.eta,
             max_steps=self.steps,
             ridge_lambda=self.ridge_lambda,
-            ridge_anchor=anchor,
+            ridge_anchor=ridge_anchor if self.ridge_lambda > 0 else None,
         )
 
 
@@ -160,9 +128,9 @@ class PipelineRun:
 
 
 def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, StagePlan]:
-    if len(plans) != 3 or tuple(p.stage for p in plans) != STAGE_ORDER:
+    if len(plans) != 3 or tuple(p.stage for p in plans) != STAGES:
         raise ConfigError(
-            f"expected plans for stages {STAGE_ORDER} in order, got {[p.stage for p in plans]}"
+            f"expected plans for stages {STAGES} in order, got {[p.stage for p in plans]}"
         )
     return plans[0], plans[1], plans[2]
 
@@ -225,7 +193,7 @@ def continue_from_pretrained(
                 break
             states[plan.stage] = state
     metrics = None
-    failed_stage = None if failure is None else STAGE_ORDER[len(states)]
+    failed_stage = None if failure is None else STAGES[len(states)]
     if failure is None:
 
         def loss(stage: str, dist: str) -> float:

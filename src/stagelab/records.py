@@ -17,8 +17,10 @@ import math
 import os
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from .errors import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .pipeline import PipelineRun
+    from .pipeline import PipelineRun, StagePlan
 
 RECORD_SCHEMA_VERSION = 1
 
@@ -121,16 +123,20 @@ def _mend_tail(path: str | os.PathLike) -> None:
 def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
     """Every record in the file, without an unterminated last line that does not parse.
 
-    Such a line is a write that was cut short; the run it held is not on record.
+    Such a line is a write that was cut short; the run it held is not on
+    record.  Any other line that does not parse raises ConfigError.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
-            if line.endswith("\n") or _parses(text):
+            try:
                 out.append(json.loads(text))
+            except ValueError as exc:
+                if line.endswith("\n"):
+                    raise ConfigError(f"{path} line {lineno} is not a JSON record: {exc}") from None
     return out
 
 
@@ -145,9 +151,19 @@ def stable_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+def plan_fields(plans: Sequence["StagePlan"]) -> dict[str, Any]:
+    """The plan settings a run record carries, by record key."""
+    plan1, plan2, plan3 = plans
+    return {
+        "mix_fraction": plan1.mix_fraction, "steps1": plan1.steps, "eta1": plan1.eta,
+        "replay_fraction": plan2.replay_fraction, "lambda_ridge": plan2.ridge_lambda,
+        "steps2": plan2.steps, "eta2": plan2.eta,
+        "steps3": plan3.steps, "eta3": plan3.eta,
+    }
+
+
 def pipeline_run_record(run: "PipelineRun", seed: int, config_hash: str) -> dict[str, Any]:
     """Flatten a pipeline run into a record row (metrics null on failure)."""
-    plan1, plan2, plan3 = run.plans
     record: dict[str, Any] = {
         "schema_version": RECORD_SCHEMA_VERSION,
         "kind": "pipeline_run",
@@ -156,15 +172,7 @@ def pipeline_run_record(run: "PipelineRun", seed: int, config_hash: str) -> dict
         "config_hash": config_hash,
         "status": "ok" if run.succeeded else "diverged",
         "failed_stage": run.failed_stage,
-        "mix_fraction": plan1.mix_fraction,
-        "steps1": plan1.steps,
-        "eta1": plan1.eta,
-        "replay_fraction": plan2.replay_fraction,
-        "lambda_ridge": plan2.ridge_lambda,
-        "steps2": plan2.steps,
-        "eta2": plan2.eta,
-        "steps3": plan3.steps,
-        "eta3": plan3.eta,
+        **plan_fields(run.plans),
     }
     if run.metrics is None:
         record.update({"L_im": None, "L_ret": None, "L_ft": None, "L_pre": None, "delta": None})

@@ -119,12 +119,13 @@ class TaskSpectra:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Orthonormal output/input basis pair shared by every stage of a family."""
+    """Orthonormal output/input basis pair shared by every stage of a family.
+
+    is_identity is set once, from the matrices: both are exactly the identity.
+    """
 
     U: np.ndarray
     V: np.ndarray
-    mode: str = "identity"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "U", _freeze(self.U))
@@ -132,23 +133,23 @@ class SpectralBasis:
         n = self.U.shape[0]
         if self.U.shape != (n, n) or self.V.shape != (n, n):
             raise ConfigError("basis matrices must be square and equally sized")
+        eye = np.eye(n)
         for name, mat in (("U", self.U), ("V", self.V)):
-            err = float(np.max(np.abs(mat.T @ mat - np.eye(n))))
+            err = float(np.max(np.abs(mat.T @ mat - eye)))
             if err > 1e-10:
                 raise ConfigError(f"basis {name} is not orthonormal (max |{name}^T {name} - I| = {err:.3e})")
+        object.__setattr__(
+            self, "is_identity", bool(np.array_equal(self.U, eye) and np.array_equal(self.V, eye))
+        )
 
     @property
     def n(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.mode == "identity"
-
     @classmethod
     def identity(cls, n: int) -> "SpectralBasis":
         eye = np.eye(n)
-        return cls(U=eye, V=eye, mode="identity", seed=None)
+        return cls(U=eye, V=eye)
 
     @classmethod
     def random(cls, n: int, seed: int) -> "SpectralBasis":
@@ -159,7 +160,7 @@ class SpectralBasis:
             q, r = np.linalg.qr(rng.standard_normal((n, n)))
             q = q * np.sign(np.diag(r))  # fix the gauge so the draw is unique
             mats.append(q)
-        return cls(U=mats[0], V=mats[1], mode="random", seed=seed)
+        return cls(U=mats[0], V=mats[1])
 
     @classmethod
     def from_mode(cls, mode: str, n: int, seed: int | None = None) -> "SpectralBasis":
@@ -264,11 +265,9 @@ def _stage_distribution(partition: FeaturePartition, spectra: TaskSpectra, stage
     elif stage == "posttrain":
         t[partition.inconsistent] = spectra.post_inconsistent
         t[partition.specialized] = spectra.specialized_target
-    elif stage == "finetune":
+    else:  # finetune
         v[partition.specialized] = 0.0
         t[partition.inconsistent] = spectra.ft_inconsistent
-    else:
-        raise ConfigError(f"unknown stage {stage!r}")
     return StageDistribution(
         label=stage,
         input_variances=v,

@@ -36,7 +36,7 @@ def tau12_init(family):
 @pytest.fixture(scope="session")
 def base_pretrained(family, tau12_init):
     """Unmixed stage-1 checkpoint (3000 steps at eta 0.02 from the tau=12 init)."""
-    plan = StagePlan.pretrain(3000, 0.02)
+    plan = StagePlan("pretrain", 3000, 0.02)
     state, _ = train(
         tau12_init,
         stage_training_distribution(family, plan),
@@ -50,12 +50,12 @@ def base_pretrained(family, tau12_init):
 @pytest.fixture(scope="session")
 def frontier_sweep(family, tau12_init):
     """Mixed-vs-unmixed sweep: 2 mix fractions x 3 posttrain etas x 5 finetune etas."""
-    stage1 = [StagePlan.pretrain(3000, 0.02, mix_fraction=m) for m in (0.5, 0.0)]
+    stage1 = [StagePlan("pretrain", 3000, 0.02, mix_fraction=m) for m in (0.5, 0.0)]
     stage2 = [
-        StagePlan.posttrain(250, eta, ridge_lambda=0.0, replay_fraction=0.0)
+        StagePlan("posttrain", 250, eta)
         for eta in (0.008, 0.012, 0.02)
     ]
-    stage3 = [StagePlan.finetune(300, eta) for eta in (0.0003, 0.001, 0.003, 0.01, 0.05)]
+    stage3 = [StagePlan("finetune", 300, eta) for eta in (0.0003, 0.001, 0.003, 0.01, 0.05)]
     return list(run_sweep(family, tau12_init, itertools.product(stage1, stage2, stage3)))
 
 

@@ -191,9 +191,9 @@ def test_c09_budget_reallocation_trades_immediacy_for_retention(family, base_pre
     """Shifting a fixed step budget from stage 2 to mixed stage 1 raises the immediate
     posttrain loss monotonically while lowering the post-finetune retention loss."""
     t0 = time.perf_counter()
-    template1 = StagePlan.pretrain(1, 0.018, mix_fraction=0.5)
-    template2 = StagePlan.posttrain(1, 0.00065, ridge_lambda=0.0, replay_fraction=0.0)
-    ft = StagePlan.finetune(1500, 0.02)
+    template1 = StagePlan("pretrain", 1, 0.018, mix_fraction=0.5)
+    template2 = StagePlan("posttrain", 1, 0.00065)
+    ft = StagePlan("finetune", 1500, 0.02)
     allocs = (0.0, 0.25, 0.5, 0.75, 1.0)
     l_im, l_ret, splits = [], [], []
     for alloc in allocs:
@@ -231,9 +231,9 @@ def test_c10_replay_preserves_pretraining_performance(family, base_pretrained):
     d_pre = family.distribution("pretrain")
     for rho in (0.0, 0.1):
         plans = (
-            StagePlan.pretrain(3000, 0.02),
-            StagePlan.posttrain(2000, 0.02, ridge_lambda=0.0, replay_fraction=rho),
-            StagePlan.finetune(0, 0.02),
+            StagePlan("pretrain", 3000, 0.02),
+            StagePlan("posttrain", 2000, 0.02, replay_fraction=rho),
+            StagePlan("finetune", 0, 0.02),
         )
         run = continue_from_pretrained(family, base_pretrained, plans, run_id=f"rho{rho:g}")
         assert run.succeeded

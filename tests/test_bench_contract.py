@@ -1,14 +1,17 @@
 """The benchmark tracer binds package functions by name; keep those names valid.
 
-bench/spans.py wraps every (module, attr) in its FUNCTIONS and METHODS tables
-and reads some call arguments by parameter name.  The tables are read from
-the source with ast, so the tracer module is neither imported nor modified.
+bench/spans.py wraps every (module, attr) in its FUNCTIONS and METHODS tables,
+reads some call arguments by parameter name, and reads attributes of train()'s
+arguments and result.  The tables are read from the source with ast, so the
+tracer module is neither imported nor modified.
 """
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+from stagelab import TrainConfig, init_scaled_identity, make_reference_family, train
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -52,3 +55,16 @@ def test_traced_functions_bind_the_parameter_names_the_tracer_reads():
         assert (module_name, attr) in traced
         function = getattr(importlib.import_module(module_name), attr)
         assert names <= set(inspect.signature(function).parameters), f"{module_name}.{attr}"
+
+
+def test_train_results_carry_the_attributes_the_tracer_reads():
+    # bench/spans.py's _train_attrs reads these from train()'s arguments and result
+    family = make_reference_family()
+    dist = family.distribution("pretrain")
+    state = init_scaled_identity(family.n, 12.0)
+    config = TrainConfig(eta=0.02, max_steps=1, probe_every=50)
+    final, trajectory = train(state, dist, family.basis, config, record_spectrum=False)
+    assert dist.label == "pretrain"
+    assert config.probe_every == 50
+    assert final.step - state.step == 1
+    assert len(trajectory.snapshots) == 2

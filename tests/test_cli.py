@@ -280,6 +280,32 @@ def test_a_torn_last_record_is_dropped_and_the_resume_converges(tmp_path, capsys
         assert (torn / name).read_bytes() == (straight / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_a_resume_refuses_records_of_other_plan_settings(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), command]) == 0
+    stale = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    run_id = read_records(out / "runs.jsonl")[0]["run_id"]
+    capsys.readouterr()
+    # eta1 is the one plan setting the run id leaves out
+    cfg = write_ini(tmp_path, "[pretrain]\neta = 0.03\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing")
+
+    monkeypatch.setattr(stagelab.pipeline, "train", no_training)
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: run {run_id} is recorded in ")
+    assert "with eta1 = 0.02, but the config gives 0.03; use a fresh --out" in err
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == stale
+    monkeypatch.undo()
+    # what the refusal prevents: the same grid at eta1 = 0.03 gives other numbers
+    fresh = tmp_path / "fresh"
+    assert main(["--config", cfg, "--out", str(fresh), command]) == 0
+    assert (fresh / "runs.jsonl").read_bytes() != stale["runs.jsonl"]
+
+
 def test_sweep_with_threads_matches_the_serial_records(tmp_path):
     cfg = write_ini(tmp_path, SWEEP_INI)
     serial = tmp_path / "serial"
@@ -310,6 +336,40 @@ def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
     cfg = write_ini(tmp_path, "[sweep]\neta2 =\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "sweep"]) == 2
     assert "sweep grid is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify", "plot", "frontier"])
+def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--threads", threads, "sweep"]) == 2
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "plot", "frontier"])
+def test_an_unparsable_record_line_exits_2(sweep_out, tmp_path, capsys, command):
+    cfg, done = sweep_out
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = Path(done, "runs.jsonl").read_text().splitlines(keepends=True)
+    # damage the second record; the last line stays whole, so this is no torn tail
+    corrupt = lines[0] + lines[1][: len(lines[1]) // 2] + "\n" + "".join(lines[2:])
+    (out / "runs.jsonl").write_text(corrupt)
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'runs.jsonl'} line 2 is not a JSON record: ")
+    assert err.count("\n") == 1
+    assert (out / "runs.jsonl").read_text() == corrupt
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -30,7 +30,6 @@ def test_file_values_override_defaults(tmp_path):
     # untouched sections keep their defaults
     assert cfg.get("posttrain", "steps") == 2000
     family = cfg.task_family()
-    assert family.basis.mode == "random"
     assert not family.basis.is_identity
 
 

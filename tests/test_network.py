@@ -251,7 +251,7 @@ def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda)
 
 
 def reference_train(state, dist, basis, config, probes, record_spectrum):
-    """train() as allocating numpy expressions, checking the weights after every step."""
+    """train() as allocating numpy expressions, checking weights and loss after every step."""
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
@@ -266,10 +266,10 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
     for step in range(config.max_steps + 1):
         theta = W1 @ W2
         E = theta - A
+        loss = data_loss(E, v)
+        if not (math.isfinite(loss) and np.isfinite(W1).all() and np.isfinite(W2).all()):
+            raise TrainingDiverged(state.step + step)
         if step % config.probe_every == 0 or step == config.max_steps:
-            loss = data_loss(E, v)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(state.step + step)
             diag = offdiag = None
             if record_spectrum:
                 M = theta if V is None else basis.U.T @ theta @ V
@@ -283,8 +283,6 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
         if config.ridge_lambda > 0:
             G = G + 2.0 * config.ridge_lambda * (theta - config.ridge_anchor)
         W1, W2 = W1 - config.eta * (G @ W2.T), W2 - config.eta * (W1.T @ G)
-        if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
-            raise TrainingDiverged(state.step + step + 1)
     return W1, W2, snaps
 
 
@@ -546,39 +544,36 @@ def test_probe_losses_are_recorded_per_distribution():
         traj.probe_losses("posttrain")
 
 
-def scalar_divergence_step(target: float, eta: float, probe_every: int) -> int:
+def scalar_divergence_step(target: float, eta: float) -> int:
     """train()'s stop rule for scalar_problem in Python floats, which are the same doubles.
 
-    The run stops at the first step whose weights are not finite, or at an
-    earlier snapshot whose loss is not.
+    The run stops at the first step whose weights or loss are not finite.
     """
     w1 = w2 = 1.0
     step = 0
     while True:
         e = w1 * w2 - target
-        if step % probe_every == 0 and not math.isfinite(e * e):
+        if not (math.isfinite(w1) and math.isfinite(w2) and math.isfinite(e * e)):
             return step
         g = 2.0 * e
         w1, w2 = w1 - eta * (g * w2), w2 - eta * (w1 * g)
         step += 1
-        if not (math.isfinite(w1) and math.isfinite(w2)):
-            return step
 
 
 def test_divergence_raises_with_the_offending_step():
     basis, dist = scalar_problem(target=50.0)
     # budget check passes with its fixed norm bound, but the actual teacher value
     # is far above it, so the iteration blows up.  The loss overflows at step 7
-    # and the weights at step 9: every snapshot sees the first, and at cadences
-    # 5 and 50 the weights go non-finite between two snapshots.
-    for probe_every, expected in ((1, 7), (5, 9), (50, 9)):
-        assert scalar_divergence_step(50.0, 0.06, probe_every) == expected
+    # and the weights at step 9; the step reported is the first, whatever the
+    # snapshot cadence.
+    assert scalar_divergence_step(50.0, 0.06) == 7
+    for probe_every in (1, 5, 50):
         config = TrainConfig(eta=0.06, max_steps=1000, probe_every=probe_every)
         for start in (0, 5):
             state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]), step=start)
             with pytest.raises(TrainingDiverged) as err:
                 train(state, dist, basis, config)
-            assert err.value.step == start + expected
+            assert err.value.step == start + 7
 
 
 def test_an_infinite_loss_from_finite_weights_counts_as_divergence():

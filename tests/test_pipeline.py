@@ -31,9 +31,9 @@ from stagelab.records import CSV_COLUMNS
 
 def small_plans(mix: float = 0.5):
     return (
-        StagePlan.pretrain(300, 0.02, mix_fraction=mix),
-        StagePlan.posttrain(300, 0.02, ridge_lambda=0.0, replay_fraction=0.0),
-        StagePlan.finetune(300, 0.02),
+        StagePlan("pretrain", 300, 0.02, mix_fraction=mix),
+        StagePlan("posttrain", 300, 0.02),
+        StagePlan("finetune", 300, 0.02),
     )
 
 
@@ -63,26 +63,20 @@ def test_stage_plan_rejects_misplaced_knobs():
     with pytest.raises(ConfigError, match="unknown stage"):
         StagePlan(stage="deploy", steps=10, eta=0.01)
     with pytest.raises(ConfigError, match="steps must be nonnegative"):
-        StagePlan.finetune(-1, 0.01)
+        StagePlan("finetune", -1, 0.01)
     with pytest.raises(ConfigError, match=r"mix_fraction must lie in \[0, 1\]"):
-        StagePlan.pretrain(10, 0.01, mix_fraction=1.5)
+        StagePlan("pretrain", 10, 0.01, mix_fraction=1.5)
 
 
 def test_stage_plan_budget_accounts_for_the_ridge():
     # eta alone is fine, but the ridge term pushes the stability budget over 1
-    StagePlan.posttrain(10, 0.03, ridge_lambda=0.0, replay_fraction=0.0)
+    StagePlan("posttrain", 10, 0.03)
     with pytest.raises(ConfigError, match="budget"):
-        StagePlan.posttrain(10, 0.03, ridge_lambda=2.5, replay_fraction=0.0)
-
-
-def test_posttrain_plan_defaults_are_regularized():
-    plan = StagePlan.posttrain(100, 0.02)
-    assert plan.ridge_lambda == 0.1
-    assert plan.replay_fraction == 0.01
+        StagePlan("posttrain", 10, 0.03, ridge_lambda=2.5)
 
 
 def test_ridge_plan_requires_an_anchor_at_config_time():
-    plan = StagePlan.posttrain(10, 0.02, ridge_lambda=0.1, replay_fraction=0.0)
+    plan = StagePlan("posttrain", 10, 0.02, ridge_lambda=0.1)
     with pytest.raises(ConfigError, match="no anchor"):
         plan.train_config()
     config = plan.train_config(ridge_anchor=np.eye(6))
@@ -91,17 +85,17 @@ def test_ridge_plan_requires_an_anchor_at_config_time():
 
 def test_stage_training_distributions_mix_as_documented():
     family = make_reference_family()
-    mixed = stage_training_distribution(family, StagePlan.pretrain(10, 0.02, mix_fraction=0.5))
+    mixed = stage_training_distribution(family, StagePlan("pretrain", 10, 0.02, mix_fraction=0.5))
     np.testing.assert_array_equal(mixed.input_variances, [1, 1, 1, 1, 0.5, 0.5])
     np.testing.assert_array_equal(mixed.cross_covariance, [5, 4, 2.25, 2.05, 0.45, 0.45])
 
     replayed = stage_training_distribution(
-        family, StagePlan.posttrain(10, 0.02, ridge_lambda=0.0, replay_fraction=0.1)
+        family, StagePlan("posttrain", 10, 0.02, replay_fraction=0.1)
     )
     np.testing.assert_allclose(replayed.input_variances, [1, 1, 1, 1, 0.9, 0.9])
     np.testing.assert_allclose(replayed.cross_covariance, [5, 4, 3.25, 3.05, 0.81, 0.81])
 
-    ft = stage_training_distribution(family, StagePlan.finetune(10, 0.02))
+    ft = stage_training_distribution(family, StagePlan("finetune", 10, 0.02))
     assert ft is family.distribution("finetune")
 
 
@@ -109,8 +103,8 @@ def test_stage_training_distributions_mix_as_documented():
 
 
 def test_compute_matched_split_example():
-    t1 = StagePlan.pretrain(1, 0.018, mix_fraction=0.5)
-    t2 = StagePlan.posttrain(1, 0.001, ridge_lambda=0.0, replay_fraction=0.0)
+    t1 = StagePlan("pretrain", 1, 0.018, mix_fraction=0.5)
+    t2 = StagePlan("posttrain", 1, 0.001)
     p1, p2 = compute_matched_plans(1000, 0.25, t1, t2)
     assert (p1.steps, p2.steps) == (250, 750)
     assert p1.mix_fraction == 0.5 and p1.eta == 0.018
@@ -118,8 +112,8 @@ def test_compute_matched_split_example():
 
 
 def test_compute_matched_grid_is_exactly_conserved():
-    t1 = StagePlan.pretrain(1, 0.02, mix_fraction=0.5)
-    t2 = StagePlan.posttrain(1, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
+    t1 = StagePlan("pretrain", 1, 0.02, mix_fraction=0.5)
+    t2 = StagePlan("posttrain", 1, 0.02)
     splits = [compute_matched_plans(800, a, t1, t2) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert [(p1.steps, p2.steps) for p1, p2 in splits] == [
         (0, 800), (200, 600), (400, 400), (600, 200), (800, 0),
@@ -132,16 +126,16 @@ def test_compute_matched_grid_is_exactly_conserved():
 )
 @settings(max_examples=150, deadline=None)
 def test_compute_matched_budget_conservation(total, alloc):
-    t1 = StagePlan.pretrain(1, 0.02, mix_fraction=0.5)
-    t2 = StagePlan.posttrain(1, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
+    t1 = StagePlan("pretrain", 1, 0.02, mix_fraction=0.5)
+    t2 = StagePlan("posttrain", 1, 0.02)
     p1, p2 = compute_matched_plans(total, alloc, t1, t2)
     assert p1.steps + p2.steps == total
     assert p1.steps >= 0 and p2.steps >= 0
 
 
 def test_compute_matched_rejects_bad_arguments():
-    t1 = StagePlan.pretrain(1, 0.02)
-    t2 = StagePlan.posttrain(1, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
+    t1 = StagePlan("pretrain", 1, 0.02)
+    t2 = StagePlan("posttrain", 1, 0.02)
     with pytest.raises(ConfigError, match="total_budget"):
         compute_matched_plans(-1, 0.5, t1, t2)
     with pytest.raises(ConfigError, match="alloc_fraction"):
@@ -161,7 +155,7 @@ def test_run_pipeline_requires_ordered_stage_plans():
 
 def test_zero_finetune_steps_means_zero_forgetting(family, tau12_init):
     p1, p2, _ = small_plans()
-    run = run_pipeline(family, (p1, p2, StagePlan.finetune(0, 0.02)), tau12_init)
+    run = run_pipeline(family, (p1, p2, StagePlan("finetune", 0, 0.02)), tau12_init)
     assert run.succeeded
     np.testing.assert_array_equal(run.finetuned.W1, run.posttrained.W1)
     np.testing.assert_array_equal(run.finetuned.W2, run.posttrained.W2)
@@ -193,9 +187,9 @@ def test_ridge_anchor_is_the_stage1_checkpoint(family, base_pretrained):
     # with a strong ridge the inconsistent block settles at the convex blend
     # (v * post_target + lambda * pretrain_value) / (v + lambda)
     plans = (
-        StagePlan.pretrain(3000, 0.02),
-        StagePlan.posttrain(4000, 0.02, ridge_lambda=0.5, replay_fraction=0.0),
-        StagePlan.finetune(0, 0.02),
+        StagePlan("pretrain", 3000, 0.02),
+        StagePlan("posttrain", 4000, 0.02, ridge_lambda=0.5),
+        StagePlan("finetune", 0, 0.02),
     )
     run = run_pipeline(family, plans, init_scaled_identity(6, 12.0, family.basis))
     diag, _ = aligned_spectrum(run.posttrained, family.basis)
@@ -208,9 +202,9 @@ def test_pipeline_reports_the_diverging_stage():
     family = hot_family()
     init = init_scaled_identity(6, 12.0)
     plans = (
-        StagePlan.pretrain(1000, 0.06),
-        StagePlan.posttrain(100, 0.02, ridge_lambda=0.0, replay_fraction=0.0),
-        StagePlan.finetune(100, 0.02),
+        StagePlan("pretrain", 1000, 0.06),
+        StagePlan("posttrain", 100, 0.02),
+        StagePlan("finetune", 100, 0.02),
     )
     run = run_pipeline(family, plans, init)
     assert not run.succeeded
@@ -233,8 +227,8 @@ def test_sweep_singleton_matches_run_pipeline(family, tau12_init):
 
 def test_sweep_trains_each_stage1_plan_once(family, tau12_init):
     p1, p2, p3 = small_plans()
-    p2b = StagePlan.posttrain(150, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
-    p3b = StagePlan.finetune(150, 0.02)
+    p2b = StagePlan("posttrain", 150, 0.02)
+    p3b = StagePlan("finetune", 150, 0.02)
     runs = list(run_sweep(family, tau12_init, itertools.product([p1], [p2, p2b], [p3, p3b])))
     assert len(runs) == 4
     assert all(run.pretrained is runs[0].pretrained for run in runs)
@@ -244,10 +238,10 @@ def test_sweep_trains_each_stage1_plan_once(family, tau12_init):
 def test_sweep_keeps_diverged_runs_and_csv_omits_them(tmp_path):
     family = hot_family()
     init = init_scaled_identity(6, 12.0)
-    good = StagePlan.pretrain(200, 0.002)
-    bad = StagePlan.pretrain(1000, 0.06)
-    p2 = StagePlan.posttrain(50, 0.002, ridge_lambda=0.0, replay_fraction=0.0)
-    p3 = StagePlan.finetune(50, 0.002)
+    good = StagePlan("pretrain", 200, 0.002)
+    bad = StagePlan("pretrain", 1000, 0.06)
+    p2 = StagePlan("posttrain", 50, 0.002)
+    p3 = StagePlan("finetune", 50, 0.002)
     runs = list(run_sweep(family, init, [(good, p2, p3), (bad, p2, p3)]))
     assert len(runs) == 2
     assert runs[0].succeeded and not runs[1].succeeded
@@ -264,9 +258,9 @@ def test_sweep_keeps_diverged_runs_and_csv_omits_them(tmp_path):
 
 
 def test_run_id_encodes_the_swept_hyperparameters():
-    p1 = StagePlan.pretrain(3000, 0.02, mix_fraction=0.5)
-    p2 = StagePlan.posttrain(250, 0.02, ridge_lambda=0.0, replay_fraction=0.0)
-    p3 = StagePlan.finetune(300, 0.05)
+    p1 = StagePlan("pretrain", 3000, 0.02, mix_fraction=0.5)
+    p2 = StagePlan("posttrain", 250, 0.02)
+    p3 = StagePlan("finetune", 300, 0.05)
     assert make_run_id(p1, p2, p3) == "m0.5-s1_3000-r0-l0-e2_0.02-s2_250-e3_0.05-s3_300"
 
 

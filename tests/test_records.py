@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagelab import (
+    ConfigError,
     StagePlan,
     init_scaled_identity,
     run_pipeline,
@@ -96,9 +97,9 @@ def test_only_an_unparsable_unterminated_last_line_is_dropped(tmp_path):
     assert read_records(path) == [{"a": 1}]
     write_records(path, [{"c": 3}], append=True)
     assert path.read_text() == '{"a": 1}\n{"c": 3}\n'
-    # a damaged line that is not the last still fails the read
-    path.write_text('{"a": \n{"c": 3}\n')
-    with pytest.raises(json.JSONDecodeError):
+    # a damaged line that is not the last still fails the read, by name
+    path.write_text('{"a": 1}\n{"b": \n{"c": 3}\n')
+    with pytest.raises(ConfigError, match=r"runs\.jsonl line 2 is not a JSON record"):
         read_records(path)
 
 
@@ -119,9 +120,9 @@ def test_stable_hash_is_short_and_deterministic():
 
 def test_pipeline_run_record_for_a_successful_run(family, tau12_init):
     plans = (
-        StagePlan.pretrain(200, 0.02, mix_fraction=0.5),
-        StagePlan.posttrain(100, 0.02, ridge_lambda=0.0, replay_fraction=0.0),
-        StagePlan.finetune(100, 0.02),
+        StagePlan("pretrain", 200, 0.02, mix_fraction=0.5),
+        StagePlan("posttrain", 100, 0.02),
+        StagePlan("finetune", 100, 0.02),
     )
     run = run_pipeline(family, plans, tau12_init, run_id="demo")
     record = pipeline_run_record(run, seed=0, config_hash="abc123def456")
@@ -141,9 +142,9 @@ def test_pipeline_run_record_for_a_diverged_run(family):
     # a start far above the step-size stability range diverges in stage 1
     hot = init_scaled_identity(6, -2.0, family.basis)
     plans = (
-        StagePlan.pretrain(200, 0.05),
-        StagePlan.posttrain(50, 0.02, ridge_lambda=0.0, replay_fraction=0.0),
-        StagePlan.finetune(50, 0.02),
+        StagePlan("pretrain", 200, 0.05),
+        StagePlan("posttrain", 50, 0.02),
+        StagePlan("finetune", 50, 0.02),
     )
     run = run_pipeline(family, plans, hot, run_id="boom")
     assert not run.succeeded

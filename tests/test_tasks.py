@@ -1,5 +1,7 @@
 """Task family construction, mixing arithmetic, and structural validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,7 +155,15 @@ def test_basis_rejects_non_orthonormal_matrices():
     bad = np.eye(4)
     bad[0, 1] = 0.5
     with pytest.raises(ConfigError, match="not orthonormal"):
-        SpectralBasis(U=bad, V=np.eye(4), mode="custom")
+        SpectralBasis(U=bad, V=np.eye(4))
+
+
+def test_basis_derives_is_identity_from_its_matrices():
+    assert SpectralBasis.identity(4).is_identity
+    assert SpectralBasis(U=np.eye(4), V=np.eye(4)).is_identity
+    assert not SpectralBasis(U=np.eye(4)[::-1], V=np.eye(4)).is_identity
+    assert not SpectralBasis.random(4, seed=0).is_identity
+    assert [f.name for f in dataclasses.fields(SpectralBasis)] == ["U", "V"]
 
 
 def test_target_and_covariance_matrices_in_both_bases():
