@@ -57,7 +57,6 @@ from .network import (
     train,
 )
 from .pipeline import (
-    CheckpointMetrics,
     PipelineRun,
     StagePlan,
     compute_matched_plans,
@@ -78,7 +77,6 @@ from .records import (
 )
 from .svgplot import render_frontier_svg
 from .tasks import (
-    AssumptionReport,
     FeaturePartition,
     SpectralBasis,
     StageDistribution,

@@ -24,7 +24,7 @@ bitwise-identical aligned entries over arbitrarily long training runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -45,7 +45,7 @@ from .records import format_float
 from .tasks import StageDistribution, TaskFamily, mix_distributions, validate_assumptions
 
 # Reference settings and tolerances shared by every check; verify.txt prints
-# them, and the first four are also the [verify] defaults.
+# them, the first four are also the [verify] defaults and TAU the [init] one.
 ALPHA = 0.5  # fraction of posttraining data mixed into the mixed arm
 EPSILON = 0.1  # routing tolerance on the posttrained spectrum
 ACQUISITION_STEPS = 40_000
@@ -53,6 +53,7 @@ ROUTING_STEPS = 10_000
 TAU = 12.0  # init scale exp(-2 tau) on every aligned coordinate
 ACQUISITION_ETA = 0.05
 ROUTING_ETA = 0.02
+ROUTING_RIDGE = 0.02  # posttrain ridge toward the idealized checkpoint
 FT_ETA = 0.02
 FT_STEPS = 10_000
 MIN_LEARNED_RATIO = 0.9
@@ -313,44 +314,11 @@ def check_frozen_directions(
     )
 
 
-def _epsilon_ceiling(family: TaskFamily) -> float:
-    gap = family.spectra.mismatch_gap
-    beta = family.spectra.specialized_target
-    return gap / (2.0 * gap - 4.0 * beta)
-
-
-def _require_routing_preconditions(
-    family: TaskFamily,
-    epsilon: float,
-    ridge_lambda: float,
-    moving: dict[str, np.ndarray],
-    oracles: dict[str, np.ndarray],
-) -> None:
-    ceiling = _epsilon_ceiling(family)
-    if not 0.0 < epsilon < ceiling:
-        raise PreconditionError(
-            "posttrain routing requires epsilon < mismatch_gap / (2 * mismatch_gap - "
-            f"4 * specialized_target) = {ceiling:.6g}, got epsilon = {epsilon:g}"
-        )
-    target = family.distribution("posttrain").target_spectrum
-    worst = 0.0
-    # saddle-pinned coordinates are covered by the routing claim itself
-    for kind, mask in moving.items():
-        if mask.any():
-            worst = max(worst, float(np.max(np.abs(oracles[kind][mask] - target[mask]))))
-    if worst > epsilon / 2.0:
-        raise PreconditionError(
-            f"ridge_lambda = {ridge_lambda:g} shifts a fixed point by {worst:.6g}, "
-            f"which exceeds epsilon / 2 = {epsilon / 2:.6g}"
-        )
-
-
 def check_posttrain_routing(
     family: TaskFamily,
     alpha: float = ALPHA,
     epsilon: float = EPSILON,
     steps: int = ROUTING_STEPS,
-    ridge_lambda: float = 0.02,
     literal_inconsistent: bool = False,
 ) -> tuple[CheckReport, dict[str, NetworkState]]:
     """Posttraining moves active coordinates to the posttrain spectrum, within epsilon.
@@ -364,32 +332,49 @@ def check_posttrain_routing(
     part = family.partition
     post = family.distribution("posttrain")
     basis = family.basis
+    target = post.target_spectrum
 
-    arms = {"mixed": {"alpha": alpha}, "unmixed": {"literal_inconsistent": literal_inconsistent}}
-    inits = {kind: idealized_checkpoint(family, kind, **opts) for kind, opts in arms.items()}
-    # the moving set comes from the built spectrum, not from the rounded
-    # product, which carries noise on zero coordinates in a random basis
-    moving = {kind: _idealized_spectrum(family, kind, **opts) > 0 for kind, opts in arms.items()}
-    anchors = {kind: aligned_spectrum(state, basis)[0] for kind, state in inits.items()}
-    oracles = {
-        kind: _oracle_fixed_points(post, ROUTING_ETA, diag, ridge_lambda=ridge_lambda)
-        for kind, diag in anchors.items()
-    }
-    _require_routing_preconditions(family, epsilon, ridge_lambda, moving, oracles)
+    arms = {}
+    worst_shift = 0.0
+    for kind, pinned, opts in (
+        ("mixed", part.inconsistent, {"alpha": alpha}),
+        ("unmixed", part.specialized, {"literal_inconsistent": literal_inconsistent}),
+    ):
+        spectrum = _idealized_spectrum(family, kind, **opts)
+        init = init_from_spectrum(basis, spectrum)
+        anchor = aligned_spectrum(init, basis)[0]
+        oracle = _oracle_fixed_points(post, ROUTING_ETA, anchor, ridge_lambda=ROUTING_RIDGE)
+        # the moving set comes from the built spectrum, not from the rounded
+        # product, which carries noise on zero coordinates in a random basis
+        moving = spectrum > 0
+        expected = target.copy()
+        expected[pinned] = 0.0
+        arms[kind] = (init, oracle, moving, pinned, expected)
+        # saddle-pinned coordinates are covered by the routing claim itself
+        if moving.any():
+            worst_shift = max(worst_shift, float(np.max(np.abs(oracle[moving] - target[moving]))))
 
-    pinned = {"mixed": part.inconsistent, "unmixed": part.specialized}
-    expected = {kind: post.target_spectrum.copy() for kind in pinned}
-    for kind, block in pinned.items():
-        expected[kind][block] = 0.0
+    gap = family.spectra.mismatch_gap
+    ceiling = gap / (2.0 * gap - 4.0 * family.spectra.specialized_target)
+    if not 0.0 < epsilon < ceiling:
+        raise PreconditionError(
+            "posttrain routing requires epsilon < mismatch_gap / (2 * mismatch_gap - "
+            f"4 * specialized_target) = {ceiling:.6g}, got epsilon = {epsilon:g}"
+        )
+    if worst_shift > epsilon / 2.0:
+        raise PreconditionError(
+            f"ridge_lambda = {ROUTING_RIDGE:g} shifts a fixed point by {worst_shift:.6g}, "
+            f"which exceeds epsilon / 2 = {epsilon / 2:.6g}"
+        )
 
     states: dict[str, NetworkState] = {}
     measured: dict[str, object] = {"epsilon": epsilon}
     failures: list[str] = []
-    for kind, init in inits.items():
+    for kind, (init, oracle, moving, pinned, expected) in arms.items():
         config = TrainConfig(
             eta=ROUTING_ETA,
             max_steps=steps,
-            ridge_lambda=ridge_lambda,
+            ridge_lambda=ROUTING_RIDGE,
             ridge_anchor=init.theta,
         )
         state, traj = train(init, post, basis, config)
@@ -398,17 +383,13 @@ def check_posttrain_routing(
         diags = traj.diagonals()
         final = diags[-1]
         offdiag_max = float(np.max([s.aligned_offdiag for s in traj.snapshots]))
-        pinned_block = diags[:, pinned[kind]]
-        pinned_exact = bool(np.all(pinned_block == 0.0))
-        err = np.abs(final - expected[kind])
-        worst_err = float(np.max(err))
-
-        mask = moving[kind]
-        oracle_err = float(np.max(np.abs(final[mask] - oracles[kind][mask]))) if mask.any() else 0.0
+        pinned_exact = bool(np.all(diags[:, pinned] == 0.0))
+        worst_err = float(np.max(np.abs(final - expected)))
+        oracle_err = float(np.max(np.abs(final[moving] - oracle[moving]))) if moving.any() else 0.0
 
         measured[kind] = {
             "final_diag": final.tolist(),
-            "expected_diag": expected[kind].tolist(),
+            "expected_diag": expected.tolist(),
             "worst_abs_error": worst_err,
             "offdiag_max": offdiag_max,
             "pinned_exactly_zero": pinned_exact,
@@ -423,7 +404,7 @@ def check_posttrain_routing(
         if oracle_err > ORACLE_TOL:
             failures.append(f"{kind}: disagrees with scalar oracle by {oracle_err:.3g}")
 
-    notes = [f"alpha={alpha:g} eta={ROUTING_ETA:g} steps={steps} ridge_lambda={ridge_lambda:g}"]
+    notes = [f"alpha={alpha:g} eta={ROUTING_ETA:g} steps={steps} ridge_lambda={ROUTING_RIDGE:g}"]
     if literal_inconsistent:
         notes.append("unmixed checkpoint used the literal posttrain inconsistent values")
     report = CheckReport(
@@ -454,7 +435,6 @@ def check_forgetting_gap(
     posttrain_states: dict[str, NetworkState],
     epsilon: float = EPSILON,
     ft_steps: int = FT_STEPS,
-    literal_inconsistent: bool = False,
 ) -> CheckReport:
     """Finetuning forgets the posttrained skills only on the unmixed arm.
 
@@ -485,7 +465,7 @@ def check_forgetting_gap(
     )
     passed = abs(deltas["mixed"]) <= MIXED_TOL and deltas["unmixed"] >= bound
     return CheckReport(
-        name="forgetting_gap_literal" if literal_inconsistent else "forgetting_gap",
+        name="forgetting_gap",
         passed=passed,
         measured={
             "delta_mixed": deltas["mixed"],
@@ -504,13 +484,12 @@ def check_assumptions(family: TaskFamily, alpha: float = ALPHA) -> CheckReport:
     any spectra the family validator accepts, so it never gates the result.
     """
     report = validate_assumptions(family.spectra, alpha)
-    required = [e for e in report.entries if e.name != "specialized_mixing_salience"]
     salience = report["specialized_mixing_salience"]
-    passed = all(e.holds for e in required)
+    passed = all(e.holds for e in report.values() if e is not salience)
     return CheckReport(
         name="structural_assumptions",
         passed=passed,
-        measured={e.name: (e.margin if e.margin is not None else "structural") for e in report.entries},
+        measured={name: (e.margin if e.margin is not None else "structural") for name, e in report.items()},
         thresholds={},
         notes=(f"specialized_mixing_salience (diagnostic): {salience.detail}",),
     )
@@ -554,7 +533,6 @@ def run_all_checks(
             literal_inconsistent=True,
         )
         reports.append(literal_report)
-        reports.append(
-            check_forgetting_gap(family, literal_states, epsilon=epsilon, literal_inconsistent=True)
-        )
+        literal_gap = check_forgetting_gap(family, literal_states, epsilon=epsilon)
+        reports.append(replace(literal_gap, name="forgetting_gap_literal"))
     return reports

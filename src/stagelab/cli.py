@@ -99,17 +99,22 @@ def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         print(f"run {run.run_id}: diverged during {run.failed_stage}", file=sys.stderr)
         return 3
     print(f"run {run.run_id}")
-    for key, value in run.metrics.as_record().items():
-        print(f"  {key} = {format_float(float(value))}")
+    for key, value in run.metrics.items():
+        print(f"  {key} = {format_float(value)}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    out = _out_dir(args)
     tasks = list(itertools.product(*cfg.sweep_plans()))
     if not tasks:
         raise ConfigError("sweep grid is empty; every [sweep] list needs at least one value")
     run_ids = [make_run_id(*plans) for plans in tasks]
+    seen: set[str] = set()
+    for run_id in run_ids:
+        if run_id in seen:
+            raise ConfigError(f"the [sweep] grid lists run {run_id} twice")
+        seen.add(run_id)
+    out = _out_dir(args)
     runs_path = os.path.join(out, RUNS_FILE)
     by_id = _recorded_runs(runs_path, zip(run_ids, tasks))
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in by_id]

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .checks import ACQUISITION_STEPS, ALPHA, EPSILON, ROUTING_STEPS
+from .checks import ACQUISITION_STEPS, ALPHA, EPSILON, ROUTING_STEPS, TAU
 from .errors import ConfigError
 from .network import NetworkState, init_scaled_identity
 from .pipeline import StagePlan
@@ -34,7 +34,7 @@ DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
         "basis_seed": ("int", 0),
     },
     "init": {
-        "tau": ("float", 12.0),
+        "tau": ("float", TAU),
     },
     "pretrain": {
         "steps": ("int", 3000),

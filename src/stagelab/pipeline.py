@@ -89,27 +89,6 @@ def stage_training_distribution(family: TaskFamily, plan: StagePlan) -> StageDis
 
 
 @dataclass(frozen=True)
-class CheckpointMetrics:
-    loss_post_immediate: float
-    loss_post_retained: float
-    loss_finetune: float
-    loss_pretrain_retained: float
-
-    @property
-    def forgetting(self) -> float:
-        return self.loss_post_retained - self.loss_post_immediate
-
-    def as_record(self) -> dict[str, float]:
-        return {
-            "L_im": self.loss_post_immediate,
-            "L_ret": self.loss_post_retained,
-            "L_ft": self.loss_finetune,
-            "L_pre": self.loss_pretrain_retained,
-            "delta": self.forgetting,
-        }
-
-
-@dataclass(frozen=True)
 class PipelineRun:
     """Checkpoints, metrics and provenance for one pretrain/posttrain/finetune run."""
 
@@ -118,7 +97,7 @@ class PipelineRun:
     pretrained: NetworkState | None
     posttrained: NetworkState | None
     finetuned: NetworkState | None
-    metrics: CheckpointMetrics | None
+    metrics: dict[str, float] | None  # the record's L_im, L_ret, L_ft, L_pre, delta
     failed_stage: str | None = None
     failure: str | None = None
 
@@ -135,21 +114,28 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
+def _train_stage(
+    family: TaskFamily, plan: StagePlan, state: NetworkState, anchor: np.ndarray | None = None
+) -> NetworkState:
+    """The checkpoint at the end of one stage; anchor is the ridge anchor, if the plan has a ridge."""
+    state, _ = train(
+        state,
+        stage_training_distribution(family, plan),
+        family.basis,
+        plan.train_config(ridge_anchor=anchor),
+        record_spectrum=False,
+    )
+    return state
+
+
 def _pretrain(
     family: TaskFamily, plan: StagePlan, init_state: NetworkState
 ) -> NetworkState | TrainingDiverged:
     """The stage-1 checkpoint, or the divergence that prevented it."""
     try:
-        state, _ = train(
-            init_state,
-            stage_training_distribution(family, plan),
-            family.basis,
-            plan.train_config(),
-            record_spectrum=False,
-        )
+        return _train_stage(family, plan, init_state)
     except TrainingDiverged as exc:
         return exc
-    return state
 
 
 def run_pipeline(
@@ -184,10 +170,8 @@ def continue_from_pretrained(
         state = states["pretrain"] = pretrained
         anchor = pretrained.theta
         for plan in plans[1:]:
-            config = plan.train_config(ridge_anchor=anchor)
-            dist = stage_training_distribution(family, plan)
             try:
-                state, _ = train(state, dist, family.basis, config, record_spectrum=False)
+                state = _train_stage(family, plan, state, anchor)
             except TrainingDiverged as exc:
                 failure = exc
                 break
@@ -202,13 +186,14 @@ def continue_from_pretrained(
         # the metrics are losses on distributions no stage may have trained
         # on, so finite weights can still overflow them
         with np.errstate(over="ignore", invalid="ignore"):
-            metrics = CheckpointMetrics(
-                loss_post_immediate=loss("posttrain", "posttrain"),
-                loss_post_retained=loss("finetune", "posttrain"),
-                loss_finetune=loss("finetune", "finetune"),
-                loss_pretrain_retained=loss("finetune", "pretrain"),
-            )
-        bad = [name for name, value in metrics.as_record().items() if not math.isfinite(value)]
+            metrics = {
+                "L_im": loss("posttrain", "posttrain"),
+                "L_ret": loss("finetune", "posttrain"),
+                "L_ft": loss("finetune", "finetune"),
+                "L_pre": loss("finetune", "pretrain"),
+            }
+            metrics["delta"] = metrics["L_ret"] - metrics["L_im"]
+        bad = [name for name, value in metrics.items() if not math.isfinite(value)]
         if bad:
             # the stage whose checkpoint gave the first non-finite metric
             failed_stage = "posttrain" if "L_im" in bad else "finetune"

@@ -177,7 +177,7 @@ def pipeline_run_record(run: "PipelineRun", seed: int, config_hash: str) -> dict
     if run.metrics is None:
         record.update({"L_im": None, "L_ret": None, "L_ft": None, "L_pre": None, "delta": None})
     else:
-        record.update(run.metrics.as_record())
+        record.update(run.metrics)
     return record
 
 

@@ -301,19 +301,6 @@ class AssumptionCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Named structural checks on a spectra tuple, with signed margins."""
-
-    entries: tuple[AssumptionCheck, ...]
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
-
 def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:
     """The four magnitude inequalities a valid family must satisfy, with signed margins."""
     post, gap = spectra.post_inconsistent, spectra.mismatch_gap
@@ -343,8 +330,8 @@ def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:
     return [AssumptionCheck(name, margin > 0, margin, detail) for name, margin, detail in margins]
 
 
-def validate_assumptions(spectra: TaskSpectra, alpha: float) -> AssumptionReport:
-    """Report which structural premises hold for these spectra at mixing weight alpha.
+def validate_assumptions(spectra: TaskSpectra, alpha: float) -> dict[str, AssumptionCheck]:
+    """Which structural premises hold for these spectra at mixing weight alpha, by name.
 
     Unlike TaskSpectra.validate this never raises; it is a diagnostic surface.
     The specialized_mixing_salience entry is expected to fail for every alpha
@@ -389,4 +376,4 @@ def validate_assumptions(spectra: TaskSpectra, alpha: float) -> AssumptionReport
         )
     )
 
-    return AssumptionReport(entries=tuple(entries))
+    return {entry.name: entry for entry in entries}

@@ -169,7 +169,7 @@ def test_c08_mixed_frontier_dominates_the_unmixed_frontier(frontier_sweep):
     records = []
     for r in runs:
         rec = {"run_id": r.run_id, "mix_fraction": r.plans[0].mix_fraction}
-        rec.update(r.metrics.as_record())
+        rec.update(r.metrics)
         records.append(rec)
     mixed_pts = points_from_records([r for r in records if r["mix_fraction"] > 0])
     unmixed_pts = points_from_records([r for r in records if r["mix_fraction"] == 0])
@@ -201,8 +201,8 @@ def test_c09_budget_reallocation_trades_immediacy_for_retention(family, base_pre
         run = run_pipeline(family, (plan1, plan2, ft), base_pretrained, run_id=f"alloc{alloc:g}")
         assert run.succeeded
         splits.append((plan1.steps, plan2.steps))
-        l_im.append(run.metrics.loss_post_immediate)
-        l_ret.append(run.metrics.loss_post_retained)
+        l_im.append(run.metrics["L_im"])
+        l_ret.append(run.metrics["L_ret"])
     assert splits == [(0, 800), (200, 600), (400, 400), (600, 200), (800, 0)]
     slack = 1e-3
     assert all(b >= a - slack for a, b in zip(l_im, l_im[1:]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stagelab.checks
 from stagelab import (
     CheckReport,
     PreconditionError,
@@ -172,8 +173,24 @@ def test_routing_rejects_an_epsilon_beyond_the_ceiling(family):
 
 
 def test_routing_rejects_a_ridge_that_drags_fixed_points(family):
+    # the unmixed arm's ridge pulls its inconsistent limit 0.049 off the
+    # target, more than epsilon / 2 = 0.025
     with pytest.raises(PreconditionError, match="exceeds epsilon / 2"):
-        check_posttrain_routing(family, ridge_lambda=0.4)
+        check_posttrain_routing(family, epsilon=0.05)
+
+
+@pytest.mark.parametrize("epsilon, match", [(5.1, "requires epsilon"), (0.05, "exceeds epsilon / 2")])
+def test_routing_preconditions_fail_before_any_training(family, monkeypatch, epsilon, match):
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(stagelab.checks, "train", counting_train)
+    with pytest.raises(PreconditionError, match=match):
+        check_posttrain_routing(family, epsilon=epsilon)
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -338,6 +338,25 @@ def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
     assert "sweep grid is empty" in capsys.readouterr().err
 
 
+def test_a_grid_that_lists_a_run_twice_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = write_ini(
+        tmp_path,
+        "[pretrain]\nsteps = 10\n[sweep]\nmix_fractions = 0.0\neta2 = 0.02\n"
+        "eta3 = 0.01, 0.01\nsteps2 = 10\nsteps3 = 10\n",
+    )
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing")
+
+    monkeypatch.setattr(stagelab.pipeline, "train", no_training)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the [sweep] grid lists run m0-s1_10-r0-l0-e2_0.02-s2_10-e3_0.01-s3_10 twice\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify", "plot", "frontier"])
 def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys, command):
     out = tmp_path / "taken"

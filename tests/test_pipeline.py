@@ -159,19 +159,19 @@ def test_zero_finetune_steps_means_zero_forgetting(family, tau12_init):
     assert run.succeeded
     np.testing.assert_array_equal(run.finetuned.W1, run.posttrained.W1)
     np.testing.assert_array_equal(run.finetuned.W2, run.posttrained.W2)
-    assert run.metrics.forgetting == 0.0
+    assert run.metrics["delta"] == 0.0
 
 
 def test_metrics_are_recomputable_from_the_checkpoints(family, tau12_init):
     run = run_pipeline(family, small_plans(), tau12_init)
     basis = family.basis
     m = run.metrics
-    assert abs(m.loss_post_immediate - population_loss(run.posttrained, family.distribution("posttrain"), basis)) <= 1e-12
-    assert abs(m.loss_post_retained - population_loss(run.finetuned, family.distribution("posttrain"), basis)) <= 1e-12
-    assert abs(m.loss_finetune - population_loss(run.finetuned, family.distribution("finetune"), basis)) <= 1e-12
-    assert abs(m.loss_pretrain_retained - population_loss(run.finetuned, family.distribution("pretrain"), basis)) <= 1e-12
-    assert m.forgetting == m.loss_post_retained - m.loss_post_immediate
-    assert set(m.as_record()) == {"L_im", "L_ret", "L_ft", "L_pre", "delta"}
+    assert list(m) == ["L_im", "L_ret", "L_ft", "L_pre", "delta"]
+    assert abs(m["L_im"] - population_loss(run.posttrained, family.distribution("posttrain"), basis)) <= 1e-12
+    assert abs(m["L_ret"] - population_loss(run.finetuned, family.distribution("posttrain"), basis)) <= 1e-12
+    assert abs(m["L_ft"] - population_loss(run.finetuned, family.distribution("finetune"), basis)) <= 1e-12
+    assert abs(m["L_pre"] - population_loss(run.finetuned, family.distribution("pretrain"), basis)) <= 1e-12
+    assert m["delta"] == m["L_ret"] - m["L_im"]
 
 
 def test_specialized_coordinates_survive_finetuning_bitwise(family, tau12_init):
@@ -254,7 +254,7 @@ def test_sweep_keeps_diverged_runs_and_csv_omits_them(tmp_path):
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == 2  # header plus the one completed run
     assert rows[1][0] == runs[0].run_id
-    assert float(rows[1][CSV_COLUMNS.index("L_im")]) == runs[0].metrics.loss_post_immediate
+    assert float(rows[1][CSV_COLUMNS.index("L_im")]) == runs[0].metrics["L_im"]
 
 
 def test_run_id_encodes_the_swept_hyperparameters():
@@ -270,6 +270,6 @@ def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):
     by_id = {run.run_id: run for run in frontier_sweep}
     mixed = by_id["m0.5-s1_3000-r0-l0-e2_0.008-s2_250-e3_0.05-s3_300"]
     unmixed = by_id["m0-s1_3000-r0-l0-e2_0.008-s2_250-e3_0.05-s3_300"]
-    gap = unmixed.metrics.loss_post_retained - mixed.metrics.loss_post_retained
+    gap = unmixed.metrics["L_ret"] - mixed.metrics["L_ret"]
     assert gap >= 1.0
     assert gap == pytest.approx(1.62, abs=0.01)

@@ -132,8 +132,8 @@ def test_pipeline_run_record_for_a_successful_run(family, tau12_init):
     assert record["failed_stage"] is None
     assert record["mix_fraction"] == 0.5
     assert (record["steps1"], record["steps2"], record["steps3"]) == (200, 100, 100)
-    assert record["L_im"] == run.metrics.loss_post_immediate
-    assert record["delta"] == run.metrics.forgetting
+    assert record["L_im"] == run.metrics["L_im"]
+    assert record["delta"] == run.metrics["delta"]
     line = dumps_record(record)
     assert json.loads(line)["config_hash"] == "abc123def456"
 
