@@ -16,7 +16,6 @@ from .checks import (
     check_sequential_order,
     check_specialized_acquisition,
     forgetting_lower_bound,
-    idealized_checkpoint,
     run_all_checks,
 )
 from .config import (

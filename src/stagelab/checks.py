@@ -97,13 +97,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def idealized_checkpoint(
-    family: TaskFamily,
-    kind: str,
-    alpha: float = ALPHA,
-    literal_inconsistent: bool = False,
-) -> NetworkState:
-    """Balanced diagonal state matching the idealized end-of-pretraining spectra.
+def _idealized_spectrum(
+    family: TaskFamily, kind: str, alpha: float = ALPHA, literal_inconsistent: bool = False
+) -> np.ndarray:
+    """Aligned diagonal of the idealized end-of-pretraining checkpoint.
 
     kind="mixed" is pretraining with a fraction alpha of posttraining data:
     invariant values learned, inconsistent at zero (their mixed optimum sits
@@ -114,15 +111,6 @@ def idealized_checkpoint(
     literal_inconsistent=True substitutes the posttrain values instead, for
     side-by-side comparison with the stricter reading of the claim.
     """
-    return init_from_spectrum(
-        family.basis, _idealized_spectrum(family, kind, alpha, literal_inconsistent)
-    )
-
-
-def _idealized_spectrum(
-    family: TaskFamily, kind: str, alpha: float = ALPHA, literal_inconsistent: bool = False
-) -> np.ndarray:
-    """The aligned diagonal idealized_checkpoint builds its state from."""
     part = family.partition
     spectra = family.spectra
     diag = np.zeros(part.n)
@@ -382,7 +370,7 @@ def check_posttrain_routing(
 
         diags = traj.diagonals()
         final = diags[-1]
-        offdiag_max = float(np.max([s.aligned_offdiag for s in traj.snapshots]))
+        offdiag_max = float(np.max(traj.offdiags()))
         pinned_exact = bool(np.all(diags[:, pinned] == 0.0))
         worst_err = float(np.max(np.abs(final - expected)))
         oracle_err = float(np.max(np.abs(final[moving] - oracle[moving]))) if moving.any() else 0.0

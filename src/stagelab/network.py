@@ -18,8 +18,8 @@ recursions in derived_diag_step faithful companions of the matrix updates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -122,38 +122,82 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """One recorded step of a trajectory, derived from its product when indexed."""
+
     step: int
     train_loss: float
     aligned_diag: np.ndarray | None
     aligned_offdiag: float | None
-    probe_losses: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+class _Snapshots(Sequence):
+    """Trajectory.snapshots: builds a Snapshot only for the rows it is asked for."""
+
+    def __init__(self, trajectory: Trajectory) -> None:
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return len(self._trajectory.steps)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(self[row] for row in rows)
+        traj = self._trajectory
+        theta = traj.thetas[rows]
+        diag = offdiag = None
+        if traj.spectrum:
+            diag, offdiag = _aligned(theta, traj.basis)
+        (loss,) = _losses([theta], traj.dist, traj.basis)
+        return Snapshot(int(traj.steps[rows]), loss, diag, offdiag)
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered snapshots from one training run (always includes first and last state)."""
+    """The products theta = W1 @ W2 recorded by one training run, with their steps.
 
-    snapshots: tuple[Snapshot, ...]
+    Row s of thetas is the product after steps[s] steps; the first and last
+    states are always recorded.  Every other column is derived on access by
+    the operations train() used to evaluate at each snapshot, so the values
+    are bitwise theirs: losses(dist) on any stage distribution, train_losses
+    on the training one, and, when the run recorded its spectrum, the
+    aligned diagonals() and offdiags().
+    """
+
+    steps: np.ndarray
+    thetas: np.ndarray
+    basis: SpectralBasis
+    dist: StageDistribution
+    spectrum: bool = True
 
     @property
-    def steps(self) -> np.ndarray:
-        return np.array([s.step for s in self.snapshots], dtype=int)
+    def snapshots(self) -> Sequence[Snapshot]:
+        return _Snapshots(self)
+
+    def losses(self, dist: StageDistribution) -> np.ndarray:
+        """Population loss on dist at every recorded step, shape (num_snapshots,)."""
+        return np.array(_losses(self.thetas, dist, self.basis))
 
     @property
     def train_losses(self) -> np.ndarray:
-        return np.array([s.train_loss for s in self.snapshots])
+        return self.losses(self.dist)
 
-    def probe_losses(self, name: str) -> np.ndarray:
-        if self.snapshots and name not in self.snapshots[0].probe_losses:
-            known = ", ".join(sorted(self.snapshots[0].probe_losses)) or "none"
-            raise StagelabError(f"no probe named '{name}' was recorded (have: {known})")
-        return np.array([s.probe_losses[name] for s in self.snapshots])
+    def _frames(self) -> np.ndarray:
+        """The products in the aligned frame U^T theta V, one row per snapshot."""
+        if not self.spectrum:
+            raise StagelabError("trajectory was recorded without aligned spectra")
+        if self.basis.is_identity:
+            return self.thetas
+        U, V = self.basis.U, self.basis.V
+        return np.stack([U.T @ theta @ V for theta in self.thetas])
 
     def diagonals(self) -> np.ndarray:
         """Stacked aligned diagonals, shape (num_snapshots, n)."""
-        if self.snapshots and self.snapshots[0].aligned_diag is None:
-            raise StagelabError("trajectory was recorded without aligned spectra")
-        return np.stack([s.aligned_diag for s in self.snapshots])
+        return np.diagonal(self._frames(), axis1=1, axis2=2).copy()
+
+    def offdiags(self) -> np.ndarray:
+        """Frobenius norm of each aligned product's off-diagonal part, shape (num_snapshots,)."""
+        return np.array([_offdiag_norm(M) for M in self._frames()])
 
 
 def _factor_gradients(
@@ -202,6 +246,16 @@ def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
     return float(np.add.reduce(EV * EV * v, axis=None))
 
 
+def _losses(
+    thetas: Sequence[np.ndarray], dist: StageDistribution, basis: SpectralBasis
+) -> list[float]:
+    """population_loss of each product in thetas, by the same operations."""
+    A = target_matrix(dist, basis)
+    v = dist.input_variances
+    V = None if basis.is_identity else basis.V
+    return [_data_loss(theta - A, v, V) for theta in thetas]
+
+
 def population_loss(state: NetworkState, dist: StageDistribution, basis: SpectralBasis) -> float:
     """Exact expected squared error of theta on the stage distribution."""
     A = target_matrix(dist, basis)
@@ -240,13 +294,16 @@ def population_gradient(
     return grads[0], grads[1]
 
 
-def _aligned(theta: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, float]:
-    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
-    diag = M.diagonal().copy()
-    # the Frobenius norm of M - diag(diag), by the operations np.linalg.norm runs
+def _offdiag_norm(M: np.ndarray) -> float:
+    # the Frobenius norm of M - diag(diag(M)), by the operations np.linalg.norm runs
     rest = M.ravel().copy()
     rest[:: M.shape[0] + 1] = 0.0
-    return diag, math.sqrt(rest.dot(rest))
+    return math.sqrt(rest.dot(rest))
+
+
+def _aligned(theta: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, float]:
+    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
+    return M.diagonal().copy(), _offdiag_norm(M)
 
 
 def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndarray, float]:
@@ -259,20 +316,20 @@ def train(
     dist: StageDistribution,
     basis: SpectralBasis,
     config: TrainConfig,
-    probes: Mapping[str, StageDistribution] | None = None,
     record_spectrum: bool = True,
 ) -> tuple[NetworkState, Trajectory]:
-    """Run max_steps of full-batch gradient descent, snapshotting every probe_every steps.
+    """Run max_steps of full-batch gradient descent, recording theta every probe_every steps.
 
-    The first and final states are always snapshotted.  The run raises
-    TrainingDiverged at the first step whose weights or training loss are not
-    finite (finite weights can still overflow the loss).
+    The first and final products are always recorded, into one preallocated
+    (num_snapshots, n, n) array; the Trajectory derives losses and spectra
+    from it on access.  record_spectrum=False makes its aligned diagonals and
+    off-diagonal norms unavailable.  The run raises TrainingDiverged at the
+    first step whose weights or training loss are not finite (finite weights
+    can still overflow the loss).
     """
-    probes = dict(probes or {})
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
-    probe_mats = {name: (target_matrix(d, basis), d.input_variances) for name, d in probes.items()}
     lam = config.ridge_lambda
     anchor = config.ridge_anchor
     eta = config.eta
@@ -284,9 +341,10 @@ def train(
     W1, W2 = W
     grads = np.empty_like(W)
     theta, E, G, work = np.empty((4, n, n))
+    start = np.stack((state.W1, state.W2))
 
-    def restart(src: np.ndarray) -> None:
-        np.copyto(W, src)
+    def restart() -> None:
+        np.copyto(W, start)
         np.matmul(W1, W2, out=theta)
         np.subtract(theta, A, out=E)
 
@@ -298,57 +356,39 @@ def train(
             np.matmul(W1, W2, out=theta)
             np.subtract(theta, A, out=E)
 
-    def finite_loss() -> float | None:
-        loss = _data_loss(E, v, V)
-        return loss if math.isfinite(loss) and np.isfinite(W).all() else None
+    def finite() -> bool:
+        return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
 
-    def first_nonfinite(start: int, stop: int) -> int:
-        """The first step in (start, stop] without a finite_loss(), by replay from checked."""
-        restart(checked)
-        for replayed in range(start + 1, stop):
+    def first_nonfinite() -> int:
+        """The first step without finite weights and loss, by replay from the start state."""
+        restart()
+        for step in range(config.max_steps):
+            if not finite():
+                return step
             advance(1)
-            if finite_loss() is None:
-                return replayed
-        return stop
+        return config.max_steps
 
-    snaps: list[Snapshot] = []
-    step = checked_step = 0
+    steps = np.append(np.arange(0, config.max_steps, config.probe_every), config.max_steps)
+    thetas = np.empty((steps.size, n, n))
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
-    # to overflow too; checking at snapshots and replaying from the last
-    # checked state therefore finds the first step a check after every step
-    # would find.  Overflow is caught that way, so numpy's own warning about
-    # it is noise on a run that is about to raise anyway.
+    # to overflow too; one check after the last step therefore tells whether
+    # any step failed, and a replay from the start state finds the first one,
+    # the step a check after every step would find.  Overflow is caught that
+    # way, so numpy's own warning about it is noise on a run that is about
+    # to raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
-        restart(np.stack((state.W1, state.W2)))
-        checked = W.copy()
-        while True:
-            loss = finite_loss()
-            if loss is None:
-                raise TrainingDiverged(state.step + first_nonfinite(checked_step, step))
-            np.copyto(checked, W)
-            checked_step = step
-            diag, offdiag = _aligned(theta, basis) if record_spectrum else (None, None)
-            probe_losses = {
-                name: _data_loss(theta - pA, pv, V) for name, (pA, pv) in probe_mats.items()
-            }
-            snaps.append(
-                Snapshot(
-                    step=step,
-                    train_loss=loss,
-                    aligned_diag=diag,
-                    aligned_offdiag=offdiag,
-                    probe_losses=probe_losses,
-                )
-            )
-            if step == config.max_steps:
-                break
-            nxt = min(step + config.probe_every, config.max_steps)
-            advance(nxt - step)
-            step = nxt
+        restart()
+        np.copyto(thetas[0], theta)
+        for row, count in enumerate(np.diff(steps).tolist(), 1):
+            advance(count)
+            np.copyto(thetas[row], theta)
+        if not finite():
+            raise TrainingDiverged(state.step + first_nonfinite())
 
-    final_state = NetworkState(W1=W1, W2=W2, step=state.step + step)
-    return final_state, Trajectory(snapshots=tuple(snaps))
+    steps.flags.writeable = thetas.flags.writeable = False
+    final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
+    return final_state, Trajectory(steps, thetas, basis, dist, record_spectrum)
 
 
 def derived_diag_step(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagelab.checks
+from stagelab.checks import _idealized_spectrum
 from stagelab import (
     CheckReport,
     PreconditionError,
@@ -23,7 +24,6 @@ from stagelab import (
     check_sequential_order,
     check_specialized_acquisition,
     forgetting_lower_bound,
-    idealized_checkpoint,
     init_from_spectrum,
     make_reference_family,
     mix_distributions,
@@ -35,21 +35,23 @@ from stagelab import (
 
 
 def test_idealized_checkpoints_have_the_advertised_spectra(family):
-    mixed = idealized_checkpoint(family, "mixed", alpha=0.5)
+    mixed = init_from_spectrum(family.basis, _idealized_spectrum(family, "mixed", alpha=0.5))
     diag, offdiag = aligned_spectrum(mixed, family.basis)
     np.testing.assert_allclose(diag, [5, 4, 0, 0, 0.45, 0.45], atol=1e-12)
     assert offdiag == 0.0
 
-    unmixed = idealized_checkpoint(family, "unmixed")
+    unmixed = init_from_spectrum(family.basis, _idealized_spectrum(family, "unmixed"))
     diag, _ = aligned_spectrum(unmixed, family.basis)
     np.testing.assert_allclose(diag, [5, 4, 1, 0.8, 0, 0], atol=1e-12)
 
-    literal = idealized_checkpoint(family, "unmixed", literal_inconsistent=True)
+    literal = init_from_spectrum(
+        family.basis, _idealized_spectrum(family, "unmixed", literal_inconsistent=True)
+    )
     diag, _ = aligned_spectrum(literal, family.basis)
     np.testing.assert_allclose(diag, [5, 4, 3.5, 3.3, 0, 0], atol=1e-12)
 
     with pytest.raises(StagelabError, match="checkpoint kind"):
-        idealized_checkpoint(family, "warmstart")
+        init_from_spectrum(family.basis, _idealized_spectrum(family, "warmstart"))
 
 
 # --------------------------------------------------------------- acquisition
@@ -117,7 +119,7 @@ def test_sequential_order_is_invariant_to_halving_the_learning_rate(family):
 
 def test_frozen_directions_vacuous_without_dead_coordinates(family):
     post = family.distribution("posttrain")
-    init = idealized_checkpoint(family, "unmixed")
+    init = init_from_spectrum(family.basis, _idealized_spectrum(family, "unmixed"))
     _, traj = train(init, post, family.basis, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
     report = check_frozen_directions(traj, post, family)
     assert report.passed

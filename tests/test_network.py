@@ -1,6 +1,7 @@
 """Network state, losses, gradients, training loop, and the scalar recursions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from stagelab import (
     scalar_fixed_point,
     train,
 )
+from stagelab import network
 from stagelab.tasks import target_matrix
 
 
@@ -251,7 +253,12 @@ def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda)
 
 
 def reference_train(state, dist, basis, config, probes, record_spectrum):
-    """train() as allocating numpy expressions, checking weights and loss after every step."""
+    """train() as allocating numpy expressions, checking weights and loss after every step.
+
+    Each snapshot holds the step, the training loss, the aligned diagonal and
+    off-diagonal norm (None without record_spectrum) and the loss on each
+    distribution in probes, by name.
+    """
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
@@ -322,17 +329,28 @@ def test_train_is_bitwise_the_allocating_reference_loop(
             want = reference_train(state, dist, family.basis, config, probes, record_spectrum)
     except TrainingDiverged as exc:
         with pytest.raises(TrainingDiverged) as err:
-            train(state, dist, family.basis, config, probes, record_spectrum)
+            train(state, dist, family.basis, config, record_spectrum)
         assert err.value.step == exc.step
         return
-    final, traj = train(state, dist, family.basis, config, probes, record_spectrum)
+    final, traj = train(state, dist, family.basis, config, record_spectrum)
     np.testing.assert_array_equal(final.W1, want[0])
     np.testing.assert_array_equal(final.W2, want[1])
     assert final.step == start + max_steps
     assert len(traj.snapshots) == len(want[2])
-    for snap, (step, loss, diag, offdiag, losses) in zip(traj.snapshots, want[2]):
+    assert traj.steps.tolist() == [step for step, *_ in want[2]]
+    assert traj.train_losses.tolist() == [loss for _, loss, *_ in want[2]]
+    for name, probe in probes.items():
+        assert traj.losses(probe).tolist() == [losses[name] for *_, losses in want[2]]
+    if record_spectrum:
+        np.testing.assert_array_equal(traj.diagonals(), np.stack([d for _, _, d, _, _ in want[2]]))
+        assert traj.offdiags().tolist() == [offdiag for _, _, _, offdiag, _ in want[2]]
+    else:
+        for column in (traj.diagonals, traj.offdiags):
+            with pytest.raises(StagelabError, match="without aligned spectra"):
+                column()
+    for snap, (step, loss, diag, offdiag, _) in zip(traj.snapshots, want[2]):
         assert snap.step == step and snap.train_loss == loss
-        assert snap.aligned_offdiag == offdiag and dict(snap.probe_losses) == losses
+        assert snap.aligned_offdiag == offdiag
         if diag is None:
             assert snap.aligned_diag is None
         else:
@@ -490,8 +508,7 @@ def test_trajectory_stays_diagonal_in_the_aligned_frame():
     init = init_scaled_identity(6, 12.0)
     config = TrainConfig(eta=0.02, max_steps=3000, probe_every=50)
     _, traj = train(init, family.distribution("pretrain"), family.basis, config, record_spectrum=True)
-    offdiags = np.array([s.aligned_offdiag for s in traj.snapshots])
-    assert np.max(offdiags) <= 1e-8
+    assert np.max(traj.offdiags()) <= 1e-8
 
 
 def test_matrix_dynamics_match_the_derived_scalar_recursion():
@@ -532,16 +549,42 @@ def test_snapshot_cadence_includes_first_and_final_step():
 def test_probe_losses_are_recorded_per_distribution():
     family = make_reference_family()
     init = init_scaled_identity(6, 12.0)
-    probes = {"pretrain": family.distribution("pretrain"), "finetune": family.distribution("finetune")}
-    final, traj = train(
-        init, family.distribution("pretrain"), family.basis,
-        TrainConfig(eta=0.02, max_steps=100, probe_every=50), probes=probes,
-    )
-    pre_losses = traj.probe_losses("pretrain")
+    pre, ft = family.distribution("pretrain"), family.distribution("finetune")
+    final, traj = train(init, pre, family.basis, TrainConfig(eta=0.02, max_steps=100, probe_every=50))
+    pre_losses = traj.losses(pre)
     assert pre_losses.shape == (3,)
-    assert pre_losses[-1] == population_loss(final, probes["pretrain"], family.basis)
-    with pytest.raises(StagelabError, match="probe"):
-        traj.probe_losses("posttrain")
+    assert pre_losses[-1] == population_loss(final, pre, family.basis)
+    np.testing.assert_array_equal(pre_losses, traj.train_losses)
+    ft_losses = traj.losses(ft)
+    assert ft_losses.shape == (3,)
+    assert ft_losses[-1] == population_loss(final, ft, family.basis)
+    assert ft_losses[0] != pre_losses[0]
+
+
+def test_a_trajectory_holds_one_array_of_products(monkeypatch):
+    family = make_reference_family()
+    init = init_scaled_identity(6, 12.0)
+    config = TrainConfig(eta=0.05, max_steps=40_000, probe_every=1)
+    tracemalloc.start()
+    try:
+        _, traj = train(init, family.distribution("pretrain"), family.basis, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the products alone are 40,001 * 36 doubles = 11.5 MB
+    assert traj.thetas.shape == (40_001, 6, 6)
+    assert peak <= 13e6
+    diags = traj.diagonals()
+    for i in range(6):
+        np.testing.assert_array_equal(diags[:, i], traj.thetas[:, i, i])
+
+    built = []
+    real = network.Snapshot
+    monkeypatch.setattr(network, "Snapshot", lambda *args: built.append(args) or real(*args))
+    assert len(traj.snapshots) == 40_001
+    assert built == []
+    assert traj.snapshots[-1].step == 40_000
+    assert len(built) == 1
 
 
 def scalar_divergence_step(target: float, eta: float) -> int:
@@ -574,6 +617,33 @@ def test_divergence_raises_with_the_offending_step():
             with pytest.raises(TrainingDiverged) as err:
                 train(state, dist, basis, config)
             assert err.value.step == start + 7
+
+
+def test_divergence_is_found_by_the_end_of_run_check():
+    # the run trains on past the divergence to its last step, then replays
+    # from the start state to name the first non-finite one
+    basis, dist = scalar_problem(target=50.0)
+    for probe_every in (1, 100_000):
+        config = TrainConfig(eta=0.06, max_steps=100_000, probe_every=probe_every)
+        state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
+        with pytest.raises(TrainingDiverged) as err:
+            train(state, dist, basis, config)
+        assert err.value.step == 7
+
+
+def test_a_non_finite_start_state_diverges_at_step_0():
+    family = make_reference_family()
+    W1 = np.eye(6)
+    W1[2, 3] = math.inf
+    for max_steps in (0, 50):
+        with pytest.raises(TrainingDiverged) as err:
+            train(
+                NetworkState(W1=W1, W2=np.eye(6)),
+                family.distribution("pretrain"),
+                family.basis,
+                TrainConfig(eta=0.02, max_steps=max_steps, probe_every=1),
+            )
+        assert err.value.step == 0
 
 
 def test_an_infinite_loss_from_finite_weights_counts_as_divergence():
