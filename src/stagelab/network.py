@@ -189,7 +189,10 @@ class Trajectory:
         if self.basis.is_identity:
             return self.thetas
         U, V = self.basis.U, self.basis.V
-        return np.stack([U.T @ theta @ V for theta in self.thetas])
+        frames = np.empty_like(self.thetas)
+        for theta, M in zip(self.thetas, frames):
+            np.matmul(U.T @ theta, V, out=M)
+        return frames
 
     def diagonals(self) -> np.ndarray:
         """Stacked aligned diagonals, shape (num_snapshots, n)."""
