@@ -580,7 +580,12 @@ def test_a_trajectory_holds_one_array_of_products(monkeypatch):
 
     built = []
     real = network.Snapshot
-    monkeypatch.setattr(network, "Snapshot", lambda *args: built.append(args) or real(*args))
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(network, "Snapshot", counting)
     assert len(traj.snapshots) == 40_001
     assert built == []
     assert traj.snapshots[-1].step == 40_000
