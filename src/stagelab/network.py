@@ -17,8 +17,9 @@ recursions in derived_diag_step faithful companions of the matrix updates.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .tasks import SpectralBasis, StageDistribution, _freeze, target_matrix
 
 FIXED_POINT_TOL = 1e-12  # scalar_fixed_point stops once an update is this small
 FIXED_POINT_MAX_ITER = 2_000_000
+FINITE_CHECK_EVERY = 4096  # train() checks the weights this often, bounding a diverged run's work
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class Trajectory:
         return np.array([_offdiag_norm(M) for M in self._frames()])
 
 
-def _factor_gradients(
+def _gradient_kernel(
     W1: np.ndarray,
     W2: np.ndarray,
     theta: np.ndarray,
@@ -212,34 +214,58 @@ def _factor_gradients(
     V: np.ndarray | None,
     ridge_lambda: float,
     ridge_anchor: np.ndarray | None,
-    G: np.ndarray,
-    work: np.ndarray,
     out: np.ndarray,
-) -> None:
-    """(dL/dW1, dL/dW2) at theta = W1 @ W2 with residual E = theta - A: the update kernel.
+) -> Callable[[], None]:
+    """The update kernel: a closure that writes (dL/dW1, dL/dW2) into out[0] and out[1].
 
-    Writes the gradient with respect to theta into G and the factor gradients
-    into out[0] and out[1], with work as scratch; all three are (n, n) buffers
-    the caller owns, and none may alias an input.  The operation order is the
-    one the expressions 2.0 * (E * v), (2.0 * ((E @ V) * v)) @ V.T and
-    G + (2.0 * lam) * (theta - anchor) evaluate, so results are bitwise those
-    of the allocating forms.
+    Each call reads the current contents of W1, W2, theta = W1 @ W2 and the
+    residual E = theta - A, so a loop that updates those buffers in place
+    calls it once per step; out must not alias any of them.  Its results are
+    bitwise those of the allocating expressions 2.0 * (E * v),
+    2.0 * ((E @ V) * v) @ V.T and G + 2.0 * lam * (theta - anchor), followed
+    by G @ W2.T and W1.T @ G, although it issues them through cheaper calls.
+    Each rewrite is exact:
+
+    - x + x stands for 2.0 * x.  Both round the same real number 2x, so they
+      agree in every range, subnormal and overflow included.  Folding the 2
+      into v would not: E * (2.0 * v) rounds differently when E * v is
+      subnormal.
+    - v broadcast to (n, n) and 2 lam are built once as full-shape operands.
+      Every element is multiplied by the same factor as under broadcasting
+      or by a Python scalar, and a same-shape ufunc call dispatches faster.
+    - W1.T, W2.T and V.T are taken once.  They are views of the same
+      buffers, so BLAS sees the transpose flags the expressions' own .T give
+      it; a contiguous copy would be a different gemm call.
+    - out is passed positionally, which numpy parses faster than out=.
     """
-    if V is None:
-        np.multiply(E, v, out=G)
-        np.multiply(2.0, G, out=G)
-    else:
-        np.matmul(E, V, out=work)
-        np.multiply(work, v, out=work)
-        np.multiply(2.0, work, out=work)
-        np.matmul(work, V.T, out=G)
-    if ridge_lambda > 0:
-        np.subtract(theta, ridge_anchor, out=work)
-        np.multiply(2.0 * ridge_lambda, work, out=work)
-        np.add(G, work, out=G)
-    # both factor gradients are taken before either factor moves
-    np.matmul(G, W2.T, out=out[0])
-    np.matmul(W1.T, G, out=out[1])
+    n = theta.shape[0]
+    G, work = np.empty((2, n, n))
+    v = np.broadcast_to(v, (n, n)).copy()
+    VT = None if V is None else V.T
+    lam2 = np.full((n, n), 2.0 * ridge_lambda)
+    W1T, W2T = W1.T, W2.T
+    out1, out2 = out
+    # a closure finds its own names faster than numpy's attributes
+    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
+
+    def gradients() -> None:
+        if V is None:
+            multiply(E, v, G)
+            add(G, G, G)
+        else:
+            matmul(E, V, work)
+            multiply(work, v, work)
+            add(work, work, work)
+            matmul(work, VT, G)
+        if ridge_lambda > 0:
+            subtract(theta, ridge_anchor, work)
+            multiply(lam2, work, work)
+            add(G, work, G)
+        # both factor gradients are taken before either factor moves
+        matmul(G, W2T, out1)
+        matmul(W1T, G, out2)
+
+    return gradients
 
 
 def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
@@ -279,21 +305,9 @@ def population_gradient(
     A = target_matrix(dist, basis)
     V = None if basis.is_identity else basis.V
     theta = state.theta
-    n = state.n
-    grads = np.empty((2, n, n))
-    _factor_gradients(
-        state.W1,
-        state.W2,
-        theta,
-        theta - A,
-        dist.input_variances,
-        V,
-        ridge_lambda,
-        ridge_anchor,
-        np.empty((n, n)),
-        np.empty((n, n)),
-        grads,
-    )
+    grads = np.empty((2, state.n, state.n))
+    v = dist.input_variances
+    _gradient_kernel(state.W1, state.W2, theta, theta - A, v, V, ridge_lambda, ridge_anchor, grads)()
     return grads[0], grads[1]
 
 
@@ -333,9 +347,6 @@ def train(
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
-    lam = config.ridge_lambda
-    anchor = config.ridge_anchor
-    eta = config.eta
 
     # both factors live in one buffer, so the update and the finiteness check
     # each cover them in one numpy call
@@ -343,21 +354,25 @@ def train(
     W = np.empty((2, n, n))
     W1, W2 = W
     grads = np.empty_like(W)
-    theta, E, G, work = np.empty((4, n, n))
+    theta, E = np.empty((2, n, n))
     start = np.stack((state.W1, state.W2))
+    gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, config.ridge_anchor, grads)
+    # a full-shape eta, for the kernel's reason: the same products, cheaper
+    eta = np.full_like(W, config.eta)
+    multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
 
     def restart() -> None:
         np.copyto(W, start)
-        np.matmul(W1, W2, out=theta)
-        np.subtract(theta, A, out=E)
+        matmul(W1, W2, theta)
+        subtract(theta, A, E)
 
     def advance(count: int) -> None:
         for _ in range(count):
-            _factor_gradients(W1, W2, theta, E, v, V, lam, anchor, G, work, grads)
-            np.multiply(eta, grads, out=grads)
-            np.subtract(W, grads, out=W)
-            np.matmul(W1, W2, out=theta)
-            np.subtract(theta, A, out=E)
+            gradients()
+            multiply(eta, grads, grads)
+            subtract(W, grads, W)
+            matmul(W1, W2, theta)
+            subtract(theta, A, E)
 
     def finite() -> bool:
         return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
@@ -371,24 +386,37 @@ def train(
             advance(1)
         return config.max_steps
 
-    steps = np.append(np.arange(0, config.max_steps, config.probe_every), config.max_steps)
-    thetas = np.empty((steps.size, n, n))
+    # a snapshot every probe_every steps and one after the last; the step
+    # numbers are only built for a run that returns
+    full, rest = divmod(config.max_steps, config.probe_every)
+    counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
+    thetas = np.empty((1 + full + bool(rest), n, n))
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
-    # to overflow too; one check after the last step therefore tells whether
-    # any step failed, and a replay from the start state finds the first one,
-    # the step a check after every step would find.  Overflow is caught that
-    # way, so numpy's own warning about it is noise on a run that is about
-    # to raise anyway.
+    # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps
+    # and of weights and loss after the last step therefore tells whether any
+    # step failed, and a replay from the start state finds the first one, the
+    # step a check after every step would find.  Overflow is caught that way,
+    # so numpy's own warning about it is noise on a run that is about to
+    # raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
         restart()
         np.copyto(thetas[0], theta)
-        for row, count in enumerate(np.diff(steps).tolist(), 1):
+        unchecked = FINITE_CHECK_EVERY  # steps left until the next weight check
+        for row, count in enumerate(counts, 1):
+            while count >= unchecked:
+                advance(unchecked)
+                count -= unchecked
+                unchecked = FINITE_CHECK_EVERY
+                if not np.isfinite(W).all():
+                    raise TrainingDiverged(state.step + first_nonfinite())
             advance(count)
+            unchecked -= count
             np.copyto(thetas[row], theta)
         if not finite():
             raise TrainingDiverged(state.step + first_nonfinite())
 
+    steps = np.append(np.arange(0, config.max_steps, config.probe_every), config.max_steps)
     steps.flags.writeable = thetas.flags.writeable = False
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
     return final_state, Trajectory(steps, thetas, basis, dist, record_spectrum)

@@ -1,6 +1,7 @@
 """Network state, losses, gradients, training loop, and the scalar recursions."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,68 @@ def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda)
     np.testing.assert_array_equal(nxt.W1, state.W1 - 0.02 * G1)
     np.testing.assert_array_equal(nxt.W2, state.W2 - 0.02 * G2)
     assert nxt.step == 1
+
+
+def allocating_gradients(state, dist, basis, ridge_lambda, anchor):
+    """(dL/dW1, dL/dW2) by the allocating expressions of reference_train's update."""
+    theta = state.W1 @ state.W2
+    E = theta - target_matrix(dist, basis)
+    v = dist.input_variances
+    G = 2.0 * (E * v) if basis.is_identity else 2.0 * ((E @ basis.V) * v) @ basis.V.T
+    if ridge_lambda > 0:
+        G = G + 2.0 * ridge_lambda * (theta - anchor)
+    return G @ state.W2.T, state.W1.T @ G
+
+
+def assert_same_bits(got, want):
+    # signed zeros included, which assert_array_equal would let pass
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(
+    basis_mode=st.sampled_from(["identity", "random"]),
+    ridge_lambda=st.sampled_from([0.0, 0.3]),
+    stage=st.sampled_from(["pretrain", "posttrain", "finetune", "mixed"]),
+    scale=st.sampled_from([1e-150, 0.5, 2.0, 1e100]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_population_gradient_is_bitwise_the_allocating_expressions(
+    basis_mode, ridge_lambda, stage, scale, seed
+):
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    if stage == "mixed":
+        dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    else:
+        dist = family.distribution(stage)
+    rng = np.random.default_rng(seed)
+    W1, W2 = rng.normal(0, scale, (2, 6, 6))
+    W1[rng.random((6, 6)) < 0.2] = 0.0
+    state = NetworkState(W1=W1, W2=W2)
+    anchor = rng.normal(0, 1.0, (6, 6)) if ridge_lambda > 0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = allocating_gradients(state, dist, family.basis, ridge_lambda, anchor)
+        got = population_gradient(state, dist, family.basis, ridge_lambda, anchor)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+def test_population_gradient_keeps_the_reference_rounding_in_the_subnormal_range():
+    # the state of test_train_keeps_the_reference_rounding_in_the_subnormal_range
+    basis = SpectralBasis.identity(1)
+    dist = StageDistribution(
+        label="faint",
+        input_variances=np.array([1e-20]),
+        target_spectrum=np.array([0.0]),
+        cross_covariance=np.array([0.0]),
+    )
+    state = NetworkState(W1=np.array([[3.3e-300]]), W2=np.array([[1e10]]))
+    for ridge_lambda, anchor in ((0.0, None), (0.3, np.array([[1e-300]]))):
+        want = allocating_gradients(state, dist, basis, ridge_lambda, anchor)
+        got = population_gradient(state, dist, basis, ridge_lambda, anchor)
+        assert want[0][0, 0] != 0.0
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
 
 def reference_train(state, dist, basis, config, probes, record_spectrum):
@@ -625,14 +688,31 @@ def test_divergence_raises_with_the_offending_step():
 
 
 def test_divergence_is_found_by_the_end_of_run_check():
-    # the run trains on past the divergence to its last step, then replays
-    # from the start state to name the first non-finite one
+    # the run stops at the first check that finds non-finite weights, here
+    # the one after FINITE_CHECK_EVERY steps, then replays from the start
+    # state to name the first non-finite step; a run shorter than a block
+    # is caught by the check after its last step, as in the test above
     basis, dist = scalar_problem(target=50.0)
     for probe_every in (1, 100_000):
         config = TrainConfig(eta=0.06, max_steps=100_000, probe_every=probe_every)
         state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
         with pytest.raises(TrainingDiverged) as err:
             train(state, dist, basis, config)
+        assert err.value.step == 7
+
+
+def test_a_diverging_run_stops_within_a_block_of_steps():
+    # without the block check this run trained all 10,000,000 steps (about
+    # 140 s) before its replay found step 7
+    basis, dist = scalar_problem(target=50.0)
+    assert network.FINITE_CHECK_EVERY < 10_000_000
+    for probe_every in (1, 10_000_000):
+        config = TrainConfig(eta=0.06, max_steps=10_000_000, probe_every=probe_every)
+        state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
+        began = time.perf_counter()
+        with pytest.raises(TrainingDiverged) as err:
+            train(state, dist, basis, config)
+        assert time.perf_counter() - began < 1.0
         assert err.value.step == 7
 
 
