@@ -702,8 +702,8 @@ def test_divergence_is_found_by_the_end_of_run_check():
 
 
 def test_a_diverging_run_stops_within_a_block_of_steps():
-    # without the block check this run trained all 10,000,000 steps (about
-    # 140 s) before its replay found step 7
+    # without the block check this run trains all 10,000,000 steps (about
+    # 150 s on a 2-core x86_64 machine) before its replay finds step 7
     basis, dist = scalar_problem(target=50.0)
     assert network.FINITE_CHECK_EVERY < 10_000_000
     for probe_every in (1, 10_000_000):
