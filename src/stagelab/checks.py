@@ -171,14 +171,17 @@ def check_specialized_acquisition(
     # matching a degenerate oracle is not acquisition: with alpha = 0 the
     # scalar limit collapses to the init scale, so demand real escape too
     least_mixed = float(np.min(diag_mixed[spec]))
-    passed = (
-        worst_ratio >= MIN_LEARNED_RATIO
-        and least_mixed > UNLEARNED_TOL
-        and worst_unmixed <= UNLEARNED_TOL
-    )
+    settings = f"alpha={alpha:g} eta={ACQUISITION_ETA:g} steps={steps} tau={TAU:g}"
+    failures: list[str] = []
+    if not worst_ratio >= MIN_LEARNED_RATIO:
+        failures.append(f"worst_ratio {worst_ratio:.3g} < min_learned_ratio {MIN_LEARNED_RATIO:g}")
+    if not least_mixed > UNLEARNED_TOL:
+        failures.append(f"least_mixed {least_mixed:.3g} <= unlearned_tol {UNLEARNED_TOL:g}")
+    if not worst_unmixed <= UNLEARNED_TOL:
+        failures.append(f"worst_unmixed {worst_unmixed:.3g} > unlearned_tol {UNLEARNED_TOL:g}")
     return CheckReport(
         name="specialized_acquisition",
-        passed=passed,
+        passed=not failures,
         measured={
             "mixed_specialized": diag_mixed[spec].tolist(),
             "unmixed_specialized": diag_unmixed[spec].tolist(),
@@ -190,7 +193,7 @@ def check_specialized_acquisition(
             "unmixed_diag": diag_unmixed.tolist(),
         },
         thresholds={"min_learned_ratio": MIN_LEARNED_RATIO, "unlearned_tol": UNLEARNED_TOL},
-        notes=(f"alpha={alpha:g} eta={ACQUISITION_ETA:g} steps={steps} tau={TAU:g}",),
+        notes=tuple(failures) or (settings,),
     )
 
 
@@ -288,6 +291,9 @@ def check_frozen_directions(
     block = diags[:, frozen]
     drift = float(np.max(np.abs(block - block[0])))
     constant = bool(np.all(block == block[0]))
+    note = f"identity_basis={family.basis.is_identity}"
+    if not constant:
+        note = f"frozen coordinates {frozen.tolist()} moved: max_drift {drift:.3g} > 0"
     return CheckReport(
         name="frozen_directions",
         passed=constant,
@@ -298,7 +304,7 @@ def check_frozen_directions(
             "snapshots": diags.shape[0],
         },
         thresholds={"max_drift": 0.0},
-        notes=(f"identity_basis={family.basis.is_identity}",),
+        notes=(note,),
     )
 
 
@@ -359,12 +365,7 @@ def check_posttrain_routing(
     measured: dict[str, object] = {"epsilon": epsilon}
     failures: list[str] = []
     for kind, (init, oracle, moving, pinned, expected) in arms.items():
-        config = TrainConfig(
-            eta=ROUTING_ETA,
-            max_steps=steps,
-            ridge_lambda=ROUTING_RIDGE,
-            ridge_anchor=init.theta,
-        )
+        config = TrainConfig(eta=ROUTING_ETA, max_steps=steps, ridge_lambda=ROUTING_RIDGE)
         state, traj = train(init, post, basis, config)
         states[kind] = state
 
@@ -451,17 +452,21 @@ def check_forgetting_gap(
         family.spectra.specialized_target,
         epsilon,
     )
-    passed = abs(deltas["mixed"]) <= MIXED_TOL and deltas["unmixed"] >= bound
+    failures: list[str] = []
+    if not abs(deltas["mixed"]) <= MIXED_TOL:
+        failures.append(f"|delta_mixed| {abs(deltas['mixed']):.3g} > mixed_tol {MIXED_TOL:g}")
+    if not deltas["unmixed"] >= bound:
+        failures.append(f"delta_unmixed {deltas['unmixed']:.3g} < lower_bound {bound:.3g}")
     return CheckReport(
         name="forgetting_gap",
-        passed=passed,
+        passed=not failures,
         measured={
             "delta_mixed": deltas["mixed"],
             "delta_unmixed": deltas["unmixed"],
             "lower_bound": bound,
         },
         thresholds={"mixed_tol": MIXED_TOL, "unmixed_min": bound},
-        notes=(f"epsilon={epsilon:g} ft_eta={FT_ETA:g} ft_steps={ft_steps}",),
+        notes=tuple(failures) or (f"epsilon={epsilon:g} ft_eta={FT_ETA:g} ft_steps={ft_steps}",),
     )
 
 

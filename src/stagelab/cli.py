@@ -27,6 +27,7 @@ from .records import (
     pipeline_run_record,
     plan_fields,
     read_records,
+    record_number,
     stable_hash,
     sweep_to_csv,
     write_records,
@@ -64,7 +65,8 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _method_of(record: dict) -> str:
-    return "mixed" if float(record.get("mix_fraction", 0.0)) > 0 else "unmixed"
+    mixed = "mix_fraction" in record and record_number(record, "mix_fraction") > 0
+    return "mixed" if mixed else "unmixed"
 
 
 def _recorded_runs(runs_path: str, tasks: Iterable[tuple[str, tuple]]) -> dict[str, dict]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
+from .records import record_number
 
 PROJECTIONS: dict[str, tuple[str, str]] = {
     "ret_ft": ("L_ret", "L_ft"),
@@ -143,8 +144,8 @@ def points_from_records(
     kx, ky = PROJECTIONS[projection]
     points = []
     for rec in records:
-        x, y = rec.get(kx), rec.get(ky)
-        if x is None or y is None:
+        if rec.get(kx) is None or rec.get(ky) is None:
             continue
-        points.append(FrontierPoint(x=float(x), y=float(y), run_id=str(rec.get("run_id", ""))))
+        x, y = record_number(rec, kx), record_number(rec, ky)
+        points.append(FrontierPoint(x=x, y=y, run_id=str(rec.get("run_id", ""))))
     return points

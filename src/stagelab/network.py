@@ -8,7 +8,7 @@ stage distribution is
 where A is the stage teacher matrix and v the per-coordinate input variances
 in the shared basis.  Gradients flow through both factors, updates are
 simultaneous, and an optional ridge term lambda * ||theta - anchor||_F^2
-anchors the product to a reference checkpoint.
+pulls the product toward an anchor, in train() the product it started from.
 
 Balanced diagonal states (W1 = U sqrt(S), W2 = sqrt(S) V^T) stay balanced and
 diagonal under these dynamics, which is what makes the per-coordinate scalar
@@ -105,21 +105,14 @@ class TrainConfig:
     eta: float
     max_steps: int
     ridge_lambda: float = 0.0
-    ridge_anchor: np.ndarray | None = None
     probe_every: int = 50
 
     def __post_init__(self) -> None:
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be nonnegative, got {self.max_steps}")
         check_step_size(self.eta, self.ridge_lambda)
-        if self.ridge_lambda > 0 and self.ridge_anchor is None:
-            raise ConfigError(
-                f"ridge_lambda = {self.ridge_lambda:g} but no anchor checkpoint was supplied"
-            )
         if self.probe_every < 1:
             raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
-        if self.ridge_anchor is not None:
-            object.__setattr__(self, "ridge_anchor", _freeze(self.ridge_anchor))
 
 
 @dataclass(frozen=True)
@@ -340,9 +333,10 @@ def train(
     The first and final products are always recorded, into one preallocated
     (num_snapshots, n, n) array; the Trajectory derives losses and spectra
     from it on access.  record_spectrum=False makes its aligned diagonals and
-    off-diagonal norms unavailable.  The run raises TrainingDiverged at the
-    first step whose weights or training loss are not finite (finite weights
-    can still overflow the loss).
+    off-diagonal norms unavailable.  A ridge anchors the start product, the
+    trajectory's first row.  The run raises TrainingDiverged at the first
+    step whose weights or training loss are not finite (finite weights can
+    still overflow the loss).
     """
     A = target_matrix(dist, basis)
     v = dist.input_variances
@@ -356,7 +350,13 @@ def train(
     grads = np.empty_like(W)
     theta, E = np.empty((2, n, n))
     start = np.stack((state.W1, state.W2))
-    gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, config.ridge_anchor, grads)
+    # a snapshot every probe_every steps and one after the last; the step
+    # numbers are only built for a run that returns
+    full, rest = divmod(config.max_steps, config.probe_every)
+    counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
+    thetas = np.empty((1 + full + bool(rest), n, n))
+    # the ridge anchor is thetas[0], the start product, written before any step
+    gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
     # a full-shape eta, for the kernel's reason: the same products, cheaper
     eta = np.full_like(W, config.eta)
     multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
@@ -386,11 +386,6 @@ def train(
             advance(1)
         return config.max_steps
 
-    # a snapshot every probe_every steps and one after the last; the step
-    # numbers are only built for a run that returns
-    full, rest = divmod(config.max_steps, config.probe_every)
-    counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
-    thetas = np.empty((1 + full + bool(rest), n, n))
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
     # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps

@@ -31,12 +31,7 @@ from .tasks import STAGES, StageDistribution, TaskFamily, mix_distributions
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Scalar hyperparameters for one stage.
-
-    Plans deliberately carry no ridge anchor: the anchor is the stage-1
-    checkpoint, which only exists once the pipeline runs, so the pipeline
-    injects it when it builds the effective TrainConfig.
-    """
+    """Scalar hyperparameters for one stage."""
 
     stage: str
     steps: int
@@ -65,14 +60,9 @@ class StagePlan:
             )
         check_step_size(self.eta, self.ridge_lambda)
 
-    def train_config(self, ridge_anchor=None) -> TrainConfig:
-        """Effective TrainConfig; the anchor is supplied by the pipeline at run time."""
-        return TrainConfig(
-            eta=self.eta,
-            max_steps=self.steps,
-            ridge_lambda=self.ridge_lambda,
-            ridge_anchor=ridge_anchor if self.ridge_lambda > 0 else None,
-        )
+    def train_config(self) -> TrainConfig:
+        """The TrainConfig that trains this stage."""
+        return TrainConfig(eta=self.eta, max_steps=self.steps, ridge_lambda=self.ridge_lambda)
 
 
 def stage_training_distribution(family: TaskFamily, plan: StagePlan) -> StageDistribution:
@@ -114,17 +104,10 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
-def _train_stage(
-    family: TaskFamily, plan: StagePlan, state: NetworkState, anchor: np.ndarray | None = None
-) -> NetworkState:
-    """The checkpoint at the end of one stage; anchor is the ridge anchor, if the plan has a ridge."""
-    state, _ = train(
-        state,
-        stage_training_distribution(family, plan),
-        family.basis,
-        plan.train_config(ridge_anchor=anchor),
-        record_spectrum=False,
-    )
+def _train_stage(family: TaskFamily, plan: StagePlan, state: NetworkState) -> NetworkState:
+    """The checkpoint at the end of one stage; a ridge anchors the state it starts from."""
+    dist = stage_training_distribution(family, plan)
+    state, _ = train(state, dist, family.basis, plan.train_config(), record_spectrum=False)
     return state
 
 
@@ -159,7 +142,7 @@ def continue_from_pretrained(
     plans: Sequence[StagePlan],
     run_id: str,
 ) -> PipelineRun:
-    """Stages 2 and 3 from a stage-1 checkpoint (the ridge anchor), then the metrics.
+    """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
 
     Given the divergence that ended stage 1 instead, it returns that failed run.
     """
@@ -168,10 +151,9 @@ def continue_from_pretrained(
     failure = pretrained if isinstance(pretrained, TrainingDiverged) else None
     if failure is None:
         state = states["pretrain"] = pretrained
-        anchor = pretrained.theta
         for plan in plans[1:]:
             try:
-                state = _train_stage(family, plan, state, anchor)
+                state = _train_stage(family, plan, state)
             except TrainingDiverged as exc:
                 failure = exc
                 break

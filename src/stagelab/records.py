@@ -124,7 +124,8 @@ def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
     """Every record in the file, without an unterminated last line that does not parse.
 
     Such a line is a write that was cut short; the run it held is not on
-    record.  Any other line that does not parse raises ConfigError.
+    record.  Any other line that does not parse, or that is not an object
+    whose run_id (if any) is a string, raises ConfigError.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -133,11 +134,30 @@ def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
             if not text:
                 continue
             try:
-                out.append(json.loads(text))
+                record = json.loads(text)
             except ValueError as exc:
                 if line.endswith("\n"):
                     raise ConfigError(f"{path} line {lineno} is not a JSON record: {exc}") from None
+                continue
+            if not isinstance(record, dict) or not isinstance(record.get("run_id", ""), str):
+                raise ConfigError(
+                    f"{path} line {lineno} is not a JSON record: "
+                    "expected an object whose run_id is a string"
+                )
+            out.append(record)
     return out
+
+
+def record_number(record: Mapping[str, Any], key: str, kind: type = float) -> Any:
+    """kind(record[key]); a value that is missing or not a finite number raises ConfigError."""
+    value = record.get(key)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"run {record.get('run_id')!r} has {key} = {value!r}, not a finite number")
+    return number
 
 
 def existing_run_ids(path: str | os.PathLike) -> set[str]:
@@ -200,7 +220,8 @@ def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str | os.PathLike) 
         path,
         CSV_COLUMNS,
         (
-            [rec["run_id"], *(int(rec[c]) if c == "steps3" else float(rec[c]) for c in CSV_COLUMNS[1:])]
+            [rec["run_id"]]
+            + [record_number(rec, c, int if c == "steps3" else float) for c in CSV_COLUMNS[1:]]
             for rec in records
             if rec.get("L_im") is not None
         ),

@@ -144,6 +144,24 @@ def test_frozen_directions_hold_for_a_hand_built_distribution(family):
     assert report.measured["snapshots"] == 10_001
 
 
+def test_frozen_directions_failure_names_the_drift(family):
+    # coordinate 0 is dead in the checked distribution but trained on pretraining data
+    dist = StageDistribution(
+        label="first_coordinate_dead",
+        input_variances=np.array([0.0, 1, 1, 1, 1, 1]),
+        target_spectrum=np.array([3.0, 2, 2, 2, 2, 2]),
+        cross_covariance=np.array([0.0, 2, 2, 2, 2, 2]),
+    )
+    init = init_from_spectrum(family.basis, np.array([1.7, 0.3, 0.3, 0.3, 0.3, 0.3]))
+    pre = family.distribution("pretrain")
+    _, traj = train(init, pre, family.basis, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
+    report = check_frozen_directions(traj, dist, family)
+    assert not report.passed
+    assert report.notes == (
+        f"frozen coordinates [0] moved: max_drift {report.measured['max_drift']:.3g} > 0",
+    )
+
+
 # --------------------------------------------------------------- routing
 
 
@@ -221,6 +239,7 @@ def test_forgetting_gap_fails_without_finetuning(family, routing_outcome):
     report = check_forgetting_gap(family, ft_steps=0, posttrain_states=states)
     assert not report.passed
     assert report.measured["delta_unmixed"] == 0.0
+    assert any(note.startswith("delta_unmixed 0 < lower_bound") for note in report.notes)
 
 
 def test_lower_bound_can_go_negative_inside_the_routing_ceiling():

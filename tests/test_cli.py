@@ -391,6 +391,34 @@ def test_an_unparsable_record_line_exits_2(sweep_out, tmp_path, capsys, command)
     assert (out / "runs.jsonl").read_text() == corrupt
 
 
+@pytest.mark.parametrize(
+    "line, refused_on_read",
+    [
+        ("[1, 2]", True),
+        ('{"run_id": ["a"], "L_ret": 1.0, "L_ft": 2.0}', True),
+        ('{"run_id": "x", "L_ret": 1.0, "L_ft": 2.0, "mix_fraction": null}', False),
+        ('{"run_id": "y", "L_ret": "abc", "L_ft": 2.0}', False),
+    ],
+)
+def test_a_line_that_parses_but_is_no_record_exits_2(sweep_out, tmp_path, capsys, line, refused_on_read):
+    cfg, _ = sweep_out
+    for command in ("sweep", "plot", "frontier"):
+        out = tmp_path / command
+        out.mkdir()
+        (out / "runs.jsonl").write_text(line + "\n")
+        code = main(["--config", cfg, "--out", str(out), command])
+        err = capsys.readouterr().err
+        if command == "sweep" and not refused_on_read:
+            # a run id outside the grid is never read past its id
+            assert code == 0 and err == "", command
+            continue
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        if refused_on_read:
+            assert f"{out / 'runs.jsonl'} line 1 is not a JSON record" in err
+        else:
+            assert "run 'x' has mix_fraction = None" in err or "run 'y' has L_ret = 'abc'" in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_ini(tmp_path, "[posttrain]\nlerning_rate = 0.1\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "simulate"]) == 2
@@ -430,9 +458,11 @@ def test_verify_failures_exit_3_and_show_notes(tmp_path, capsys):
         tmp_path, "[verify]\nalpha = 0.0\nacquisition_steps = 2000\nrouting_steps = 1000\n"
     )
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 3
-    stdout = capsys.readouterr().out
-    assert "[FAIL]" in stdout
-    assert "    " in stdout  # failure notes are indented under the table line
+    lines = capsys.readouterr().out.splitlines()
+    # failure notes are indented under the table line and name the violated condition
+    row = lines.index("[FAIL] specialized_acquisition")
+    assert lines[row + 1].startswith("    least_mixed ")
+    assert "<= unlearned_tol 0.001" in lines[row + 1]
 
 
 # -------------------------------------------------------------- plot/frontier

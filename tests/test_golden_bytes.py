@@ -3,7 +3,8 @@
 Every command runs on the default config in one fresh output directory, as
 the benchmark's golden pass does; the pinned file is only read.  The same
 pass counts the steps train() takes, which the benchmark's traced run pins
-too.
+too.  The literal-mode verify.txt, which no benchmark run writes, is pinned
+here.
 """
 
 import hashlib
@@ -14,6 +15,9 @@ from stagelab import checks, network, pipeline
 from stagelab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+# verify.txt with [verify] literal_inconsistent = true, which adds the
+# posttrain_routing_literal / forgetting_gap_literal pair to the default checks
+LITERAL_VERIFY_SHA256 = "423e94d605442d08ae1a50ce3b52a6a01f44a30ddeae5b48f50dd5b8289a665a"
 
 
 def test_default_outputs_match_the_pinned_hashes(tmp_path, capsys, monkeypatch):
@@ -48,3 +52,12 @@ def test_default_outputs_match_the_pinned_hashes(tmp_path, capsys, monkeypatch):
     assert trained["simulate"] + trained["sweep"] == 29_500
     assert trained["verify"] == 170_000
     assert trained["plot"] == trained["frontier"] == 0
+
+
+def test_literal_mode_verify_matches_its_pinned_hash(tmp_path, capsys):
+    cfg = tmp_path / "literal.ini"
+    cfg.write_text("[verify]\nliteral_inconsistent = true\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "verify.txt").read_bytes()).hexdigest() == LITERAL_VERIFY_SHA256

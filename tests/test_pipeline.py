@@ -75,14 +75,6 @@ def test_stage_plan_budget_accounts_for_the_ridge():
         StagePlan("posttrain", 10, 0.03, ridge_lambda=2.5)
 
 
-def test_ridge_plan_requires_an_anchor_at_config_time():
-    plan = StagePlan("posttrain", 10, 0.02, ridge_lambda=0.1)
-    with pytest.raises(ConfigError, match="no anchor"):
-        plan.train_config()
-    config = plan.train_config(ridge_anchor=np.eye(6))
-    assert config.ridge_lambda == 0.1
-
-
 def test_stage_training_distributions_mix_as_documented():
     family = make_reference_family()
     mixed = stage_training_distribution(family, StagePlan("pretrain", 10, 0.02, mix_fraction=0.5))

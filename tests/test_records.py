@@ -21,6 +21,7 @@ from stagelab.records import (
     pipeline_run_record,
     read_records,
     stable_hash,
+    sweep_to_csv,
     write_records,
 )
 
@@ -108,6 +109,18 @@ def test_existing_run_ids(tmp_path):
     assert existing_run_ids(path) == set()
     write_records(path, [{"run_id": "a"}, {"kind": "other"}, {"run_id": "b"}])
     assert existing_run_ids(path) == {"a", "b"}
+
+
+def test_a_metric_that_is_not_a_finite_number_is_refused_by_run_and_key(family, tau12_init, tmp_path):
+    plans = (
+        StagePlan("pretrain", 20, 0.02),
+        StagePlan("posttrain", 20, 0.02),
+        StagePlan("finetune", 20, 0.02),
+    )
+    good = pipeline_run_record(run_pipeline(family, plans, tau12_init, run_id="r"), 0, "h")
+    for bad in ("abc", [1.0], math.inf):
+        with pytest.raises(ConfigError, match=r"^run 'r' has L_ret = .*, not a finite number$"):
+            sweep_to_csv([{**good, "L_ret": bad}], tmp_path / "sweep.csv")
 
 
 def test_stable_hash_is_short_and_deterministic():
