@@ -13,6 +13,14 @@ pulls the product toward an anchor, in train() the product it started from.
 Balanced diagonal states (W1 = U sqrt(S), W2 = sqrt(S) V^T) stay balanced and
 diagonal under these dynamics, which is what makes the per-coordinate scalar
 recursions in derived_diag_step faithful companions of the matrix updates.
+
+train() has two update kernels that give the same bits.  A start state in the
+identity basis whose factors are diagonal, every off-diagonal entry +0.0,
+stays diagonal, and _diagonal_kernel steps each coordinate in Python floats:
+its float operations are the IEEE operations that numpy's ufuncs and matmul
+apply to the diagonal entries, and it hands a run whose product underflows
+back to the matrix kernel.  Every other state, and every state in a random
+basis, takes the matrix kernel, _gradient_kernel.
 """
 
 from __future__ import annotations
@@ -198,6 +206,16 @@ class Trajectory:
         return np.array([_offdiag_norm(M) for M in self._frames()])
 
 
+def _matmul_for(n: int) -> Callable[..., np.ndarray]:
+    """The call that computes a @ b into out for (n, n) operands, as np.matmul rounds it.
+
+    For n >= 2, np.dot reaches the same gemm call as np.matmul, transpose
+    flags included, with less dispatch.  At n = 1 it returns the plain
+    product, -0.0 for 0.0 * -3.0, where np.matmul's 1x1 path sums from +0.0.
+    """
+    return np.matmul if n == 1 else np.dot
+
+
 def _gradient_kernel(
     W1: np.ndarray,
     W2: np.ndarray,
@@ -230,6 +248,7 @@ def _gradient_kernel(
       buffers, so BLAS sees the transpose flags the expressions' own .T give
       it; a contiguous copy would be a different gemm call.
     - out is passed positionally, which numpy parses faster than out=.
+    - Each @ is np.dot for n >= 2 (see _matmul_for).
     """
     n = theta.shape[0]
     G, work = np.empty((2, n, n))
@@ -239,7 +258,7 @@ def _gradient_kernel(
     W1T, W2T = W1.T, W2.T
     out1, out2 = out
     # a closure finds its own names faster than numpy's attributes
-    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
+    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, _matmul_for(n)
 
     def gradients() -> None:
         if V is None:
@@ -321,6 +340,103 @@ def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndar
     return _aligned(state.theta, basis)
 
 
+class _Underflow(Exception):
+    """A product of two nonzero factors rounded to zero in the diagonal kernel."""
+
+
+def _off_diagonals_are_zero(M: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square matrices in M is +0.0 by bit pattern."""
+    n = M.shape[-1]
+    rest = M.copy()
+    rest[..., range(n), range(n)] = 0.0
+    return not rest.view(np.int64).any()
+
+
+def _product(x: float, y: float) -> float:
+    """A diagonal matmul entry x * y + 0.0, as _diagonal_kernel takes it."""
+    p = x * y
+    if not p:
+        if x and y:
+            raise _Underflow
+        p = 0.0
+    return p
+
+
+def _diagonal_kernel(
+    W: np.ndarray, thetas: np.ndarray, A: np.ndarray, v: np.ndarray, config: TrainConfig
+) -> Callable[[int, int], None]:
+    """train()'s update for a diagonal state in the identity basis, in Python floats.
+
+    W holds the two factors and A the target, all diagonal with +0.0 off their
+    diagonals, and v the input variances.  In that frame the matrix update
+    decouples into one recursion per coordinate, and this kernel runs each
+    one with the operations the matrix kernel applies to the diagonal
+    entries, so it is bitwise that kernel:
+
+    - Each elementwise ufunc (subtract, multiply, add) is the IEEE binary64
+      operation Python's float operator performs, with the same rounding,
+      subnormals, signed zeros, inf and nan.
+    - Each matmul entry of two diagonal operands sums one product x * y with
+      zero terms, starting from +0.0, so it is x * y + 0.0: the rounded
+      product when that is nonzero, and +0.0 when a factor is zero, where the
+      plain product can be -0.0 (0.0 * -3.0).  An entry off the diagonal sums
+      only zeros and is +0.0, so the factors stay diagonal and the recorded
+      products are +0.0 there.
+    - The exception is a product of two nonzero factors that underflows to
+      -0.0.  A fused multiply-add onto +0.0 keeps it (the exact sum is
+      negative), so the entry is -0.0 or +0.0 depending on whether the BLAS
+      kernel adds a zero term after it.  The kernel raises _Underflow there,
+      and train() reruns the run on the matrix kernel.
+
+    Returns advance(count, row), which takes count steps, writes the factors
+    back into W and, for a row > 0, the product's diagonal into thetas[row],
+    whose other entries must already be +0.0.  The ridge anchors the start
+    product, as in the matrix kernel.
+    """
+    n = W.shape[1]
+    factors = memoryview(W.reshape(-1))
+    products = memoryview(thetas.reshape(-1))
+    eta = float(config.eta)
+    ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
+    # per coordinate: its target, variance, ridge anchor and offsets in W
+    coords = []
+    for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
+        k1, k2 = i * (n + 1), n * n + i * (n + 1)
+        coords.append((a, vi, _product(factors[k1], factors[k2]), k1, k2))
+
+    def advance(count: int, row: int) -> None:
+        # coordinate by coordinate, each through all count steps
+        for a, vi, anchor, k1, k2 in coords:
+            w1, w2 = factors[k1], factors[k2]
+            for _ in itertools.repeat(None, count):
+                t = w1 * w2
+                if not t:
+                    if w1 and w2:
+                        raise _Underflow
+                    t = 0.0
+                g = (t - a) * vi
+                g = g + g
+                if ridge:
+                    g = g + lam2 * (t - anchor)
+                g1 = g * w2
+                if not g1:
+                    if g and w2:
+                        raise _Underflow
+                    g1 = 0.0
+                g2 = w1 * g
+                if not g2:
+                    if w1 and g:
+                        raise _Underflow
+                    g2 = 0.0
+                w1 = w1 - eta * g1
+                w2 = w2 - eta * g2
+            factors[k1], factors[k2] = w1, w2
+            if row:
+                products[row * n * n + k1] = _product(w1, w2)
+
+    return advance
+
+
 def train(
     state: NetworkState,
     dist: StageDistribution,
@@ -337,6 +453,11 @@ def train(
     trajectory's first row.  The run raises TrainingDiverged at the first
     step whose weights or training loss are not finite (finite weights can
     still overflow the loss).
+
+    A start state in the identity basis whose factors are diagonal (every
+    off-diagonal entry +0.0) stays diagonal, and _diagonal_kernel steps it
+    per coordinate in Python floats; every other state takes the matrix
+    kernel.  Both give the same bits.
     """
     A = target_matrix(dist, basis)
     v = dist.input_variances
@@ -347,32 +468,38 @@ def train(
     n = state.n
     W = np.empty((2, n, n))
     W1, W2 = W
-    grads = np.empty_like(W)
     theta, E = np.empty((2, n, n))
     start = np.stack((state.W1, state.W2))
     # a snapshot every probe_every steps and one after the last; the step
-    # numbers are only built for a run that returns
+    # numbers are only built for a run that returns.  The array is zeroed,
+    # as the diagonal kernel writes only the diagonals.
     full, rest = divmod(config.max_steps, config.probe_every)
-    counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
-    thetas = np.empty((1 + full + bool(rest), n, n))
-    # the ridge anchor is thetas[0], the start product, written before any step
-    gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
-    # a full-shape eta, for the kernel's reason: the same products, cheaper
-    eta = np.full_like(W, config.eta)
-    multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
+    thetas = np.zeros((1 + full + bool(rest), n, n))
+    multiply, subtract, matmul = np.multiply, np.subtract, _matmul_for(n)
 
     def restart() -> None:
         np.copyto(W, start)
         matmul(W1, W2, theta)
         subtract(theta, A, E)
 
-    def advance(count: int) -> None:
-        for _ in range(count):
-            gradients()
-            multiply(eta, grads, grads)
-            subtract(W, grads, W)
-            matmul(W1, W2, theta)
-            subtract(theta, A, E)
+    def matrix_kernel() -> Callable[[int, int], None]:
+        grads = np.empty_like(W)
+        # the ridge anchor is thetas[0], the start product, recorded before any step
+        gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
+        # a full-shape eta, for the kernel's reason: the same products, cheaper
+        eta = np.full_like(W, config.eta)
+
+        def advance(count: int, row: int) -> None:
+            for _ in range(count):
+                gradients()
+                multiply(eta, grads, grads)
+                subtract(W, grads, W)
+                matmul(W1, W2, theta)
+                subtract(theta, A, E)
+            if row:
+                np.copyto(thetas[row], theta)
+
+        return advance
 
     def finite() -> bool:
         return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
@@ -380,36 +507,53 @@ def train(
     def first_nonfinite() -> int:
         """The first step without finite weights and loss, by replay from the start state."""
         restart()
+        advance = matrix_kernel()
         for step in range(config.max_steps):
             if not finite():
                 return step
-            advance(1)
+            advance(1, 0)
         return config.max_steps
+
+    def run(kernel: Callable[[], Callable[[int, int], None]]) -> None:
+        """Train from the start state with the advance(count, row) that kernel() builds."""
+        restart()
+        np.copyto(thetas[0], theta)
+        # advance(count, 0) records nothing: row 0 is the start product
+        advance = kernel()
+        counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
+        unchecked = FINITE_CHECK_EVERY  # steps left until the next weight check
+        for row, count in enumerate(counts, 1):
+            while count >= unchecked:
+                advance(unchecked, 0)
+                count -= unchecked
+                unchecked = FINITE_CHECK_EVERY
+                if not np.isfinite(W).all():
+                    raise TrainingDiverged(state.step + first_nonfinite())
+            advance(count, row)
+            unchecked -= count
+        # the diagonal kernel moves only W
+        matmul(W1, W2, theta)
+        subtract(theta, A, E)
+        if not finite():
+            raise TrainingDiverged(state.step + first_nonfinite())
 
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
     # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps
     # and of weights and loss after the last step therefore tells whether any
     # step failed, and a replay from the start state finds the first one, the
-    # step a check after every step would find.  Overflow is caught that way,
-    # so numpy's own warning about it is noise on a run that is about to
-    # raise anyway.
+    # step a check after every step would find.  The diagonal kernel runs
+    # coordinate by coordinate within each block, so it stops within a block
+    # too.  Overflow is caught that way, so numpy's own warning about it is
+    # noise on a run that is about to raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
-        restart()
-        np.copyto(thetas[0], theta)
-        unchecked = FINITE_CHECK_EVERY  # steps left until the next weight check
-        for row, count in enumerate(counts, 1):
-            while count >= unchecked:
-                advance(unchecked)
-                count -= unchecked
-                unchecked = FINITE_CHECK_EVERY
-                if not np.isfinite(W).all():
-                    raise TrainingDiverged(state.step + first_nonfinite())
-            advance(count)
-            unchecked -= count
-            np.copyto(thetas[row], theta)
-        if not finite():
-            raise TrainingDiverged(state.step + first_nonfinite())
+        if basis.is_identity and _off_diagonals_are_zero(np.concatenate((start, A[None]))):
+            try:
+                run(lambda: _diagonal_kernel(W, thetas, A, v, config))
+            except _Underflow:
+                run(matrix_kernel)
+        else:
+            run(matrix_kernel)
 
     steps = np.append(np.arange(0, config.max_steps, config.probe_every), config.max_steps)
     steps.flags.writeable = thetas.flags.writeable = False

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,7 +329,8 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
 
     Each snapshot holds the step, the training loss, the aligned diagonal and
     off-diagonal norm (None without record_spectrum) and the loss on each
-    distribution in probes, by name.
+    distribution in probes, by name.  Returns the final factors, the
+    snapshots and the stacked products at the snapshot steps.
     """
     A = target_matrix(dist, basis)
     v = dist.input_variances
@@ -341,7 +343,7 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
 
     W1, W2 = state.W1.copy(), state.W2.copy()
     anchor = W1 @ W2
-    snaps = []
+    snaps, products = [], []
     for step in range(config.max_steps + 1):
         theta = W1 @ W2
         E = theta - A
@@ -356,13 +358,14 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
                 offdiag = float(np.linalg.norm(M - np.diag(diag)))
             losses = {name: data_loss(theta - pA, pv) for name, (pA, pv) in probe_mats.items()}
             snaps.append((step, loss, diag, offdiag, losses))
+            products.append(theta)
         if step == config.max_steps:
             break
         G = 2.0 * (E * v) if V is None else 2.0 * ((E @ V) * v) @ V.T
         if config.ridge_lambda > 0:
             G = G + 2.0 * config.ridge_lambda * (theta - anchor)
         W1, W2 = W1 - config.eta * (G @ W2.T), W2 - config.eta * (W1.T @ G)
-    return W1, W2, snaps
+    return W1, W2, snaps, np.stack(products)
 
 
 @given(
@@ -403,8 +406,9 @@ def test_train_is_bitwise_the_allocating_reference_loop(
         assert err.value.step == exc.step
         return
     final, traj = train(state, dist, family.basis, config, record_spectrum)
-    np.testing.assert_array_equal(final.W1, want[0])
-    np.testing.assert_array_equal(final.W2, want[1])
+    assert_same_bits(final.W1, want[0])
+    assert_same_bits(final.W2, want[1])
+    assert_same_bits(traj.thetas, want[3])
     assert final.step == start + max_steps
     assert len(traj.snapshots) == len(want[2])
     assert traj.steps.tolist() == [step for step, *_ in want[2]]
@@ -441,10 +445,159 @@ def test_train_keeps_the_reference_rounding_in_the_subnormal_range():
     E, v = state.theta, dist.input_variances
     assert (2.0 * (E * v))[0, 0] != (E * (2.0 * v))[0, 0]
     config = TrainConfig(eta=0.01, max_steps=1)
-    want_W1, want_W2, _ = reference_train(state, dist, basis, config, {}, False)
+    want_W1, want_W2, *_ = reference_train(state, dist, basis, config, {}, False)
     final, _ = train(state, dist, basis, config, record_spectrum=False)
-    np.testing.assert_array_equal(final.W1, want_W1)
-    np.testing.assert_array_equal(final.W2, want_W2)
+    assert_same_bits(final.W1, want_W1)
+    assert_same_bits(final.W2, want_W2)
+
+
+def assert_train_is_the_reference_bitwise(state, dist, basis, config):
+    """train() against reference_train: final factors, every recorded product, or the divergence step."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_W1, want_W2, _, want_thetas = reference_train(state, dist, basis, config, {}, False)
+    except TrainingDiverged as exc:
+        with pytest.raises(TrainingDiverged) as err:
+            train(state, dist, basis, config)
+        assert err.value.step == exc.step
+        return
+    final, traj = train(state, dist, basis, config)
+    assert_same_bits(final.W1, want_W1)
+    assert_same_bits(final.W2, want_W2)
+    assert_same_bits(traj.thetas, want_thetas)
+
+
+def diagonal_problem(d1, d2, variances, targets):
+    """An identity-basis problem whose start factors are diag(d1) and diag(d2)."""
+    n = len(d1)
+    dist = StageDistribution(
+        label="diagonal",
+        input_variances=np.array(variances),
+        target_spectrum=np.array(targets),
+        cross_covariance=np.array(variances) * np.array(targets),
+    )
+    return NetworkState(W1=np.diag(d1), W2=np.diag(d2)), dist, SpectralBasis.identity(n)
+
+
+# factor entries: signed zeros, subnormals, ordinary values of both signs,
+# products that underflow, and magnitudes that diverge
+diagonal_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2e-310, 1e-200, -1e-200, 1e150, -1e200]),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@st.composite
+def diagonal_problems(draw):
+    n = draw(st.integers(1, 7))
+    d1, d2 = (draw(st.lists(diagonal_entries, min_size=n, max_size=n)) for _ in range(2))
+    variances = draw(
+        st.lists(st.one_of(st.sampled_from([-0.0, 5e-324]), st.floats(0.0, 1.0)), min_size=n, max_size=n)
+    )
+    targets = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
+    return diagonal_problem(d1, d2, variances, targets)
+
+
+@given(
+    problem=diagonal_problems(),
+    ridge_lambda=st.sampled_from([0.0, 0.3]),
+    probe_every=st.sampled_from([1, 7, 50]),
+    max_steps=st.integers(0, 120),
+    eta=st.floats(1e-3, 0.05),
+)
+@settings(max_examples=200, deadline=None)
+def test_diagonal_identity_basis_states_train_bitwise_as_the_reference_loop(
+    problem, ridge_lambda, probe_every, max_steps, eta
+):
+    # these states take the per-coordinate kernel, unless a product
+    # underflows and the run goes back to the matrix kernel
+    state, dist, basis = problem
+    config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
+    with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+    assert built.called
+
+
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
+def test_a_zero_factor_times_a_negative_one_is_a_plus_zero_product(ridge_lambda):
+    # 0.0 * -3.0 is -0.0, but the matmul entry adds +0.0 terms and is +0.0;
+    # with a zero target the sign reaches the gradients and the factors too
+    assert math.copysign(1.0, 0.0 * -3.0) == -1.0
+    for n in (1, 2, 5):
+        for i in range(n):
+            d1, d2 = [0.5] * n, [0.7] * n
+            d1[i], d2[i] = 0.0, -3.0
+            targets = [1.0] * n
+            targets[i] = 0.0
+            state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, targets)
+            config = TrainConfig(eta=0.02, max_steps=5, ridge_lambda=ridge_lambda, probe_every=1)
+            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            _, traj = train(state, dist, basis, config)
+            assert not np.signbit(traj.thetas).any()
+            for W1 in (np.diag(d1), -np.diag(d1)):  # +0.0 and -0.0 on the diagonal
+                assert_train_is_the_reference_bitwise(NetworkState(W1=W1, W2=state.W2), dist, basis, config)
+
+
+def test_an_underflowing_product_goes_back_to_the_matrix_kernel():
+    # -1e-200 * 1e-200 rounds to -0.0; matmul's entry is -0.0 or +0.0
+    # depending on where the BLAS kernel adds it, so train() reruns the
+    # run on the matrix kernel, whose bits the reference loop has
+    for n in (1, 2, 6):
+        for i in (0, n - 1):
+            d1, d2 = [0.5] * n, [0.5] * n
+            d1[i], d2[i] = -1e-200, 1e-200
+            state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
+            config = TrainConfig(eta=0.02, max_steps=3, probe_every=1)
+            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+
+
+@pytest.mark.parametrize(
+    "where, value", [(("W1", 0, 1), -0.0), (("W2", 2, 1), 1e-3), (("W1", 3, 0), -5e-324)]
+)
+def test_an_identity_basis_state_with_an_off_diagonal_entry_takes_the_matrix_kernel(where, value):
+    family = make_reference_family()
+    factors = {"W1": np.diag([0.5, -0.25, 1.0, 0.0]), "W2": np.diag([0.5, 2.0, -0.0, 0.75])}
+    name, row, col = where
+    factors[name][row, col] = value
+    state = NetworkState(**factors)
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    dist = StageDistribution(
+        label="head",
+        input_variances=dist.input_variances[:4],
+        target_spectrum=dist.target_spectrum[:4],
+        cross_covariance=dist.cross_covariance[:4],
+    )
+    for ridge_lambda in (0.0, 0.3):
+        config = TrainConfig(eta=0.02, max_steps=60, ridge_lambda=ridge_lambda, probe_every=7)
+        with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+            assert_train_is_the_reference_bitwise(state, dist, SpectralBasis.identity(4), config)
+        assert not built.called
+
+
+def test_a_1x1_product_in_another_basis_sums_from_plus_zero():
+    # the matrix kernel's 1x1 products are np.matmul's, +0.0 for 0.0 * -3.0,
+    # where np.dot would give the plain product -0.0
+    basis = SpectralBasis(U=np.array([[-1.0]]), V=np.array([[-1.0]]))
+    assert not basis.is_identity
+    assert math.copysign(1.0, np.dot(np.array([[0.0]]), np.array([[-3.0]]))[0, 0]) == -1.0
+    for target in (0.0, 2.0):
+        _, dist = scalar_problem(target)
+        for ridge_lambda in (0.0, 0.3):
+            state = NetworkState(W1=np.array([[0.0]]), W2=np.array([[-3.0]]))
+            config = TrainConfig(eta=0.02, max_steps=4, ridge_lambda=ridge_lambda, probe_every=1)
+            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            _, traj = train(state, dist, basis, config)
+            assert not np.signbit(traj.thetas[0]).any()
+
+
+def test_the_reference_init_takes_the_diagonal_kernel():
+    family = make_reference_family()
+    config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=0.1, probe_every=50)
+    with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+        assert_train_is_the_reference_bitwise(
+            init_scaled_identity(6, 12.0), family.distribution("pretrain"), family.basis, config
+        )
+    assert built.call_count == 1
 
 
 def test_scalar_rules_share_fixed_points():
