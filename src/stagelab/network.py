@@ -364,7 +364,7 @@ def _product(x: float, y: float) -> float:
 
 def _diagonal_kernel(
     W: np.ndarray, thetas: np.ndarray, A: np.ndarray, v: np.ndarray, config: TrainConfig
-) -> Callable[[int, int], None]:
+) -> Callable[[int, int, int], None]:
     """train()'s update for a diagonal state in the identity basis, in Python floats.
 
     W holds the two factors and A the target, all diagonal with +0.0 off their
@@ -388,51 +388,56 @@ def _diagonal_kernel(
       kernel adds a zero term after it.  The kernel raises _Underflow there,
       and train() reruns the run on the matrix kernel.
 
-    Returns advance(count, row), which takes count steps, writes the factors
-    back into W and, for a row > 0, the product's diagonal into thetas[row],
-    whose other entries must already be +0.0.  The ridge anchors the start
-    product, as in the matrix kernel.
+    Returns train()'s advance(count, row, rows), which writes the factors
+    back into W and the products' diagonals into thetas, whose other entries
+    must already be +0.0.  The ridge anchors the start product, as in the
+    matrix kernel.
     """
     n = W.shape[1]
+    nn = n * n
     factors = memoryview(W.reshape(-1))
     products = memoryview(thetas.reshape(-1))
     eta = float(config.eta)
     ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
-    # per coordinate: its target, variance, ridge anchor and offsets in W
+    repeat = itertools.repeat
+    # per coordinate: its target, variance, ridge anchor and flat offsets in
+    # W, which are also its diagonal offset in W1 and in every product
     coords = []
     for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
-        k1, k2 = i * (n + 1), n * n + i * (n + 1)
+        k1, k2 = i * (n + 1), nn + i * (n + 1)
         coords.append((a, vi, _product(factors[k1], factors[k2]), k1, k2))
 
-    def advance(count: int, row: int) -> None:
-        # coordinate by coordinate, each through all count steps
+    def advance(count: int, row: int, rows: int) -> None:
+        # coordinate by coordinate, each through all rows; at is the
+        # coordinate's offset in the product row being finished
         for a, vi, anchor, k1, k2 in coords:
             w1, w2 = factors[k1], factors[k2]
-            for _ in itertools.repeat(None, count):
-                t = w1 * w2
-                if not t:
-                    if w1 and w2:
-                        raise _Underflow
-                    t = 0.0
-                g = (t - a) * vi
-                g = g + g
-                if ridge:
-                    g = g + lam2 * (t - anchor)
-                g1 = g * w2
-                if not g1:
-                    if g and w2:
-                        raise _Underflow
-                    g1 = 0.0
-                g2 = w1 * g
-                if not g2:
-                    if w1 and g:
-                        raise _Underflow
-                    g2 = 0.0
-                w1 = w1 - eta * g1
-                w2 = w2 - eta * g2
+            for at in range(k1 + row * nn, k1 + (row + rows) * nn, nn):
+                for _ in repeat(None, count):
+                    t = w1 * w2
+                    if not t:
+                        if w1 and w2:
+                            raise _Underflow
+                        t = 0.0
+                    g = (t - a) * vi
+                    g = g + g
+                    if ridge:
+                        g = g + lam2 * (t - anchor)
+                    g1 = g * w2
+                    if not g1:
+                        if g and w2:
+                            raise _Underflow
+                        g1 = 0.0
+                    g2 = w1 * g
+                    if not g2:
+                        if w1 and g:
+                            raise _Underflow
+                        g2 = 0.0
+                    w1 = w1 - eta * g1
+                    w2 = w2 - eta * g2
+                if row:
+                    products[at] = _product(w1, w2)
             factors[k1], factors[k2] = w1, w2
-            if row:
-                products[row * n * n + k1] = _product(w1, w2)
 
     return advance
 
@@ -482,22 +487,23 @@ def train(
         matmul(W1, W2, theta)
         subtract(theta, A, E)
 
-    def matrix_kernel() -> Callable[[int, int], None]:
+    def matrix_kernel() -> Callable[[int, int, int], None]:
         grads = np.empty_like(W)
         # the ridge anchor is thetas[0], the start product, recorded before any step
         gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
         # a full-shape eta, for the kernel's reason: the same products, cheaper
         eta = np.full_like(W, config.eta)
 
-        def advance(count: int, row: int) -> None:
-            for _ in range(count):
-                gradients()
-                multiply(eta, grads, grads)
-                subtract(W, grads, W)
-                matmul(W1, W2, theta)
-                subtract(theta, A, E)
-            if row:
-                np.copyto(thetas[row], theta)
+        def advance(count: int, row: int, rows: int) -> None:
+            for r in range(row, row + rows):
+                for _ in range(count):
+                    gradients()
+                    multiply(eta, grads, grads)
+                    subtract(W, grads, W)
+                    matmul(W1, W2, theta)
+                    subtract(theta, A, E)
+                if r:
+                    np.copyto(thetas[r], theta)
 
         return advance
 
@@ -511,26 +517,36 @@ def train(
         for step in range(config.max_steps):
             if not finite():
                 return step
-            advance(1, 0)
+            advance(1, 0, 1)
         return config.max_steps
 
-    def run(kernel: Callable[[], Callable[[int, int], None]]) -> None:
-        """Train from the start state with the advance(count, row) that kernel() builds."""
+    def run(kernel: Callable[[], Callable[[int, int, int], None]]) -> None:
+        """Train from the start state with the advance(count, row, rows) that kernel() builds.
+
+        advance takes count steps rows times, and after each count records the
+        product into the next row from row on; a row of 0 records nothing.
+        """
         restart()
         np.copyto(thetas[0], theta)
-        # advance(count, 0) records nothing: row 0 is the start product
         advance = kernel()
-        counts = itertools.chain(itertools.repeat(config.probe_every, full), [rest] if rest else [])
-        unchecked = FINITE_CHECK_EVERY  # steps left until the next weight check
-        for row, count in enumerate(counts, 1):
-            while count >= unchecked:
-                advance(unchecked, 0)
-                count -= unchecked
-                unchecked = FINITE_CHECK_EVERY
-                if not np.isfinite(W).all():
-                    raise TrainingDiverged(state.step + first_nonfinite())
-            advance(count, row)
-            unchecked -= count
+        every, last = config.probe_every, config.max_steps
+        step, row = 0, 1
+        while step < last:
+            stop = min(step - step % FINITE_CHECK_EVERY + FINITE_CHECK_EVERY, last)
+            while step < stop:
+                at = min(row * every, last)  # the step that row records
+                if at > stop:
+                    advance(stop - step, 0, 1)
+                    step = stop
+                elif at - step < every:  # a row cut by a weight check, or the short last row
+                    advance(at - step, row, 1)
+                    step, row = at, row + 1
+                else:  # whole rows, as many as end by stop
+                    rows = min(full + 1 - row, (stop - step) // every)
+                    advance(every, row, rows)
+                    step, row = step + rows * every, row + rows
+            if step % FINITE_CHECK_EVERY == 0 and not np.isfinite(W).all():
+                raise TrainingDiverged(state.step + first_nonfinite())
         # the diagonal kernel moves only W
         matmul(W1, W2, theta)
         subtract(theta, A, E)

@@ -590,6 +590,26 @@ def test_a_1x1_product_in_another_basis_sums_from_plus_zero():
             assert not np.signbit(traj.thetas[0]).any()
 
 
+@pytest.mark.parametrize("basis_mode", ["identity", "random"])
+def test_weight_checks_of_any_block_size_leave_every_bit(basis_mode, monkeypatch):
+    # blocks of 1, 5 and 16 steps cut the snapshot rows at every offset; the
+    # hot state diverges at step 7, which a block check or the last check
+    # must still report as the reference loop does
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    calm = init_scaled_identity(6, 1.0, family.basis)
+    hot = init_from_spectrum(family.basis, np.full(6, 25.0))
+    with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
+        reference_train(hot, dist, family.basis, TrainConfig(eta=0.05, max_steps=50), {}, False)
+    assert err.value.step == 7
+    for block in (1, 5, 16):
+        monkeypatch.setattr(network, "FINITE_CHECK_EVERY", block)
+        for state, eta in ((calm, 0.02), (hot, 0.05)):
+            for probe_every, max_steps in itertools.product((1, 3, 16, 50), (0, 1, 5, 16, 53)):
+                config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=0.3, probe_every=probe_every)
+                assert_train_is_the_reference_bitwise(state, dist, family.basis, config)
+
+
 def test_the_reference_init_takes_the_diagonal_kernel():
     family = make_reference_family()
     config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=0.1, probe_every=50)
