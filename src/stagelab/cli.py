@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import sys
 from typing import Iterable
@@ -38,6 +39,9 @@ RUNS_FILE = "runs.jsonl"
 SWEEP_CSV = "sweep.csv"
 FRONTIER_SVG = "frontier.svg"
 FRONTIER_CSV = "frontier.csv"
+FAMILY_JSON = "family.json"
+# the settings a run record does not carry, which family.json pins for an --out
+FAMILY_SECTIONS = ("init", "task")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,12 +90,53 @@ def _recorded_runs(runs_path: str, tasks: Iterable[tuple[str, tuple]]) -> dict[s
     return by_id
 
 
+def _family_settings(lines: list) -> dict[str, str]:
+    """Each section.key=value line of family.json as '[section] key' -> value."""
+    settings = {}
+    for line in lines:
+        if not isinstance(line, str):
+            raise ValueError(line)
+        name, value = line.split("=", 1)
+        section, key = name.split(".", 1)
+        settings[f"[{section}] {key}"] = value
+    return settings
+
+
+def _claim_family(out: str, cfg: ExperimentConfig) -> None:
+    """Refuse an --out whose family.json holds other [task] or [init] settings; write it if absent.
+
+    A directory without the file, whatever records it holds, is taken to
+    belong to the current config.
+    """
+    path = os.path.join(out, FAMILY_JSON)
+    lines = cfg.canonical_lines(FAMILY_SECTIONS)
+    if not os.path.exists(path):
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(lines, indent=1) + "\n")
+        os.replace(path + ".tmp", path)  # a cut write leaves no damaged file behind
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        recorded = _family_settings(recorded if isinstance(recorded, list) else [None])
+    except ValueError:
+        raise ConfigError(f"{path} is not a list of config lines; use a fresh --out") from None
+    given = _family_settings(lines)
+    for key in sorted(given.keys() | recorded.keys()):
+        if given.get(key) != recorded.get(key):
+            raise ConfigError(
+                f"{out} holds runs of {key} = {recorded.get(key, '(unset)')}, "
+                f"but the config gives {given.get(key, '(unset)')}; use a fresh --out"
+            )
+
+
 def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
     plans = cfg.stage_plans()
     run_id = make_run_id(*plans)
     runs_path = os.path.join(out, RUNS_FILE)
     recorded = _recorded_runs(runs_path, [(run_id, plans)])
+    _claim_family(out, cfg)
     run = run_pipeline(cfg.task_family(), plans, cfg.init_state(), run_id=run_id)
     # the sweep's resume rule: a run id already on record is not written twice
     if run.run_id not in recorded:
@@ -119,6 +164,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
     runs_path = os.path.join(out, RUNS_FILE)
     by_id = _recorded_runs(runs_path, zip(run_ids, tasks))
+    _claim_family(out, cfg)
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in by_id]
     config_hash = stable_hash(cfg.canonical())
     new_records = []

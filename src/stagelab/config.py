@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Iterable
 
 from .checks import ACQUISITION_STEPS, ALPHA, EPSILON, ROUTING_STEPS, TAU
 from .errors import ConfigError
@@ -137,13 +137,14 @@ class ExperimentConfig:
     def projection(self) -> str:
         return self.values["report"]["projection"]
 
+    def canonical_lines(self, sections: Iterable[str] | None = None) -> list[str]:
+        """Sorted section.key=value lines of every section, or of the given ones."""
+        chosen = sorted(self.values if sections is None else sections)
+        return [f"{s}.{key}={self.values[s][key]!r}" for s in chosen for key in sorted(self.values[s])]
+
     def canonical(self) -> str:
         """Stable text form used for config hashing."""
-        lines = []
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                lines.append(f"{section}.{key}={self.values[section][key]!r}")
-        return "\n".join(lines)
+        return "\n".join(self.canonical_lines())
 
 
 def _default_values() -> dict[str, dict[str, Any]]:

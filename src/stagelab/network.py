@@ -19,8 +19,11 @@ identity basis whose factors are diagonal, every off-diagonal entry +0.0,
 stays diagonal, and _diagonal_kernel steps each coordinate in Python floats:
 its float operations are the IEEE operations that numpy's ufuncs and matmul
 apply to the diagonal entries, and it hands a run whose product underflows
-back to the matrix kernel.  Every other state, and every state in a random
-basis, takes the matrix kernel, _gradient_kernel.
+back to the matrix kernel.  A coordinate whose step returns both factors
+with the same bit patterns is at a fixed point, since the step is a
+deterministic function of them, and _diagonal_kernel stops stepping it and
+writes its product into the rows still to record.  Every other state, and
+every state in a random basis, takes the matrix kernel, _gradient_kernel.
 """
 
 from __future__ import annotations
@@ -388,6 +391,25 @@ def _diagonal_kernel(
       kernel adds a zero term after it.  The kernel raises _Underflow there,
       and train() reruns the run on the matrix kernel.
 
+    A coordinate whose step returns both factors with the same bit patterns
+    is at a fixed point, and advance stops stepping it, in this call and in
+    every later one, and writes its product into each row it still records.
+    The rule is exact:
+
+    - Given the run's constants (target, variance, ridge anchor, eta and
+      2 lambda), a step is a deterministic function of (w1, w2), so a step
+      that returns the same bits returns them at every later step.
+    - A state that got through one step without raising _Underflow never
+      raises it later.
+    - Neither nan nor +-inf can be fixed: nan equals nothing, and an
+      infinite factor makes g infinite or nan, which turns that factor into
+      nan.  The test still checks that the product is finite, which costs
+      nothing once the equality holds.
+    - Bit patterns, not values, are compared: == holds between -0.0 and
+      +0.0, so once it holds the signs are compared too.  From W1 = -0.0,
+      W2 = 5e-324 with target 1, variance 1 and eta 0.02, eta * g1 is -0.0
+      and the next w1 is +0.0, which == accepts as -0.0.
+
     Returns train()'s advance(count, row, rows), which writes the factors
     back into W and the products' diagonals into thetas, whose other entries
     must already be +0.0.  The ridge anchors the start product, as in the
@@ -399,45 +421,66 @@ def _diagonal_kernel(
     products = memoryview(thetas.reshape(-1))
     eta = float(config.eta)
     ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
-    repeat = itertools.repeat
-    # per coordinate: its target, variance, ridge anchor and flat offsets in
-    # W, which are also its diagonal offset in W1 and in every product
+    repeat, copysign, isfinite = itertools.repeat, math.copysign, math.isfinite
+    # per coordinate: its target, variance, ridge anchor, index, flat offsets
+    # in W, which are also its diagonal offset in W1 and in every product, and
+    # its product once it is at a fixed point, None until then
     coords = []
     for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
         k1, k2 = i * (n + 1), nn + i * (n + 1)
-        coords.append((a, vi, _product(factors[k1], factors[k2]), k1, k2))
+        coords.append([a, vi, _product(factors[k1], factors[k2]), i, k1, k2, None])
 
     def advance(count: int, row: int, rows: int) -> None:
-        # coordinate by coordinate, each through all rows; at is the
-        # coordinate's offset in the product row being finished
-        for a, vi, anchor, k1, k2 in coords:
-            w1, w2 = factors[k1], factors[k2]
-            for at in range(k1 + row * nn, k1 + (row + rows) * nn, nn):
-                for _ in repeat(None, count):
-                    t = w1 * w2
-                    if not t:
-                        if w1 and w2:
-                            raise _Underflow
-                        t = 0.0
-                    g = (t - a) * vi
-                    g = g + g
-                    if ridge:
-                        g = g + lam2 * (t - anchor)
-                    g1 = g * w2
-                    if not g1:
-                        if g and w2:
-                            raise _Underflow
-                        g1 = 0.0
-                    g2 = w1 * g
-                    if not g2:
-                        if w1 and g:
-                            raise _Underflow
-                        g2 = 0.0
-                    w1 = w1 - eta * g1
-                    w2 = w2 - eta * g2
-                if row:
-                    products[at] = _product(w1, w2)
-            factors[k1], factors[k2] = w1, w2
+        # coordinate by coordinate, each through all rows; r is the row being
+        # finished, and the rows from r on take a fixed coordinate's product
+        end = row + rows
+        for coord in coords:
+            a, vi, anchor, i, k1, k2, fixed = coord
+            r = row
+            if fixed is None:
+                w1, w2 = factors[k1], factors[k2]
+                while r < end:
+                    for _ in repeat(None, count):
+                        t = w1 * w2
+                        if not t:
+                            if w1 and w2:
+                                raise _Underflow
+                            t = 0.0
+                        g = (t - a) * vi
+                        g = g + g
+                        if ridge:
+                            g = g + lam2 * (t - anchor)
+                        g1 = g * w2
+                        if not g1:
+                            if g and w2:
+                                raise _Underflow
+                            g1 = 0.0
+                        g2 = w1 * g
+                        if not g2:
+                            if w1 and g:
+                                raise _Underflow
+                            g2 = 0.0
+                        u1 = w1 - eta * g1
+                        u2 = w2 - eta * g2
+                        if (
+                            u1 == w1
+                            and u2 == w2
+                            and copysign(1.0, u1) == copysign(1.0, w1)
+                            and copysign(1.0, u2) == copysign(1.0, w2)
+                            and isfinite(t)
+                        ):
+                            coord[-1] = t
+                            break
+                        w1, w2 = u1, u2
+                    else:
+                        if row:
+                            products[k1 + r * nn] = _product(w1, w2)
+                        r += 1
+                        continue
+                    break
+                factors[k1], factors[k2] = w1, w2
+            if row and r < end:
+                thetas[r:end, i, i] = coord[-1]
 
     return advance
 

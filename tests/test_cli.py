@@ -306,6 +306,60 @@ def test_a_resume_refuses_records_of_other_plan_settings(tmp_path, monkeypatch, 
     assert (fresh / "runs.jsonl").read_bytes() != stale["runs.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_a_resume_refuses_an_out_of_other_task_or_init_settings(tmp_path, monkeypatch, capsys, command):
+    # a run record carries no [task] or [init] setting, so without family.json
+    # this resume printed "0 new runs, 30 already recorded" and kept the
+    # numbers of tau = 12
+    out = tmp_path / "out"
+    assert main(["--out", str(out), command]) == 0
+    stale = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing")
+
+    monkeypatch.setattr(stagelab.pipeline, "train", no_training)
+    for ini, message in (
+        ("[init]\ntau = 10\n", "holds runs of [init] tau = 12.0, but the config gives 10.0"),
+        ("[task]\nmismatch_gap = 1.5\n", "holds runs of [task] mismatch_gap = 2.0, but the config gives 1.5"),
+    ):
+        cfg = write_ini(tmp_path, ini)
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out} {message}; use a fresh --out\n"
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == stale
+    assert json.loads(stale["family.json"])[0] == "init.tau=12.0"
+
+
+def test_an_out_with_records_but_no_family_file_is_claimed_by_the_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "sweep"]) == 0
+    sidecar = (out / "family.json").read_bytes()
+    (out / "family.json").unlink()
+    assert main(["--out", str(out), "sweep"]) == 0
+    assert "sweep: 0 new runs, 30 already recorded" in capsys.readouterr().out
+    assert (out / "family.json").read_bytes() == sidecar
+    # a directory written before family.json existed is trusted as it is
+    (out / "family.json").unlink()
+    cfg = write_ini(tmp_path, "[init]\ntau = 10\n")
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+    assert main(["--out", str(out), "sweep"]) == 2
+    assert "holds runs of [init] tau = 10.0, but the config gives 12.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1", "{}", "[3]", '["init_tau=12.0"]', '["init.tau"]'])
+def test_a_damaged_family_file_exits_2(tmp_path, capsys, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "family.json").write_text(text)
+    for command in ("simulate", "sweep"):
+        assert main(["--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'family.json'} is not a list of config lines; use a fresh --out\n"
+    assert os.listdir(out) == ["family.json"]
+
+
 def test_sweep_with_threads_matches_the_serial_records(tmp_path):
     cfg = write_ini(tmp_path, SWEEP_INI)
     serial = tmp_path / "serial"

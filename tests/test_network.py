@@ -610,6 +610,70 @@ def test_weight_checks_of_any_block_size_leave_every_bit(basis_mode, monkeypatch
                 assert_train_is_the_reference_bitwise(state, dist, family.basis, config)
 
 
+def test_a_fixed_point_is_a_bit_pattern_not_a_value():
+    # from W1 = -0.0, W2 = 5e-324 the step gives w1 = -0.0 - eta * g1 with
+    # eta * g1 = -0.0, that is +0.0, which == takes for -0.0; stopping there
+    # would leave the final W1 at -0.0, where every later step keeps +0.0
+    assert math.copysign(1.0, -0.0 - 0.02 * (-2.0 * 5e-324)) == 1.0
+    for n, i in ((1, 0), (3, 1)):
+        d1, d2 = [0.5] * n, [0.7] * n
+        d1[i], d2[i] = -0.0, 5e-324
+        state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [1.0] * n)
+        for max_steps, probe_every in ((1, 1), (3, 1), (40, 7)):
+            config = TrainConfig(eta=0.02, max_steps=max_steps, probe_every=probe_every)
+            with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+                assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            assert built.call_count == 1
+            final, _ = train(state, dist, basis, config)
+            assert not np.signbit(final.W1[i, i])
+
+
+@st.composite
+def converging_diagonal_problems(draw):
+    """Diagonal problems whose coordinates reach a bitwise fixed point within a few thousand steps.
+
+    Each coordinate starts near its target, balanced or not, at the zero
+    saddle, or with a zero variance, which leaves it fixed from the start.
+    """
+    n = draw(st.integers(1, 4))
+    d1, d2, variances, targets = [], [], [], []
+    for _ in range(n):
+        target = draw(st.floats(0.25, 4.0))
+        variance = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.25, 1.0)))
+        start = draw(st.sampled_from(["balanced", "unbalanced", "saddle"]))
+        root = math.sqrt(target)
+        if start == "saddle":
+            w1 = w2 = 0.0
+        else:
+            w1 = root * (1.0 + draw(st.floats(-0.2, 0.2)))
+            w2 = w1 if start == "balanced" else target / w1 * (1.0 + draw(st.floats(-0.05, 0.05)))
+        d1.append(w1)
+        d2.append(w2)
+        variances.append(variance)
+        targets.append(target)
+    return diagonal_problem(d1, d2, variances, targets)
+
+
+@given(
+    problem=converging_diagonal_problems(),
+    ridge_lambda=st.sampled_from([0.0, 0.3]),
+    probe_every=st.sampled_from([1, 7, 50, 333]),
+    block=st.sampled_from([5, 64, 4096]),
+    max_steps=st.integers(0, 3000),
+    eta=st.floats(0.005, 0.05),
+)
+@settings(max_examples=60, deadline=None)
+def test_coordinates_at_a_fixed_point_fill_their_rows_bitwise_as_the_reference_loop(
+    problem, ridge_lambda, probe_every, block, max_steps, eta
+):
+    # coordinates reach their fixed points mid-row and mid-block, and later
+    # calls of the kernel only fill their rows
+    state, dist, basis = problem
+    config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
+    with mock.patch.object(network, "FINITE_CHECK_EVERY", block):
+        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+
+
 def test_the_reference_init_takes_the_diagonal_kernel():
     family = make_reference_family()
     config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=0.1, probe_every=50)
@@ -894,6 +958,26 @@ def test_a_diverging_run_stops_within_a_block_of_steps():
             train(state, dist, basis, config)
         assert time.perf_counter() - began < 1.0
         assert err.value.step == 7
+
+
+def test_a_converged_run_stops_stepping_its_coordinates():
+    # every coordinate of the reference pretraining is at a bitwise fixed
+    # point after 40,000 steps, so 10,000,000 more leave every bit and cost
+    # only the weight checks; stepping them all takes about 16 s on a 2-core
+    # x86_64 machine
+    family = make_reference_family()
+    dist = family.distribution("pretrain")
+    converged, _ = train(
+        init_scaled_identity(6, 12.0), dist, family.basis, TrainConfig(eta=0.02, max_steps=40_000)
+    )
+    for probe_every in (1_000, 10_000_000):
+        config = TrainConfig(eta=0.02, max_steps=10_000_000, probe_every=probe_every)
+        began = time.perf_counter()
+        final, traj = train(converged, dist, family.basis, config)
+        assert time.perf_counter() - began < 1.0
+        assert_same_bits(final.W1, converged.W1)
+        assert_same_bits(final.W2, converged.W2)
+        assert_same_bits(traj.thetas, np.broadcast_to(converged.theta, traj.thetas.shape))
 
 
 def test_a_non_finite_start_state_diverges_at_step_0():
