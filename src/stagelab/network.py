@@ -23,11 +23,17 @@ back to the matrix kernel.  A coordinate whose step returns both factors
 with the same bit patterns is at a fixed point, since the step is a
 deterministic function of them, and _diagonal_kernel stops stepping it and
 writes its product into the rows still to record.  Every other state, and
-every state in a random basis, takes the matrix kernel, _gradient_kernel.
+every state in a random basis, takes the matrix kernel, _gradient_kernel
+stepped in numpy.  Its rule is the same for the whole matrix: once the
+factors return to the bit patterns of an earlier step, the run is an exact
+orbit, and train() stops stepping it and writes each recorded row from its
+phase's product.  Most random-basis trainings end in such orbits, of
+periods from one step to a few dozen.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -41,6 +47,7 @@ from .tasks import SpectralBasis, StageDistribution, _freeze, target_matrix
 FIXED_POINT_TOL = 1e-12  # scalar_fixed_point stops once an update is this small
 FIXED_POINT_MAX_ITER = 2_000_000
 FINITE_CHECK_EVERY = 4096  # train() checks the weights this often, bounding a diverged run's work
+MARK_EVERY = 64  # the matrix kernel marks the factors' bytes this often, to find exact orbits
 
 
 @dataclass(frozen=True)
@@ -209,14 +216,18 @@ class Trajectory:
         return np.array([_offdiag_norm(M) for M in self._frames()])
 
 
-def _matmul_for(n: int) -> Callable[..., np.ndarray]:
-    """The call that computes a @ b into out for (n, n) operands, as np.matmul rounds it.
+def _matmul_for(a: np.ndarray) -> Callable[..., np.ndarray]:
+    """The call f(b, out) that writes a @ b into out for (n, n) operands, as np.matmul rounds it.
 
-    For n >= 2, np.dot reaches the same gemm call as np.matmul, transpose
-    flags included, with less dispatch.  At n = 1 it returns the plain
-    product, -0.0 for 0.0 * -3.0, where np.matmul's 1x1 path sums from +0.0.
+    For n >= 2 it is the bound method a.dot.  ndarray.dot reaches the same
+    cblas_dgemm call as np.matmul, transpose flags included: a transposed
+    view is passed to BLAS as a transposed operand, not copied.  Bound once
+    to a fixed buffer, it also skips the __array_function__ dispatcher that
+    the np.dot function goes through on every call.  At n = 1 dot returns
+    the plain product, -0.0 for 0.0 * -3.0, where np.matmul's 1x1 path sums
+    from +0.0, so there f is np.matmul with a as its first operand.
     """
-    return np.matmul if n == 1 else np.dot
+    return functools.partial(np.matmul, a) if a.shape[0] == 1 else a.dot
 
 
 def _gradient_kernel(
@@ -251,34 +262,37 @@ def _gradient_kernel(
       buffers, so BLAS sees the transpose flags the expressions' own .T give
       it; a contiguous copy would be a different gemm call.
     - out is passed positionally, which numpy parses faster than out=.
-    - Each @ is np.dot for n >= 2 (see _matmul_for).
+    - Each @ is the bound ndarray.dot method of its left operand for n >= 2,
+      bound once to these fixed buffers: the same gemm call as np.matmul
+      without numpy's function dispatch.  At n = 1 it stays np.matmul, whose
+      1x1 product sums from +0.0 (see _matmul_for).
     """
     n = theta.shape[0]
     G, work = np.empty((2, n, n))
     v = np.broadcast_to(v, (n, n)).copy()
-    VT = None if V is None else V.T
     lam2 = np.full((n, n), 2.0 * ridge_lambda)
-    W1T, W2T = W1.T, W2.T
     out1, out2 = out
     # a closure finds its own names faster than numpy's attributes
-    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, _matmul_for(n)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    E_dot, work_dot, G_dot, W1T_dot = (_matmul_for(M) for M in (E, work, G, W1.T))
+    VT, W2T = None if V is None else V.T, W2.T
 
     def gradients() -> None:
         if V is None:
             multiply(E, v, G)
             add(G, G, G)
         else:
-            matmul(E, V, work)
+            E_dot(V, work)
             multiply(work, v, work)
             add(work, work, work)
-            matmul(work, VT, G)
+            work_dot(VT, G)
         if ridge_lambda > 0:
             subtract(theta, ridge_anchor, work)
             multiply(lam2, work, work)
             add(G, work, G)
         # both factor gradients are taken before either factor moves
-        matmul(G, W2T, out1)
-        matmul(W1T, G, out2)
+        G_dot(W2T, out1)
+        W1T_dot(G, out2)
 
     return gradients
 
@@ -506,6 +520,20 @@ def train(
     off-diagonal entry +0.0) stays diagonal, and _diagonal_kernel steps it
     per coordinate in Python floats; every other state takes the matrix
     kernel.  Both give the same bits.
+
+    The matrix kernel takes the factors' bytes as a mark every MARK_EVERY
+    steps and compares the bytes after each later step with it.  When they
+    match and the factors are finite, the run is periodic with the period p
+    of steps since the mark: given the run's constants (target, variances,
+    basis, eta, 2 lambda and the anchor thetas[0]) a step is a deterministic
+    function of the factors.  The kernel then steps p more times to collect
+    the p phases, which brings the factors back to the same bits, and stops
+    stepping: each later recorded row takes its phase's product, and the
+    factors are left at their phase's state after every advance call, so
+    the weight checks and the replay see what stepping would have left.
+    Bit patterns, not values, are compared: -0.0 and +0.0 differ, and a
+    non-finite state, which can repeat its bits, is left to the weight
+    checks.
     """
     A = target_matrix(dist, basis)
     v = dist.input_variances
@@ -523,11 +551,11 @@ def train(
     # as the diagonal kernel writes only the diagonals.
     full, rest = divmod(config.max_steps, config.probe_every)
     thetas = np.zeros((1 + full + bool(rest), n, n))
-    multiply, subtract, matmul = np.multiply, np.subtract, _matmul_for(n)
+    multiply, subtract, W1_dot = np.multiply, np.subtract, _matmul_for(W1)
 
     def restart() -> None:
         np.copyto(W, start)
-        matmul(W1, W2, theta)
+        W1_dot(W2, theta)
         subtract(theta, A, E)
 
     def matrix_kernel() -> Callable[[int, int, int], None]:
@@ -536,17 +564,56 @@ def train(
         gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
         # a full-shape eta, for the kernel's reason: the same products, cheaper
         eta = np.full_like(W, config.eta)
+        copyto, tobytes = np.copyto, W.tobytes
+        # the steps taken since restart, the factors' bytes at the last mark
+        # and its step, and once they repeat: the step the orbit was found at
+        # with the factors and product of each of its phases
+        done, mark, marked = 0, tobytes(), 0
+        orbit = None
+
+        def step() -> None:
+            gradients()
+            multiply(eta, grads, grads)
+            subtract(W, grads, W)
+            W1_dot(W2, theta)
+            subtract(theta, A, E)
+
+        def collect(found: int, period: int) -> tuple[int, np.ndarray, np.ndarray]:
+            """Step once around the orbit, collecting each phase's factors and product."""
+            factors, products = np.empty((period, 2, n, n)), np.empty((period, n, n))
+            for phase in range(period):
+                factors[phase], products[phase] = W, theta
+                step()
+            return found, factors, products
 
         def advance(count: int, row: int, rows: int) -> None:
-            for r in range(row, row + rows):
-                for _ in range(count):
-                    gradients()
-                    multiply(eta, grads, grads)
-                    subtract(W, grads, W)
-                    matmul(W1, W2, theta)
-                    subtract(theta, A, E)
-                if r:
-                    np.copyto(thetas[r], theta)
+            nonlocal done, mark, marked, orbit
+            first, r, end = done, row, row + rows
+            while orbit is None and r < end:
+                for done in range(done + 1, done + count + 1):
+                    step()
+                    now = tobytes()
+                    if now == mark and np.isfinite(W).all():
+                        orbit = collect(done, done - marked)
+                        break
+                    if not done % MARK_EVERY:
+                        mark, marked = now, done
+                else:
+                    if r:
+                        copyto(thetas[r], theta)
+                    r += 1
+            if orbit is not None:
+                # step t of the run is at phase (t - found) % period
+                found, factors, products = orbit
+                period = len(factors)
+                if row and r < end:
+                    at = first + count * np.arange(r - row + 1, rows + 1)
+                    thetas[r:end] = products[(at - found) % period]
+                done = first + count * rows
+                phase = (done - found) % period
+                copyto(W, factors[phase])
+                copyto(theta, products[phase])
+                subtract(theta, A, E)
 
         return advance
 
@@ -591,7 +658,7 @@ def train(
             if step % FINITE_CHECK_EVERY == 0 and not np.isfinite(W).all():
                 raise TrainingDiverged(state.step + first_nonfinite())
         # the diagonal kernel moves only W
-        matmul(W1, W2, theta)
+        W1_dot(W2, theta)
         subtract(theta, A, E)
         if not finite():
             raise TrainingDiverged(state.step + first_nonfinite())

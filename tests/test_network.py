@@ -322,7 +322,7 @@ def test_population_gradient_keeps_the_reference_rounding_in_the_subnormal_range
             assert_same_bits(g, w)
 
 
-def reference_train(state, dist, basis, config, probes, record_spectrum):
+def reference_train(state, dist, basis, config, probes, record_spectrum, factors=None):
     """train() as allocating numpy expressions, checking weights and loss after every step.
 
     A ridge anchors the start product.
@@ -330,7 +330,9 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
     Each snapshot holds the step, the training loss, the aligned diagonal and
     off-diagonal norm (None without record_spectrum) and the loss on each
     distribution in probes, by name.  Returns the final factors, the
-    snapshots and the stacked products at the snapshot steps.
+    snapshots and the stacked products at the snapshot steps.  A list passed
+    as factors receives the bytes of the stacked factors at every step, the
+    start state included.
     """
     A = target_matrix(dist, basis)
     v = dist.input_variances
@@ -345,6 +347,8 @@ def reference_train(state, dist, basis, config, probes, record_spectrum):
     anchor = W1 @ W2
     snaps, products = [], []
     for step in range(config.max_steps + 1):
+        if factors is not None:
+            factors.append(np.stack((W1, W2)).tobytes())
         theta = W1 @ W2
         E = theta - A
         loss = data_loss(E, v)
@@ -674,6 +678,88 @@ def test_coordinates_at_a_fixed_point_fill_their_rows_bitwise_as_the_reference_l
         assert_train_is_the_reference_bitwise(state, dist, basis, config)
 
 
+def first_orbit(factors):
+    """(step, period) of the first step whose factors repeat an earlier step's bytes, or None."""
+    seen = {}
+    for step, key in enumerate(factors):
+        if key in seen:
+            return step, step - seen[key]
+        seen[key] = step
+    return None
+
+
+def counting_steps(calls):
+    """A stand-in for network._gradient_kernel whose closures append to calls when they step."""
+    build = network._gradient_kernel
+
+    def counting(*args):
+        gradients = build(*args)
+
+        def counted():
+            calls.append(None)
+            gradients()
+
+        return counted
+
+    return counting
+
+
+def test_dense_orbits_fill_their_rows_bitwise_as_the_reference_loop():
+    # random-basis trainings from the small init end in exact orbits, and
+    # their periods depend on the last bits of the CPU's arithmetic, so the
+    # cases are found from the reference loop's factors, not pinned by seed.
+    # Orbits are entered mid-row and mid-block, and each row after that is
+    # filled from its phase.
+    max_steps = 1_500
+    periods = []
+    for seed, stage, ridge_lambda in itertools.product(range(4), ("pretrain", "posttrain"), (0.0, 0.1)):
+        family = make_reference_family(basis_mode="random", basis_seed=seed)
+        state, dist = init_scaled_identity(6, 12.0, family.basis), family.distribution(stage)
+        config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=1)
+        factors = []
+        want_W1, want_W2, _, want_thetas = reference_train(state, dist, family.basis, config, {}, False, factors)
+        orbit = first_orbit(factors)
+        if orbit is None:
+            continue
+        for probe_every, block in itertools.product((1, 7, 50), (5, 64, 4096)):
+            config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
+            calls = []
+            with mock.patch.object(network, "FINITE_CHECK_EVERY", block), \
+                    mock.patch.object(network, "_gradient_kernel", counting_steps(calls)):
+                final, traj = train(state, dist, family.basis, config)
+            assert_same_bits(final.W1, want_W1)
+            assert_same_bits(final.W2, want_W2)
+            assert_same_bits(traj.thetas, want_thetas[traj.steps])
+        periods.append((orbit[1], len(calls)))
+    # the orbits of period > 1 are the ones whose rows take more than one product
+    assert any(period > 1 and stepped < max_steps for period, stepped in periods), periods
+
+
+def test_a_diverging_dense_run_whose_nan_state_repeats_raises_at_the_reference_step():
+    # the hot state of test_weight_checks_of_any_block_size_leave_every_bit
+    # turns non-finite at step 7, and from step 9 every step returns the same
+    # nan bits; a repeated mark that is not finite is no orbit, and the run
+    # still raises at the step the reference loop names
+    family = make_reference_family(basis_mode="random", basis_seed=3)
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    hot = init_from_spectrum(family.basis, np.full(6, 25.0))
+    with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
+        reference_train(hot, dist, family.basis, TrainConfig(eta=0.05, max_steps=50), {}, False)
+    assert err.value.step == 7
+    state, nan_bits = hot, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(12):
+            G1, G2 = population_gradient(state, dist, family.basis)
+            state = NetworkState(W1=state.W1 - 0.05 * G1, W2=state.W2 - 0.05 * G2)
+            nan_bits.append(np.stack((state.W1, state.W2)).tobytes())
+    assert np.isnan(state.W1).all() and nan_bits[-1] == nan_bits[-2] == nan_bits[-3]
+    for probe_every, block in itertools.product((1, 7, 50), (5, 64, 4096)):
+        config = TrainConfig(eta=0.05, max_steps=10_000, probe_every=probe_every)
+        with mock.patch.object(network, "FINITE_CHECK_EVERY", block), pytest.raises(TrainingDiverged) as err:
+            train(hot, dist, family.basis, config)
+        assert err.value.step == 7
+
+
 def test_the_reference_init_takes_the_diagonal_kernel():
     family = make_reference_family()
     config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=0.1, probe_every=50)
@@ -978,6 +1064,23 @@ def test_a_converged_run_stops_stepping_its_coordinates():
         assert_same_bits(final.W1, converged.W1)
         assert_same_bits(final.W2, converged.W2)
         assert_same_bits(traj.thetas, np.broadcast_to(converged.theta, traj.thetas.shape))
+
+
+def test_a_dense_run_in_an_exact_orbit_stops_stepping():
+    # zero factors are a fixed point of the step in any basis: each factor
+    # gradient is a product with the other, zero, factor, and 0.0 - eta * g
+    # is +0.0 for g = +-0.0; stepping 10,000,000 times takes about 90 s on a
+    # 2-core x86_64 machine
+    family = make_reference_family(basis_mode="random", basis_seed=3)
+    zero = NetworkState(W1=np.zeros((6, 6)), W2=np.zeros((6, 6)))
+    for probe_every in (1_000, 10_000_000):
+        config = TrainConfig(eta=0.02, max_steps=10_000_000, probe_every=probe_every)
+        began = time.perf_counter()
+        final, traj = train(zero, family.distribution("pretrain"), family.basis, config)
+        assert time.perf_counter() - began < 1.0
+        assert_same_bits(final.W1, zero.W1)
+        assert_same_bits(final.W2, zero.W2)
+        assert_same_bits(traj.thetas, np.zeros(traj.thetas.shape))
 
 
 def test_a_non_finite_start_state_diverges_at_step_0():
