@@ -43,7 +43,6 @@ from .frontier import (
 )
 from .network import (
     NetworkState,
-    Snapshot,
     TrainConfig,
     Trajectory,
     aligned_spectrum,
@@ -83,7 +82,6 @@ from .tasks import (
     TaskSpectra,
     build_task_family,
     mix_distributions,
-    validate_assumptions,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PreconditionError, StagelabError
+from .errors import ConfigError, PreconditionError, StagelabError
 from .network import (
     NetworkState,
     TrainConfig,
@@ -42,7 +42,7 @@ from .network import (
     train,
 )
 from .records import format_float
-from .tasks import StageDistribution, TaskFamily, mix_distributions, validate_assumptions
+from .tasks import StageDistribution, TaskFamily, inequality_margins, mix_distributions
 
 # Reference settings and tolerances shared by every check; verify.txt prints
 # them, the first four are also the [verify] defaults and TAU the [init] one.
@@ -471,20 +471,41 @@ def check_forgetting_gap(
 
 
 def check_assumptions(family: TaskFamily, alpha: float = ALPHA) -> CheckReport:
-    """Wrap the structural assumption report as a check.
+    """Which structural premises hold for the family's spectra at mixing weight alpha.
 
-    specialized_mixing_salience is diagnostic only: it is unsatisfiable for
-    any spectra the family validator accepts, so it never gates the result.
+    The shared basis holds by construction, and the magnitude inequalities
+    are the margins TaskSpectra.validate reads.  specialized_mixing_salience
+    is diagnostic only: it is unsatisfiable for any spectra the family
+    validator accepts, so it never gates the result, and its note reports a
+    scan over a 101-point alpha grid.
     """
-    report = validate_assumptions(family.spectra, alpha)
-    salience = report["specialized_mixing_salience"]
-    passed = all(e.holds for e in report.values() if e is not salience)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"mixing weight must lie in [0, 1], got {alpha}")
+    spectra = family.spectra
+    margins = inequality_margins(spectra)
+
+    def salience_margin(a: float) -> float:
+        rhs = (1.0 - a) * spectra.pre_inconsistent + a * spectra.post_inconsistent
+        return float(np.min(a * spectra.specialized_target - rhs))
+
+    holding = [float(a) for a in np.linspace(0.0, 1.0, 101) if salience_margin(float(a)) > 0]
+    if holding:
+        scan = f"holds for {len(holding)}/101 grid points (first at alpha={holding[0]:g})"
+    else:
+        scan = "fails for every alpha in a 101-point grid"
     return CheckReport(
         name="structural_assumptions",
-        passed=passed,
-        measured={name: (e.margin if e.margin is not None else "structural") for name, e in report.items()},
+        passed=all(margin > 0 for _, margin, _ in margins),
+        measured={
+            "shared_spectral_basis": "structural",
+            **{name: margin for name, margin, _ in margins},
+            "specialized_mixing_salience": salience_margin(alpha),
+        },
         thresholds={},
-        notes=(f"specialized_mixing_salience (diagnostic): {salience.detail}",),
+        notes=(
+            "specialized_mixing_salience (diagnostic): alpha * specialized_target must "
+            f"exceed the mixed inconsistent value; {scan}",
+        ),
     )
 
 

@@ -133,38 +133,6 @@ class TrainConfig:
             raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """One recorded step of a trajectory, derived from its product when indexed."""
-
-    step: int
-    train_loss: float
-    aligned_diag: np.ndarray | None
-    aligned_offdiag: float | None
-
-
-class _Snapshots(Sequence):
-    """Trajectory.snapshots: builds a Snapshot only for the rows it is asked for."""
-
-    def __init__(self, trajectory: Trajectory) -> None:
-        self._trajectory = trajectory
-
-    def __len__(self) -> int:
-        return len(self._trajectory.steps)
-
-    def __getitem__(self, index):
-        rows = range(len(self))[index]
-        if isinstance(rows, range):
-            return tuple(self[row] for row in rows)
-        traj = self._trajectory
-        theta = traj.thetas[rows]
-        diag = offdiag = None
-        if traj.spectrum:
-            diag, offdiag = _aligned(theta, traj.basis)
-        (loss,) = _losses([theta], traj.dist, traj.basis)
-        return Snapshot(int(traj.steps[rows]), loss, diag, offdiag)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """The products theta = W1 @ W2 recorded by one training run, with their steps.
@@ -184,8 +152,13 @@ class Trajectory:
     spectrum: bool = True
 
     @property
-    def snapshots(self) -> Sequence[Snapshot]:
-        return _Snapshots(self)
+    def snapshots(self) -> np.ndarray:
+        """The recorded steps, the same array as steps.
+
+        It stays only because bench/spans.py reads len(trajectory.snapshots),
+        and goes when the tracer reads steps instead (ROADMAP item 7).
+        """
+        return self.steps
 
     def losses(self, dist: StageDistribution) -> np.ndarray:
         """Population loss on dist at every recorded step, shape (num_snapshots,)."""
@@ -307,7 +280,7 @@ def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
 def _losses(
     thetas: Sequence[np.ndarray], dist: StageDistribution, basis: SpectralBasis
 ) -> list[float]:
-    """population_loss of each product in thetas, by the same operations."""
+    """The exact expected squared error of each product in thetas on dist."""
     A = target_matrix(dist, basis)
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
@@ -316,9 +289,7 @@ def _losses(
 
 def population_loss(state: NetworkState, dist: StageDistribution, basis: SpectralBasis) -> float:
     """Exact expected squared error of theta on the stage distribution."""
-    A = target_matrix(dist, basis)
-    V = None if basis.is_identity else basis.V
-    return _data_loss(state.theta - A, dist.input_variances, V)
+    return _losses([state.theta], dist, basis)[0]
 
 
 def population_gradient(
@@ -347,14 +318,11 @@ def _offdiag_norm(M: np.ndarray) -> float:
     return math.sqrt(rest.dot(rest))
 
 
-def _aligned(theta: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, float]:
-    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
-    return M.diagonal().copy(), _offdiag_norm(M)
-
-
 def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndarray, float]:
     """(diagonal of U^T theta V, Frobenius norm of the off-diagonal remainder)."""
-    return _aligned(state.theta, basis)
+    theta = state.theta
+    M = theta if basis.is_identity else basis.U.T @ theta @ basis.V
+    return M.diagonal().copy(), _offdiag_norm(M)
 
 
 class _Underflow(Exception):

@@ -110,11 +110,9 @@ class TaskSpectra:
         if np.any(self.pre_inconsistent < 0) or np.any(self.ft_inconsistent < 0):
             raise TaskValidationError("inconsistent spectra must be nonnegative")
 
-        for check in _inequality_checks(self):
-            if not check.holds:
-                raise TaskValidationError(
-                    f"{check.name} violated: {check.detail} (margin {check.margin:+.6g})"
-                )
+        for name, margin, condition in inequality_margins(self):
+            if not margin > 0:
+                raise TaskValidationError(f"{name} violated: {condition} (margin {margin:+.6g})")
 
 
 @dataclass(frozen=True)
@@ -280,11 +278,9 @@ def build_task_family(
     partition: FeaturePartition,
     spectra: TaskSpectra,
     basis: SpectralBasis | None = None,
-    validate: bool = True,
 ) -> TaskFamily:
-    """Assemble a TaskFamily, checking the block inequalities unless told not to."""
-    if validate:
-        spectra.validate(partition)
+    """Assemble a TaskFamily, checking the block inequalities first."""
+    spectra.validate(partition)
     if basis is None:
         basis = SpectralBasis.identity(partition.n)
     if basis.n != partition.n:
@@ -293,19 +289,14 @@ def build_task_family(
     return TaskFamily(partition=partition, spectra=spectra, basis=basis, distributions=dists)
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    holds: bool
-    margin: float | None
-    detail: str
+def inequality_margins(spectra: TaskSpectra) -> tuple[tuple[str, float, str], ...]:
+    """The four magnitude inequalities a valid family must satisfy, as (name, margin, condition).
 
-
-def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:
-    """The four magnitude inequalities a valid family must satisfy, with signed margins."""
+    Each holds when its signed margin is positive.
+    """
     post, gap = spectra.post_inconsistent, spectra.mismatch_gap
     ceiling = max(float(np.max(spectra.pre_inconsistent)), float(np.max(post)), spectra.specialized_target)
-    margins = (
+    return (
         (
             "inconsistent_post_pre_gap",
             float(np.min(post - spectra.pre_inconsistent)) - gap,
@@ -327,53 +318,3 @@ def _inequality_checks(spectra: TaskSpectra) -> list[AssumptionCheck]:
             "invariant teacher values must dominate inconsistent and specialized ones",
         ),
     )
-    return [AssumptionCheck(name, margin > 0, margin, detail) for name, margin, detail in margins]
-
-
-def validate_assumptions(spectra: TaskSpectra, alpha: float) -> dict[str, AssumptionCheck]:
-    """Which structural premises hold for these spectra at mixing weight alpha, by name.
-
-    Unlike TaskSpectra.validate this never raises; it is a diagnostic surface.
-    The specialized_mixing_salience entry is expected to fail for every alpha
-    whenever the magnitude inequalities hold, so it also reports a scan over a
-    101-point alpha grid.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"mixing weight must lie in [0, 1], got {alpha}")
-    entries: list[AssumptionCheck] = []
-
-    entries.append(
-        AssumptionCheck(
-            name="shared_spectral_basis",
-            holds=True,
-            margin=None,
-            detail="all stages share one (U, V) pair by construction",
-        )
-    )
-
-    entries.extend(_inequality_checks(spectra))
-
-    def salience_margin(a: float) -> float:
-        rhs = (1.0 - a) * spectra.pre_inconsistent + a * spectra.post_inconsistent
-        return float(np.min(a * spectra.specialized_target - rhs))
-
-    margin_here = salience_margin(alpha)
-    grid = np.linspace(0.0, 1.0, 101)
-    holding = [float(a) for a in grid if salience_margin(float(a)) > 0]
-    if holding:
-        scan = f"holds for {len(holding)}/101 grid points (first at alpha={holding[0]:g})"
-    else:
-        scan = "fails for every alpha in a 101-point grid"
-    entries.append(
-        AssumptionCheck(
-            name="specialized_mixing_salience",
-            holds=margin_here > 0,
-            margin=margin_here,
-            detail=(
-                "alpha * specialized_target must exceed the mixed inconsistent value; "
-                + scan
-            ),
-        )
-    )
-
-    return {entry.name: entry for entry in entries}

@@ -1,7 +1,5 @@
 """Tests for the verification checks and their failure modes."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from stagelab import (
     StagelabError,
     TrainConfig,
     aligned_spectrum,
-    build_task_family,
     check_assumptions,
     check_forgetting_gap,
     check_frozen_directions,
@@ -89,14 +86,20 @@ def test_sequential_order_follows_the_cross_covariance(family):
 
 
 def test_sequential_order_with_boosted_specialization_reorders_crossings(family):
-    # a tenfold specialized target would fail validation, so bypass it; the
-    # mixed curriculum then carries cross-covariances (5, 4, 2.25, 2.05, 4.5, 4.5)
-    spectra = dataclasses.replace(family.spectra, specialized_target=9.0)
-    boosted = build_task_family(family.partition, spectra, validate=False)
-    mixed = mix_distributions(
-        boosted.distribution("pretrain"), boosted.distribution("posttrain"), 0.5
+    # a tenfold specialized target would fail family validation, so build the
+    # boosted posttrain vectors directly; the mixed curriculum then carries
+    # cross-covariances (5, 4, 2.25, 2.05, 4.5, 4.5)
+    post = family.distribution("posttrain")
+    target = post.target_spectrum.copy()
+    target[family.partition.specialized] = 9.0
+    boosted = StageDistribution(
+        label="posttrain",
+        input_variances=post.input_variances,
+        target_spectrum=target,
+        cross_covariance=post.input_variances * target,
     )
-    report = check_sequential_order(boosted, dist=mixed, steps=2000)
+    mixed = mix_distributions(family.distribution("pretrain"), boosted, 0.5)
+    report = check_sequential_order(family, dist=mixed, steps=2000)
     assert report.passed
     c = {i: report.measured["crossings"][str(i)] for i in range(6)}
     assert c[0] < min(c[4], c[5])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import stagelab.checks
 import stagelab.cli
 import stagelab.pipeline
 import stagelab.records
@@ -517,6 +518,21 @@ def test_verify_failures_exit_3_and_show_notes(tmp_path, capsys):
     row = lines.index("[FAIL] specialized_acquisition")
     assert lines[row + 1].startswith("    least_mixed ")
     assert "<= unlearned_tol 0.001" in lines[row + 1]
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "nan"])
+def test_verify_refuses_a_mixing_weight_outside_the_unit_interval_before_training(
+    tmp_path, capsys, monkeypatch, alpha
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify trained before checking alpha")
+
+    monkeypatch.setattr(stagelab.checks, "train", refuse)
+    cfg = write_ini(tmp_path, f"[verify]\nalpha = {alpha}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mixing weight must lie in [0, 1], got {float(alpha)}\n"
 
 
 # -------------------------------------------------------------- plot/frontier

@@ -16,9 +16,9 @@ from stagelab import (
     TaskSpectra,
     TaskValidationError,
     build_task_family,
+    check_assumptions,
     make_reference_family,
     mix_distributions,
-    validate_assumptions,
 )
 from stagelab.tasks import target_matrix
 
@@ -210,6 +210,8 @@ def test_validator_names_the_violated_inequality():
         reference_spectra(post_inconsistent=np.array([2.9, 3.3])).validate(part)
     with pytest.raises(TaskValidationError, match="specialized_magnitude"):
         reference_spectra(specialized_target=1.0).validate(part)
+    with pytest.raises(TaskValidationError, match="specialized_magnitude"):
+        build_task_family(part, reference_spectra(specialized_target=9.0))
     with pytest.raises(TaskValidationError, match="invariant_dominance"):
         reference_spectra(invariant=np.array([5.0, 3.4])).validate(part)
     with pytest.raises(TaskValidationError, match="invariant spectrum has length 1"):
@@ -220,27 +222,20 @@ def test_validator_names_the_violated_inequality():
         reference_spectra(pre_inconsistent=np.array([-0.1, 0.8])).validate(part)
 
 
-def test_build_family_can_skip_validation():
-    part = FeaturePartition(n=6, k=2)
-    bad = reference_spectra(specialized_target=9.0)
-    with pytest.raises(TaskValidationError):
-        build_task_family(part, bad)
-    family = build_task_family(part, bad, validate=False)
-    assert family.distribution("posttrain").target_spectrum[4] == 9.0
-
-
 def test_assumption_margins_for_the_reference_family():
-    report = validate_assumptions(reference_spectra(), alpha=0.5)
-    assert report["shared_spectral_basis"].holds
-    assert report["inconsistent_post_pre_gap"].margin == pytest.approx(0.5)
-    assert report["inconsistent_post_ft_gap"].margin == pytest.approx(1.0)
-    assert report["specialized_magnitude"].margin == pytest.approx(0.1)
-    assert report["invariant_dominance"].margin == pytest.approx(0.5)
+    report = check_assumptions(make_reference_family(), alpha=0.5)
+    measured = report.measured
+    assert measured["shared_spectral_basis"] == "structural"
+    assert measured["inconsistent_post_pre_gap"] == pytest.approx(0.5)
+    assert measured["inconsistent_post_ft_gap"] == pytest.approx(1.0)
+    assert measured["specialized_magnitude"] == pytest.approx(0.1)
+    assert measured["invariant_dominance"] == pytest.approx(0.5)
 
-    salience = report["specialized_mixing_salience"]
-    assert not salience.holds
-    assert salience.margin == pytest.approx(0.45 - 2.25)
-    assert "fails for every alpha in a 101-point grid" in salience.detail
+    assert measured["specialized_mixing_salience"] == pytest.approx(0.45 - 2.25)
+    assert report.notes == (
+        "specialized_mixing_salience (diagnostic): alpha * specialized_target must exceed "
+        "the mixed inconsistent value; fails for every alpha in a 101-point grid",
+    )
 
 
 @given(alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -248,9 +243,9 @@ def test_assumption_margins_for_the_reference_family():
 def test_salience_never_holds_when_magnitudes_are_valid(alpha):
     # alpha * specialized_target < mismatch_gap / 2 <= mixed inconsistent value,
     # so the salience premise is unsatisfiable for any mixing weight.
-    spectra = reference_spectra()
-    report = validate_assumptions(spectra, alpha)
-    assert not report["specialized_mixing_salience"].holds
+    report = check_assumptions(make_reference_family(), alpha)
+    assert report.passed
+    assert not report.measured["specialized_mixing_salience"] > 0
 
 
 def test_family_distribution_unknown_stage():
