@@ -22,7 +22,10 @@ apply to the diagonal entries, and it hands a run whose product underflows
 back to the matrix kernel.  A coordinate whose step returns both factors
 with the same bit patterns is at a fixed point, since the step is a
 deterministic function of them, and _diagonal_kernel stops stepping it and
-writes its product into the rows still to record.  Every other state, and
+writes its product into the rows still to record.  The products of such a
+run are +0.0 off the diagonal, so its Trajectory stores only their
+diagonals, one row of n per snapshot, and builds the whole products when
+they are asked for.  Every other state, and
 every state in a random basis, takes the matrix kernel, _gradient_kernel
 stepped in numpy.  Its rule is the same for the whole matrix: once the
 factors return to the bit patterns of an earlier step, the run is an exact
@@ -137,16 +140,20 @@ class TrainConfig:
 class Trajectory:
     """The products theta = W1 @ W2 recorded by one training run, with their steps.
 
-    Row s of thetas is the product after steps[s] steps; the first and last
-    states are always recorded.  Every other column is derived on access by
-    the operations train() used to evaluate at each snapshot, so the values
-    are bitwise theirs: losses(dist) on any stage distribution, train_losses
-    on the training one, and, when the run recorded its spectrum, the
-    aligned diagonals() and offdiags().
+    Row s of products is the product after steps[s] steps; the first and last
+    states are always recorded.  A run on the diagonal kernel stores only
+    the products' diagonals, shape (num_snapshots, n), since every entry off
+    them is +0.0; every other run stores the products, shape
+    (num_snapshots, n, n).  thetas is the products in the second shape
+    either way.  Every other column is derived on access by the operations
+    train() used to evaluate at each snapshot, so the values are bitwise
+    theirs: losses(dist) on any stage distribution, train_losses on the
+    training one, and, when the run recorded its spectrum, the aligned
+    diagonals() and offdiags().
     """
 
     steps: np.ndarray
-    thetas: np.ndarray
+    products: np.ndarray
     basis: SpectralBasis
     dist: StageDistribution
     spectrum: bool = True
@@ -156,9 +163,23 @@ class Trajectory:
         """The recorded steps, the same array as steps.
 
         It stays only because bench/spans.py reads len(trajectory.snapshots),
-        and goes when the tracer reads steps instead (ROADMAP item 7).
+        and goes when the tracer reads steps instead (ROADMAP item 8).
         """
         return self.steps
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """The recorded products, shape (num_snapshots, n, n), read-only.
+
+        A diagonal run's are built on each access, with +0.0 off the diagonal.
+        """
+        if self.products.ndim == 3:
+            return self.products
+        rows, n = self.products.shape
+        thetas = np.zeros((rows, n, n))
+        thetas.reshape(rows, n * n)[:, :: n + 1] = self.products
+        thetas.flags.writeable = False
+        return thetas
 
     def losses(self, dist: StageDistribution) -> np.ndarray:
         """Population loss on dist at every recorded step, shape (num_snapshots,)."""
@@ -169,24 +190,37 @@ class Trajectory:
         return self.losses(self.dist)
 
     def _frames(self) -> np.ndarray:
-        """The products in the aligned frame U^T theta V, one row per snapshot."""
+        """The products in the aligned frame U^T theta V, one row per snapshot.
+
+        A diagonal run's rows are its diagonals, as it is in the identity basis.
+        """
         if not self.spectrum:
             raise StagelabError("trajectory was recorded without aligned spectra")
         if self.basis.is_identity:
-            return self.thetas
+            return self.products
         U, V = self.basis.U, self.basis.V
-        frames = np.empty_like(self.thetas)
-        for theta, M in zip(self.thetas, frames):
+        frames = np.empty_like(self.products)
+        for theta, M in zip(self.products, frames):
             np.matmul(U.T @ theta, V, out=M)
         return frames
 
     def diagonals(self) -> np.ndarray:
-        """Stacked aligned diagonals, shape (num_snapshots, n)."""
-        return np.diagonal(self._frames(), axis1=1, axis2=2).copy()
+        """Stacked aligned diagonals, shape (num_snapshots, n).
+
+        A diagonal run's are its stored products, returned read-only.
+        """
+        frames = self._frames()
+        if frames.ndim == 2:
+            return frames
+        return np.diagonal(frames, axis1=1, axis2=2).copy()
 
     def offdiags(self) -> np.ndarray:
         """Frobenius norm of each aligned product's off-diagonal part, shape (num_snapshots,)."""
-        return np.array([_offdiag_norm(M) for M in self._frames()])
+        frames = self._frames()
+        if frames.ndim == 2:
+            # the norm of +0.0 entries, as _offdiag_norm takes it, is +0.0
+            return np.zeros(len(frames))
+        return np.array([_offdiag_norm(M) for M in frames])
 
 
 def _matmul_for(a: np.ndarray) -> Callable[..., np.ndarray]:
@@ -348,7 +382,7 @@ def _product(x: float, y: float) -> float:
 
 
 def _diagonal_kernel(
-    W: np.ndarray, thetas: np.ndarray, A: np.ndarray, v: np.ndarray, config: TrainConfig
+    W: np.ndarray, diagonals: np.ndarray, A: np.ndarray, v: np.ndarray, config: TrainConfig
 ) -> Callable[[int, int, int], None]:
     """train()'s update for a diagonal state in the identity basis, in Python floats.
 
@@ -365,8 +399,8 @@ def _diagonal_kernel(
       zero terms, starting from +0.0, so it is x * y + 0.0: the rounded
       product when that is nonzero, and +0.0 when a factor is zero, where the
       plain product can be -0.0 (0.0 * -3.0).  An entry off the diagonal sums
-      only zeros and is +0.0, so the factors stay diagonal and the recorded
-      products are +0.0 there.
+      only zeros and is +0.0, so the factors stay diagonal and the products
+      are +0.0 there, which is why only their diagonals are recorded.
     - The exception is a product of two nonzero factors that underflows to
       -0.0.  A fused multiply-add onto +0.0 keeps it (the exact sum is
       negative), so the entry is -0.0 or +0.0 depending on whether the BLAS
@@ -393,20 +427,19 @@ def _diagonal_kernel(
       and the next w1 is +0.0, which == accepts as -0.0.
 
     Returns train()'s advance(count, row, rows), which writes the factors
-    back into W and the products' diagonals into thetas, whose other entries
-    must already be +0.0.  The ridge anchors the start product, as in the
+    back into W and the products' diagonals into the rows of diagonals,
+    shape (num_snapshots, n).  The ridge anchors the start product, as in the
     matrix kernel.
     """
     n = W.shape[1]
     nn = n * n
     factors = memoryview(W.reshape(-1))
-    products = memoryview(thetas.reshape(-1))
+    products = memoryview(diagonals.reshape(-1))
     eta = float(config.eta)
     ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
     repeat, copysign, isfinite = itertools.repeat, math.copysign, math.isfinite
     # per coordinate: its target, variance, ridge anchor, index, flat offsets
-    # in W, which are also its diagonal offset in W1 and in every product, and
-    # its product once it is at a fixed point, None until then
+    # in W, and its product once it is at a fixed point, None until then
     coords = []
     for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
         k1, k2 = i * (n + 1), nn + i * (n + 1)
@@ -456,13 +489,13 @@ def _diagonal_kernel(
                         w1, w2 = u1, u2
                     else:
                         if row:
-                            products[k1 + r * nn] = _product(w1, w2)
+                            products[i + r * n] = _product(w1, w2)
                         r += 1
                         continue
                     break
                 factors[k1], factors[k2] = w1, w2
             if row and r < end:
-                thetas[r:end, i, i] = coord[-1]
+                diagonals[r:end, i] = coord[-1]
 
     return advance
 
@@ -477,23 +510,26 @@ def train(
     """Run max_steps of full-batch gradient descent, recording theta every probe_every steps.
 
     The first and final products are always recorded, into one preallocated
-    (num_snapshots, n, n) array; the Trajectory derives losses and spectra
-    from it on access.  record_spectrum=False makes its aligned diagonals and
-    off-diagonal norms unavailable.  A ridge anchors the start product, the
-    trajectory's first row.  The run raises TrainingDiverged at the first
-    step whose weights or training loss are not finite (finite weights can
-    still overflow the loss).
+    array; the Trajectory derives losses and spectra from it on access.
+    record_spectrum=False makes its aligned diagonals and off-diagonal norms
+    unavailable.  A ridge anchors the start product, the trajectory's first
+    row.  The run raises TrainingDiverged at the first step whose weights or
+    training loss are not finite (finite weights can still overflow the
+    loss).
 
     A start state in the identity basis whose factors are diagonal (every
     off-diagonal entry +0.0) stays diagonal, and _diagonal_kernel steps it
-    per coordinate in Python floats; every other state takes the matrix
-    kernel.  Both give the same bits.
+    per coordinate in Python floats, recording only the products' diagonals
+    into a (num_snapshots, n) array.  Every other state takes the matrix
+    kernel and records the products into a (num_snapshots, n, n) array, and
+    so does a diagonal run whose product underflows, which starts again on
+    it.  Both kernels give the same bits.
 
     The matrix kernel takes the factors' bytes as a mark every MARK_EVERY
     steps and compares the bytes after each later step with it.  When they
     match and the factors are finite, the run is periodic with the period p
     of steps since the mark: given the run's constants (target, variances,
-    basis, eta, 2 lambda and the anchor thetas[0]) a step is a deterministic
+    basis, eta, 2 lambda and the start product) a step is a deterministic
     function of the factors.  The kernel then steps p more times to collect
     the p phases, which brings the factors back to the same bits, and stops
     stepping: each later recorded row takes its phase's product, and the
@@ -512,24 +548,28 @@ def train(
     n = state.n
     W = np.empty((2, n, n))
     W1, W2 = W
-    theta, E = np.empty((2, n, n))
+    # the ridge anchor is the start product, which restart() writes
+    theta, E, anchor = np.empty((3, n, n))
     start = np.stack((state.W1, state.W2))
-    # a snapshot every probe_every steps and one after the last; the step
-    # numbers are only built for a run that returns.  The array is zeroed,
-    # as the diagonal kernel writes only the diagonals.
+    diagonal = basis.is_identity and _off_diagonals_are_zero(np.concatenate((start, A[None])))
+    # a snapshot every probe_every steps and one after the last, each row
+    # written by the run; the step numbers are only built for a run that
+    # returns.  The closures below read products when they run, so the
+    # matrix kernel's rerun after _Underflow records into its own array.
     full, rest = divmod(config.max_steps, config.probe_every)
-    thetas = np.zeros((1 + full + bool(rest), n, n))
+    num_snapshots = 1 + full + bool(rest)
+    products = np.empty((num_snapshots, n) if diagonal else (num_snapshots, n, n))
     multiply, subtract, W1_dot = np.multiply, np.subtract, _matmul_for(W1)
 
     def restart() -> None:
         np.copyto(W, start)
         W1_dot(W2, theta)
+        np.copyto(anchor, theta)
         subtract(theta, A, E)
 
     def matrix_kernel() -> Callable[[int, int, int], None]:
         grads = np.empty_like(W)
-        # the ridge anchor is thetas[0], the start product, recorded before any step
-        gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, thetas[0], grads)
+        gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, anchor, grads)
         # a full-shape eta, for the kernel's reason: the same products, cheaper
         eta = np.full_like(W, config.eta)
         copyto, tobytes = np.copyto, W.tobytes
@@ -548,11 +588,11 @@ def train(
 
         def collect(found: int, period: int) -> tuple[int, np.ndarray, np.ndarray]:
             """Step once around the orbit, collecting each phase's factors and product."""
-            factors, products = np.empty((period, 2, n, n)), np.empty((period, n, n))
+            factors, thetas = np.empty((period, 2, n, n)), np.empty((period, n, n))
             for phase in range(period):
-                factors[phase], products[phase] = W, theta
+                factors[phase], thetas[phase] = W, theta
                 step()
-            return found, factors, products
+            return found, factors, thetas
 
         def advance(count: int, row: int, rows: int) -> None:
             nonlocal done, mark, marked, orbit
@@ -568,19 +608,19 @@ def train(
                         mark, marked = now, done
                 else:
                     if r:
-                        copyto(thetas[r], theta)
+                        copyto(products[r], theta)
                     r += 1
             if orbit is not None:
                 # step t of the run is at phase (t - found) % period
-                found, factors, products = orbit
+                found, factors, thetas = orbit
                 period = len(factors)
                 if row and r < end:
                     at = first + count * np.arange(r - row + 1, rows + 1)
-                    thetas[r:end] = products[(at - found) % period]
+                    products[r:end] = thetas[(at - found) % period]
                 done = first + count * rows
                 phase = (done - found) % period
                 copyto(W, factors[phase])
-                copyto(theta, products[phase])
+                copyto(theta, thetas[phase])
                 subtract(theta, A, E)
 
         return advance
@@ -605,7 +645,7 @@ def train(
         product into the next row from row on; a row of 0 records nothing.
         """
         restart()
-        np.copyto(thetas[0], theta)
+        products[0] = theta if products.ndim == 3 else theta.diagonal()
         advance = kernel()
         every, last = config.probe_every, config.max_steps
         step, row = 0, 1
@@ -641,18 +681,21 @@ def train(
     # too.  Overflow is caught that way, so numpy's own warning about it is
     # noise on a run that is about to raise anyway.
     with np.errstate(over="ignore", invalid="ignore"):
-        if basis.is_identity and _off_diagonals_are_zero(np.concatenate((start, A[None]))):
+        if diagonal:
             try:
-                run(lambda: _diagonal_kernel(W, thetas, A, v, config))
+                run(lambda: _diagonal_kernel(W, products, A, v, config))
             except _Underflow:
+                products = np.empty((num_snapshots, n, n))
                 run(matrix_kernel)
         else:
             run(matrix_kernel)
 
-    steps = np.append(np.arange(0, config.max_steps, config.probe_every), config.max_steps)
-    steps.flags.writeable = thetas.flags.writeable = False
+    steps = np.arange(num_snapshots)
+    steps *= config.probe_every
+    steps[-1] = config.max_steps
+    steps.flags.writeable = products.flags.writeable = False
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
-    return final_state, Trajectory(steps, thetas, basis, dist, record_spectrum)
+    return final_state, Trajectory(steps, products, basis, dist, record_spectrum)
 
 
 def derived_diag_step(

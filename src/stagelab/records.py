@@ -43,23 +43,24 @@ CSV_COLUMNS = (
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; always parses back to the same float."""
+    s = "%.17g" % x
+    if "." in s or "e" in s:
+        return s
+    # %g writes inf and nan without a point or an exponent
     if not math.isfinite(x):
         raise ValueError(f"records only hold finite floats, got {x}")
-    s = "%.17g" % x
-    if not any(c in s for c in ".eE"):
-        s += ".0"  # keep the value a float on the JSON side
-    return s
+    return s + ".0"  # keep the value a float on the JSON side
 
 
 def _json_value(v: Any) -> str:
+    if isinstance(v, float):
+        return format_float(v)
     if v is None:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return format_float(v)
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (list, tuple)):

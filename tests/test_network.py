@@ -763,6 +763,73 @@ def test_the_reference_init_takes_the_diagonal_kernel():
     assert built.call_count == 1
 
 
+def assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, probes):
+    """A trajectory's products, losses and spectra against reference_train's, by bit pattern."""
+    assert_same_bits(traj.thetas, want_thetas)
+    assert_same_bits(traj.train_losses, np.array([loss for _, loss, *_ in want_snaps]))
+    for name, probe in probes.items():
+        assert_same_bits(traj.losses(probe), np.array([losses[name] for *_, losses in want_snaps]))
+    assert_same_bits(traj.diagonals(), np.stack([diag for _, _, diag, _, _ in want_snaps]))
+    assert_same_bits(traj.offdiags(), np.array([offdiag for _, _, _, offdiag, _ in want_snaps]))
+
+
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.1])
+def test_a_diagonal_trajectory_derives_every_column_bitwise_as_the_reference_loop(ridge_lambda):
+    # the reference init stores its products as diagonals, and thetas, the
+    # losses on all three stage distributions and the spectra match the
+    # reference loop's products, +0.0 off the diagonal, bit for bit
+    family = make_reference_family()
+    probes = {stage: family.distribution(stage) for stage in ("pretrain", "posttrain", "finetune")}
+    for stage, probe_every, max_steps in (("pretrain", 1, 300), ("posttrain", 7, 1000), ("finetune", 50, 123)):
+        config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
+        state, dist = init_scaled_identity(6, 12.0), probes[stage]
+        _, _, want_snaps, want_thetas = reference_train(state, dist, family.basis, config, probes, True)
+        _, traj = train(state, dist, family.basis, config)
+        assert traj.products.shape == (len(want_snaps), 6)
+        assert not traj.thetas.flags.writeable and not traj.diagonals().flags.writeable
+        assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, probes)
+        _, blind = train(state, dist, family.basis, config, record_spectrum=False)
+        assert_same_bits(blind.products, traj.products)
+        for column in (blind.diagonals, blind.offdiags):
+            with pytest.raises(StagelabError, match="without aligned spectra"):
+                column()
+
+
+def test_an_underflowing_diagonal_run_records_the_whole_products():
+    # the rerun on the matrix kernel stores (num_snapshots, n, n) products,
+    # and its columns are those of the reference loop
+    for n, probe_every in ((1, 1), (2, 2), (6, 1)):
+        d1, d2 = [0.5] * n, [0.5] * n
+        d1[-1], d2[-1] = -1e-200, 1e-200
+        state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
+        config = TrainConfig(eta=0.02, max_steps=5, probe_every=probe_every)
+        _, _, want_snaps, want_thetas = reference_train(state, dist, basis, config, {"dist": dist}, True)
+        with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+            _, traj = train(state, dist, basis, config)
+        assert built.called
+        assert traj.products.shape == (len(want_snaps), n, n)
+        assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, {"dist": dist})
+
+
+def test_a_diverging_diagonal_run_replays_to_the_reference_step_with_its_ridge():
+    # the replay runs the matrix kernel, whose ridge anchors the start
+    # product, not the first row of a diagonal run's products
+    family = make_reference_family()
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    hot = init_from_spectrum(family.basis, np.full(6, 25.0))
+    config = TrainConfig(eta=0.05, max_steps=50, ridge_lambda=0.3, probe_every=1)
+    with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
+        reference_train(hot, dist, family.basis, config, {}, False)
+    assert err.value.step == 7
+    for block in (1, 5, 16, 4096):
+        with mock.patch.object(network, "FINITE_CHECK_EVERY", block), \
+                mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built, \
+                pytest.raises(TrainingDiverged) as err:
+            train(hot, dist, family.basis, config)
+        assert built.called
+        assert err.value.step == 7
+
+
 def test_scalar_rules_share_fixed_points():
     assert derived_diag_step(2.0, 1.0, 2.0, 0.01) == 2.0
     assert derived_diag_step(0.0, 1.0, 2.0, 0.01) == 0.0
@@ -957,9 +1024,11 @@ def test_a_trajectory_holds_one_array_of_products():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the products alone are 40,001 * 36 doubles = 11.5 MB
+    # a diagonal run stores only the products' diagonals, 40,001 * 6 doubles
+    # = 1.9 MB, where the whole products would be 11.5 MB
+    assert traj.products.shape == (40_001, 6)
     assert traj.thetas.shape == (40_001, 6, 6)
-    assert peak <= 13e6
+    assert peak <= 2.5e6
     diags = traj.diagonals()
     for i in range(6):
         np.testing.assert_array_equal(diags[:, i], traj.thetas[:, i, i])

@@ -50,6 +50,38 @@ def test_format_float_round_trips_any_finite_float(x):
     assert float(format_float(x)) == x
 
 
+def generator_scan_format_float(x):
+    """The reference form of format_float: check finiteness, then scan the text for any of ".eE"."""
+    if not math.isfinite(x):
+        raise ValueError(f"records only hold finite floats, got {x}")
+    s = "%.17g" % x
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+@given(
+    st.one_of(
+        st.floats(),
+        st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+        st.floats(min_value=1e16, max_value=1e18),
+        st.floats(min_value=-1e18, max_value=-1e16),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e17, math.inf, -math.inf, math.nan]),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_format_float_writes_the_bytes_of_the_generator_scan(x):
+    # signed zeros, subnormals, integral values around 1e16 where %g switches
+    # to an exponent, and inf and nan, which both forms refuse
+    try:
+        want = generator_scan_format_float(x)
+    except ValueError:
+        with pytest.raises(ValueError, match="finite"):
+            format_float(x)
+        return
+    assert format_float(x) == want
+
+
 def test_dumps_record_preserves_insertion_order_and_types():
     line = dumps_record(
         {"b": 1, "a": 2.0, "flag": True, "none": None, "name": "x y", "seq": [1.5, 2]}
