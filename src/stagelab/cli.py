@@ -6,6 +6,10 @@ verify (behavioral checks), plot (frontier SVG), frontier (frontier CSV).
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure
 (divergence or a failed check).  The output directory defaults to the
 STAGELAB_OUT environment variable, then ./stagelab-out.
+
+Sweeps run serially.  --threads is still parsed and must be at least 1, but
+it changes nothing and is left out of --help: the benchmark passes it on
+every command.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .records import (
     write_records,
 )
 from .svgplot import render_frontier_svg
+from .tasks import TaskFamily
 
 RUNS_FILE = "runs.jsonl"
 SWEEP_CSV = "sweep.csv"
@@ -52,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", default=None, help="INI config file")
     parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in run provenance")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="run one pretrain/posttrain/finetune pipeline")
     sub.add_parser("sweep", help="run the configured hyperparameter grid (resumable)")
@@ -102,19 +107,22 @@ def _family_settings(lines: list) -> dict[str, str]:
     return settings
 
 
-def _claim_family(out: str, cfg: ExperimentConfig) -> None:
-    """Refuse an --out whose family.json holds other [task] or [init] settings; write it if absent.
+def _claim_family(out: str, cfg: ExperimentConfig) -> TaskFamily:
+    """The config's task family, once the --out is known to hold no runs of another.
 
+    Refuses an --out whose family.json holds other [task] or [init] settings.
     A directory without the file, whatever records it holds, is taken to
-    belong to the current config.
+    belong to the current config; the file is written only once the family
+    has built, so a refused family claims nothing.
     """
     path = os.path.join(out, FAMILY_JSON)
     lines = cfg.canonical_lines(FAMILY_SECTIONS)
     if not os.path.exists(path):
+        family = cfg.task_family()
         with open(path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(lines, indent=1) + "\n")
         os.replace(path + ".tmp", path)  # a cut write leaves no damaged file behind
-        return
+        return family
     try:
         with open(path, encoding="utf-8") as fh:
             recorded = json.load(fh)
@@ -128,6 +136,7 @@ def _claim_family(out: str, cfg: ExperimentConfig) -> None:
                 f"{out} holds runs of {key} = {recorded.get(key, '(unset)')}, "
                 f"but the config gives {given.get(key, '(unset)')}; use a fresh --out"
             )
+    return cfg.task_family()
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -136,8 +145,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     run_id = make_run_id(*plans)
     runs_path = os.path.join(out, RUNS_FILE)
     recorded = _recorded_runs(runs_path, [(run_id, plans)])
-    _claim_family(out, cfg)
-    run = run_pipeline(cfg.task_family(), plans, cfg.init_state(), run_id=run_id)
+    family = _claim_family(out, cfg)
+    run = run_pipeline(family, plans, cfg.init_state(), run_id=run_id)
     # the sweep's resume rule: a run id already on record is not written twice
     if run.run_id not in recorded:
         record = pipeline_run_record(run, seed=args.seed, config_hash=stable_hash(cfg.canonical()))
@@ -164,11 +173,11 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = _out_dir(args)
     runs_path = os.path.join(out, RUNS_FILE)
     by_id = _recorded_runs(runs_path, zip(run_ids, tasks))
-    _claim_family(out, cfg)
+    family = _claim_family(out, cfg)
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in by_id]
     config_hash = stable_hash(cfg.canonical())
     new_records = []
-    for run in run_sweep(cfg.task_family(), cfg.init_state(), todo, threads=args.threads):
+    for run in run_sweep(family, cfg.init_state(), todo):
         record = pipeline_run_record(run, seed=args.seed, config_hash=config_hash)
         # one append per run, so an interrupted sweep keeps every finished run
         write_records(runs_path, [record], append=True)

@@ -72,6 +72,21 @@ DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
     },
 }
 
+# The keys every config hash and family.json list, whatever their values.  A key
+# added since is listed only when its value differs from its default, so adding
+# one leaves every existing config_hash, family.json and resume as it was.
+HASHED_KEYS: dict[str, tuple[str, ...]] = {
+    "task": ("n", "k", "invariant", "pre_inconsistent", "post_inconsistent", "ft_inconsistent",
+             "specialized_target", "mismatch_gap", "basis", "basis_seed"),
+    "init": ("tau",),
+    "pretrain": ("steps", "eta", "mix_fraction"),
+    "posttrain": ("steps", "eta", "ridge_lambda", "replay_fraction"),
+    "finetune": ("steps", "eta"),
+    "sweep": ("mix_fractions", "eta2", "eta3", "steps2", "steps3", "ridge_lambda", "replay_fraction"),
+    "verify": ("alpha", "epsilon", "literal_inconsistent", "acquisition_steps", "routing_steps"),
+    "report": ("projection",),
+}
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -108,6 +123,8 @@ class ExperimentConfig:
         t = self.values["task"]
         partition = FeaturePartition(n=t["n"], k=t["k"])
         spectra = TaskSpectra(**{f.name: t[f.name] for f in fields(TaskSpectra)})
+        # before the basis, whose n×n arrays a bad [task] n would make huge
+        spectra.validate(partition)
         basis = SpectralBasis.from_mode(t["basis"], partition.n, t["basis_seed"])
         return build_task_family(partition, spectra, basis=basis)
 
@@ -138,9 +155,18 @@ class ExperimentConfig:
         return self.values["report"]["projection"]
 
     def canonical_lines(self, sections: Iterable[str] | None = None) -> list[str]:
-        """Sorted section.key=value lines of every section, or of the given ones."""
+        """Sorted section.key=value lines of every section, or of the given ones.
+
+        A key outside HASHED_KEYS has a line only when its value's text differs
+        from its default's.
+        """
         chosen = sorted(self.values if sections is None else sections)
-        return [f"{s}.{key}={self.values[s][key]!r}" for s in chosen for key in sorted(self.values[s])]
+        return [
+            f"{s}.{key}={value!r}"
+            for s in chosen
+            for key, value in sorted(self.values[s].items())
+            if key in HASHED_KEYS.get(s, ()) or repr(value) != repr(DEFAULTS[s][key][1])
+        ]
 
     def canonical(self) -> str:
         """Stable text form used for config hashing."""

@@ -18,7 +18,6 @@ The metrics recorded per run:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -234,29 +233,20 @@ def run_sweep(
     family: TaskFamily,
     init_state: NetworkState,
     tasks: Iterable[Sequence[StagePlan]],
-    threads: int = 1,
 ) -> Iterator[PipelineRun]:
     """Run each (stage-1, stage-2, stage-3) plan triple, yielding the runs in task order.
 
-    Stage-1 training depends only on the stage-1 plan, so its checkpoint is
-    computed once per distinct plan, before any worker starts, and shared
-    (bitwise identical to rerunning it).  With threads > 1 the later stages
-    run on a thread pool.  Each run is yielded as soon as it and every run
-    before it have completed, so a caller can record it before the next one
-    finishes.  Diverged runs are yielded with their failure marked; the sweep
-    itself never aborts.
+    Every task's plans are checked before any training.  Stage-1 training
+    depends only on the stage-1 plan, so its checkpoint is computed the first
+    time a task needs it and shared by every later task with that plan
+    (bitwise identical to rerunning it).  Each run is yielded as soon as it
+    completes, so a caller can record it before the next one starts.
+    Diverged runs are yielded with their failure marked; the sweep itself
+    never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
     pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
-    for plan1, _, _ in tasks:
-        if plan1 not in pretrained:
-            pretrained[plan1] = _pretrain(family, plan1, init_state)
-
-    def execute(plans: tuple[StagePlan, StagePlan, StagePlan]) -> PipelineRun:
-        return continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans))
-
-    if threads > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(execute, tasks)
-    else:
-        yield from map(execute, tasks)
+    for plans in tasks:
+        if plans[0] not in pretrained:
+            pretrained[plans[0]] = _pretrain(family, plans[0], init_state)
+        yield continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans))

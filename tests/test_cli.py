@@ -16,6 +16,7 @@ import stagelab.checks
 import stagelab.cli
 import stagelab.pipeline
 import stagelab.records
+import stagelab.tasks
 from stagelab.cli import main
 from stagelab.records import read_records
 
@@ -266,6 +267,29 @@ def test_a_sweep_killed_mid_grid_keeps_its_finished_runs(tmp_path, monkeypatch, 
         assert (killed / name).read_bytes() == (straight / name).read_bytes()
 
 
+def test_a_sweep_killed_in_its_second_pretraining_keeps_the_first_plans_runs(tmp_path, monkeypatch):
+    # each stage-1 plan trains when its first task runs, so the default grid's
+    # 15 mix-0 runs are on file before the mixed pretraining starts
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert main(["--out", str(straight), "sweep"]) == 0
+    original = stagelab.pipeline.train
+
+    def dies_in_mixed_pretraining(state, dist, *args, **kwargs):
+        if dist.label.startswith("mix(pretrain"):
+            raise RuntimeError("killed")
+        return original(state, dist, *args, **kwargs)
+
+    monkeypatch.setattr(stagelab.pipeline, "train", dies_in_mixed_pretraining)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["--out", str(killed), "sweep"])
+    monkeypatch.undo()
+    kept = read_records(killed / "runs.jsonl")
+    assert len(kept) == 15 and {rec["mix_fraction"] for rec in kept} == {0.0}
+    assert main(["--out", str(killed), "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+
+
 def test_a_torn_last_record_is_dropped_and_the_resume_converges(tmp_path, capsys):
     cfg = write_ini(tmp_path, SWEEP_INI)
     straight, torn = tmp_path / "straight", tmp_path / "torn"
@@ -428,6 +452,29 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert main(["--out", str(out), "--threads", threads, "sweep"]) == 2
     assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
     assert not out.exists()
+
+
+def test_help_does_not_list_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--out" in out and "--threads" not in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_spectra_that_do_not_fit_n_exit_2_before_the_basis_is_built(tmp_path, monkeypatch, capsys, command):
+    # a basis for n = 1000000 would take terabytes
+    def no_basis(*args, **kwargs):
+        raise AssertionError("built the basis before checking the spectra")
+
+    monkeypatch.setattr(stagelab.tasks.SpectralBasis, "from_mode", no_basis)
+    cfg = write_ini(tmp_path, "[task]\nn = 1000000\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == "error: invariant spectrum has length 2, partition wants 999996\n"
+    # the refused family does not claim the --out for later runs
+    assert not (out / "family.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "plot", "frontier"])

@@ -11,8 +11,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from stagelab import checks, network, pipeline
+from stagelab import checks, config, network, pipeline
 from stagelab.cli import main
+from stagelab.records import read_records
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 # verify.txt with [verify] literal_inconsistent = true, which adds the
@@ -61,3 +62,28 @@ def test_literal_mode_verify_matches_its_pinned_hash(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
     capsys.readouterr()
     assert hashlib.sha256((out / "verify.txt").read_bytes()).hexdigest() == LITERAL_VERIFY_SHA256
+
+
+def test_a_key_added_at_its_default_keeps_every_hash_and_family_file(tmp_path, capsys, monkeypatch):
+    golden = json.loads(GOLDEN.read_text())
+    pinned = {**golden["default"], "verify.txt": golden["verify.txt"]}
+    plain = tmp_path / "plain"
+    assert main(["--out", str(plain), "simulate"]) == 0
+
+    monkeypatch.setitem(config.DEFAULTS["task"], "coupling", ("float", 0.0))
+    out = tmp_path / "out"
+    for command in ("simulate", "sweep", "plot", "frontier", "verify"):
+        assert main(["--out", str(out), command]) == 0, command
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+    assert got == pinned
+    assert (out / "family.json").read_bytes() == (plain / "family.json").read_bytes()
+
+    # off its default, the key enters config_hash and family.json
+    cfg = tmp_path / "coupled.ini"
+    cfg.write_text("[task]\ncoupling = 0.5\n")
+    coupled = tmp_path / "coupled"
+    assert main(["--config", str(cfg), "--out", str(coupled), "simulate"]) == 0
+    capsys.readouterr()
+    hashes = [read_records(d / "runs.jsonl")[0]["config_hash"] for d in (plain, coupled)]
+    assert hashes[0] != hashes[1]
+    assert "task.coupling=0.5" in json.loads((coupled / "family.json").read_text())
