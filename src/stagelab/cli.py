@@ -146,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     runs_path = os.path.join(out, RUNS_FILE)
     recorded = _recorded_runs(runs_path, [(run_id, plans)])
     family = _claim_family(out, cfg)
-    run = run_pipeline(family, plans, cfg.init_state(), run_id=run_id)
+    run = run_pipeline(family, plans, cfg.init_state(family), run_id=run_id)
     # the sweep's resume rule: a run id already on record is not written twice
     if run.run_id not in recorded:
         record = pipeline_run_record(run, seed=args.seed, config_hash=stable_hash(cfg.canonical()))
@@ -177,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     todo = [plans for plans, run_id in zip(tasks, run_ids) if run_id not in by_id]
     config_hash = stable_hash(cfg.canonical())
     new_records = []
-    for run in run_sweep(family, cfg.init_state(), todo):
+    for run in run_sweep(family, cfg.init_state(family), todo):
         record = pipeline_run_record(run, seed=args.seed, config_hash=config_hash)
         # one append per run, so an interrupted sweep keeps every finished run
         write_records(runs_path, [record], append=True)

@@ -128,8 +128,10 @@ class ExperimentConfig:
         basis = SpectralBasis.from_mode(t["basis"], partition.n, t["basis_seed"])
         return build_task_family(partition, spectra, basis=basis)
 
-    def init_state(self) -> NetworkState:
-        family = self.task_family()
+    def init_state(self, family: TaskFamily | None = None) -> NetworkState:
+        """The [init] state in the basis of family, by default the config's own task family."""
+        if family is None:
+            family = self.task_family()
         return init_scaled_identity(family.n, self.values["init"]["tau"], family.basis)
 
     def stage_plans(self) -> tuple[StagePlan, StagePlan, StagePlan]:

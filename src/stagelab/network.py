@@ -19,13 +19,17 @@ identity basis whose factors are diagonal, every off-diagonal entry +0.0,
 stays diagonal, and _diagonal_kernel steps each coordinate in Python floats:
 its float operations are the IEEE operations that numpy's ufuncs and matmul
 apply to the diagonal entries, and it hands a run whose product underflows
-back to the matrix kernel.  A coordinate whose step returns both factors
+to -0.0 back to the matrix kernel.  A coordinate whose step returns both factors
 with the same bit patterns is at a fixed point, since the step is a
 deterministic function of them, and _diagonal_kernel stops stepping it and
 writes its product into the rows still to record.  The products of such a
 run are +0.0 off the diagonal, so its Trajectory stores only their
 diagonals, one row of n per snapshot, and builds the whole products when
-they are asked for.  Every other state, and
+they are asked for.  A coordinate whose two factors hold the same bits, as
+in every identity-basis init and pipeline checkpoint, keeps them equal bit
+for bit, since IEEE multiplication is commutative: g * w2 and w1 * g are one
+operation when w1 and w2 share bits.  _diagonal_kernel steps it as one
+float.  Every other state, and
 every state in a random basis, takes the matrix kernel, _gradient_kernel
 stepped in numpy.  Its rule is the same for the whole matrix: once the
 factors return to the bit patterns of an earlier step, the run is an exact
@@ -407,6 +411,23 @@ def _diagonal_kernel(
       kernel adds a zero term after it.  The kernel raises _Underflow there,
       and train() reruns the run on the matrix kernel.
 
+    A coordinate whose factors start with the same bit pattern (w1 == w2
+    with the same sign, which no nan has) is balanced, and stays balanced:
+    IEEE multiplication is commutative, so g * w2 and w1 * g are one
+    operation once w1 and w2 share bits, and both factors take the same
+    update.  advance steps it as one float w, t = w * w and
+    u = w - eta * (g * w), and writes w back to both factors.  It needs none
+    of the zero handling of the loop for two factors:
+
+    - w * w is never -0.0, so its matmul entry is w * w + 0.0 = w * w, also
+      when the square underflows; nothing goes back to the matrix kernel.
+    - A zero g * w from a nonzero w gives u = w whichever zero it is.
+    - From a zero w, u == w holds whatever the sign of g * w, and the
+      fixed-point exit keeps w, the bits the entry's +0.0 gives.
+
+    The choice is made once per coordinate, from the factors the kernel is
+    built on; an unbalanced coordinate takes the loop for two factors.
+
     A coordinate whose step returns both factors with the same bit patterns
     is at a fixed point, and advance stops stepping it, in this call and in
     every later one, and writes its product into each row it still records.
@@ -421,7 +442,7 @@ def _diagonal_kernel(
       infinite factor makes g infinite or nan, which turns that factor into
       nan.  The test still checks that the product is finite, which costs
       nothing once the equality holds.
-    - Bit patterns, not values, are compared: == holds between -0.0 and
+    - In the loop for two factors, bit patterns, not values, are compared: == holds between -0.0 and
       +0.0, so once it holds the signs are compared too.  From W1 = -0.0,
       W2 = 5e-324 with target 1, variance 1 and eta 0.02, eta * g1 is -0.0
       and the next w1 is +0.0, which == accepts as -0.0.
@@ -439,20 +460,46 @@ def _diagonal_kernel(
     ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
     repeat, copysign, isfinite = itertools.repeat, math.copysign, math.isfinite
     # per coordinate: its target, variance, ridge anchor, index, flat offsets
-    # in W, and its product once it is at a fixed point, None until then
+    # in W, whether its factors start with the same bits, and its product once
+    # it is at a fixed point, None until then
     coords = []
     for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
         k1, k2 = i * (n + 1), nn + i * (n + 1)
-        coords.append([a, vi, _product(factors[k1], factors[k2]), i, k1, k2, None])
+        w1, w2 = factors[k1], factors[k2]
+        balanced = w1 == w2 and copysign(1.0, w1) == copysign(1.0, w2)
+        anchor = w1 * w1 if balanced else _product(w1, w2)
+        coords.append([a, vi, anchor, i, k1, k2, balanced, None])
 
     def advance(count: int, row: int, rows: int) -> None:
         # coordinate by coordinate, each through all rows; r is the row being
         # finished, and the rows from r on take a fixed coordinate's product
         end = row + rows
         for coord in coords:
-            a, vi, anchor, i, k1, k2, fixed = coord
+            a, vi, anchor, i, k1, k2, balanced, fixed = coord
             r = row
-            if fixed is None:
+            if fixed is None and balanced:
+                # w is both factors: no zero handling is needed (see above)
+                w = factors[k1]
+                while r < end:
+                    for _ in repeat(None, count):
+                        t = w * w
+                        g = (t - a) * vi
+                        g = g + g
+                        if ridge:
+                            g = g + lam2 * (t - anchor)
+                        u = w - eta * (g * w)
+                        if u == w and isfinite(t):
+                            coord[-1] = t
+                            break
+                        w = u
+                    else:
+                        if row:
+                            products[i + r * n] = w * w
+                        r += 1
+                        continue
+                    break
+                factors[k1] = factors[k2] = w
+            elif fixed is None:
                 w1, w2 = factors[k1], factors[k2]
                 while r < end:
                     for _ in repeat(None, count):
@@ -522,8 +569,8 @@ def train(
     per coordinate in Python floats, recording only the products' diagonals
     into a (num_snapshots, n) array.  Every other state takes the matrix
     kernel and records the products into a (num_snapshots, n, n) array, and
-    so does a diagonal run whose product underflows, which starts again on
-    it.  Both kernels give the same bits.
+    so does a diagonal run whose product underflows to -0.0, which starts
+    again on it.  Both kernels give the same bits.
 
     The matrix kernel takes the factors' bytes as a mark every MARK_EVERY
     steps and compares the bytes after each later step with it.  When they

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import stagelab.checks
 import stagelab.cli
+import stagelab.config
 import stagelab.pipeline
 import stagelab.records
 import stagelab.tasks
@@ -475,6 +476,31 @@ def test_spectra_that_do_not_fit_n_exit_2_before_the_basis_is_built(tmp_path, mo
     assert capsys.readouterr().err == "error: invariant spectrum has length 2, partition wants 999996\n"
     # the refused family does not claim the --out for later runs
     assert not (out / "family.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, ini",
+    [
+        ("simulate", SIMULATE_INI),
+        ("sweep", SWEEP_INI),
+        ("verify", ""),
+        ("simulate", SIMULATE_INI + "[task]\nbasis = random\n"),
+        ("sweep", SWEEP_INI + "[task]\nbasis = random\nbasis_seed = 2\n"),
+    ],
+    ids=["simulate", "sweep", "verify", "simulate-random", "sweep-random"],
+)
+def test_each_command_builds_the_task_family_once(tmp_path, monkeypatch, command, ini):
+    # the init state is built from the family the command already holds; in
+    # a random basis a second family would repeat the basis' QR factorizations
+    build, calls = stagelab.config.ExperimentConfig.task_family, []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(stagelab.config.ExperimentConfig, "task_family", counted)
+    assert main(["--config", write_ini(tmp_path, ini), "--out", str(tmp_path / "out"), command]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "plot", "frontier"])

@@ -488,6 +488,10 @@ diagonal_entries = st.one_of(
 def diagonal_problems(draw):
     n = draw(st.integers(1, 7))
     d1, d2 = (draw(st.lists(diagonal_entries, min_size=n, max_size=n)) for _ in range(2))
+    # a drawn subset of coordinates starts balanced, the same float in both
+    # factors, and takes the kernel's one-float loop
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        d2[i] = d1[i]
     variances = draw(
         st.lists(st.one_of(st.sampled_from([-0.0, 5e-324]), st.floats(0.0, 1.0)), min_size=n, max_size=n)
     )
@@ -623,6 +627,68 @@ def test_a_fixed_point_is_a_bit_pattern_not_a_value():
             assert built.call_count == 1
             final, _ = train(state, dist, basis, config)
             assert not np.signbit(final.W1[i, i])
+
+
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
+def test_a_balanced_start_trained_past_its_fixed_points_keeps_equal_factors(ridge_lambda):
+    # every coordinate starts with the same float in both factors, signed
+    # zeros included, and the one-float loop writes one float back to both;
+    # -0.0 at target 0 has g = +0.0, where g * w is -0.0 and the matmul entry +0.0
+    d = [0.5, -0.25, 1.0, -0.0, 0.0, 1.7]
+    targets = [2.0, 0.3, 1.0, 0.0, 1.0, 2.9]
+    state, dist, basis = diagonal_problem(d, d, [1.0, 0.5, 1.0, 1.0, 1.0, 0.25], targets)
+    config = TrainConfig(eta=0.05, max_steps=20_000, ridge_lambda=ridge_lambda, probe_every=1_000)
+    with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+    assert built.call_count == 1
+    final, traj = train(state, dist, basis, config)
+    assert traj.products.ndim == 2  # no coordinate went back to the matrix kernel
+    assert final.W1.tobytes() == final.W2.tobytes()
+    if not ridge_lambda:  # with a ridge, a new start product would move the anchor
+        again, _ = train(final, dist, basis, TrainConfig(eta=0.05, max_steps=1))
+        assert again.W1.tobytes() == again.W2.tobytes() == final.W1.tobytes()
+
+
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
+def test_balanced_coordinates_whose_products_underflow_stay_on_the_diagonal_kernel(ridge_lambda):
+    # w * w is never -0.0, so a square that underflows is +0.0 in the matmul
+    # entry too; g * w underflows in the last coordinate, where any signed
+    # zero leaves u = w - eta * g1 at w.  Two unequal factors would go back
+    # to the matrix kernel in both cases.
+    d = [1e-200, -1e-200, 5e-324, -5e-324, 0.5, 0.01]
+    state, dist, basis = diagonal_problem(d, d, [1.0] * 5 + [5e-324], [1.0, 0.0, 2.0, 1.0, 1.0, 4.0])
+    assert 0.01 * (2.0 * ((0.01 * 0.01 - 4.0) * 5e-324)) == 0.0
+    for max_steps, probe_every in ((1, 1), (3, 1), (40, 7), (2_000, 50)):
+        config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
+        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+        final, traj = train(state, dist, basis, config)
+        assert traj.products.ndim == 2
+        assert final.W1.tobytes() == final.W2.tobytes()
+
+
+@pytest.mark.parametrize(
+    "w1, w2",
+    [
+        (0.7, math.nextafter(0.7, math.inf)),
+        (-1e-3, math.nextafter(-1e-3, -math.inf)),
+        (1e-150, math.nextafter(1e-150, math.inf)),
+        (0.0, -0.0),
+        (-0.0, 0.0),
+    ],
+)
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
+def test_a_coordinate_one_ulp_from_balanced_trains_as_the_reference_loop(w1, w2, ridge_lambda):
+    # equal values of opposite sign, or factors one ulp apart, keep the
+    # two-factor loop beside balanced coordinates on the one-float loop
+    n = 4
+    for i in (0, n - 1):
+        d1, d2 = [0.5, -1.5, 0.25, 1.0], [0.5, -1.5, 0.25, 1.0]
+        d1[i], d2[i] = w1, w2
+        state, dist, basis = diagonal_problem(d1, d2, [1.0, 0.5, 1.0, 0.25], [1.0, 2.0, 0.0, 3.0])
+        config = TrainConfig(eta=0.02, max_steps=3_000, ridge_lambda=ridge_lambda, probe_every=7)
+        with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+        assert built.called
 
 
 @st.composite
