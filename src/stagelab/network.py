@@ -368,11 +368,16 @@ class _Underflow(Exception):
 
 
 def _off_diagonals_are_zero(M: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of the square matrices in M is +0.0 by bit pattern."""
-    n = M.shape[-1]
-    rest = M.copy()
-    rest[..., range(n), range(n)] = 0.0
-    return not rest.view(np.int64).any()
+    """Whether every off-diagonal entry of the square matrices in M is +0.0 by bit pattern.
+
+    M is a C-contiguous stack of n x n blocks.  In a row-major block the
+    n + 1 entries after each diagonal entry are n off-diagonals and the next
+    diagonal entry, so the off-diagonals are the first n of each such run: a
+    strided view of M's bits, read without a copy.
+    """
+    m, n = len(M), M.shape[-1]
+    runs = M.view(np.int64).reshape(m, n * n)[:, 1:].reshape(m, n - 1, n + 1)
+    return not runs[..., :n].any()
 
 
 def _product(x: float, y: float) -> float:
@@ -590,15 +595,16 @@ def train(
     v = dist.input_variances
     V = None if basis.is_identity else basis.V
 
+    # the start factors and the target in one copy: the kernel is chosen from
+    # it, and restart() copies the factors back from it
+    n = state.n
+    start = np.array((state.W1, state.W2, A))
+    diagonal = V is None and _off_diagonals_are_zero(start)
     # both factors live in one buffer, so the update and the finiteness check
     # each cover them in one numpy call
-    n = state.n
     W = np.empty((2, n, n))
-    W1, W2 = W
-    # the ridge anchor is the start product, which restart() writes
-    theta, E, anchor = np.empty((3, n, n))
-    start = np.stack((state.W1, state.W2))
-    diagonal = basis.is_identity and _off_diagonals_are_zero(np.concatenate((start, A[None])))
+    W1, W2 = W[0], W[1]
+    theta, E = np.empty((n, n)), np.empty((n, n))
     # a snapshot every probe_every steps and one after the last, each row
     # written by the run; the step numbers are only built for a run that
     # returns.  The closures below read products when they run, so the
@@ -609,12 +615,13 @@ def train(
     multiply, subtract, W1_dot = np.multiply, np.subtract, _matmul_for(W1)
 
     def restart() -> None:
-        np.copyto(W, start)
+        np.copyto(W, start[:2])
         W1_dot(W2, theta)
-        np.copyto(anchor, theta)
         subtract(theta, A, E)
 
     def matrix_kernel() -> Callable[[int, int, int], None]:
+        # built right after restart(): the ridge anchors the start product
+        anchor = theta.copy()
         grads = np.empty_like(W)
         gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, anchor, grads)
         # a full-shape eta, for the kernel's reason: the same products, cheaper
@@ -737,8 +744,7 @@ def train(
         else:
             run(matrix_kernel)
 
-    steps = np.arange(num_snapshots)
-    steps *= config.probe_every
+    steps = np.arange(0, num_snapshots * config.probe_every, config.probe_every)
     steps[-1] = config.max_steps
     steps.flags.writeable = products.flags.writeable = False
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .network import NetworkState, TrainConfig, check_step_size, population_loss, train
+from .network import NetworkState, TrainConfig, _losses, check_step_size, train
 from .tasks import STAGES, StageDistribution, TaskFamily, mix_distributions
 
 
@@ -160,20 +160,15 @@ def continue_from_pretrained(
     metrics = None
     failed_stage = None if failure is None else STAGES[len(states)]
     if failure is None:
-
-        def loss(stage: str, dist: str) -> float:
-            return population_loss(states[stage], family.distribution(dist), family.basis)
-
-        # the metrics are losses on distributions no stage may have trained
-        # on, so finite weights can still overflow them
+        # each checkpoint's product and each distribution's target once; the
+        # losses are population_loss's bits.  They are losses on distributions
+        # no stage may have trained on, so finite weights can still overflow them
+        posttrained, finetuned = states["posttrain"].theta, states["finetune"].theta
         with np.errstate(over="ignore", invalid="ignore"):
-            metrics = {
-                "L_im": loss("posttrain", "posttrain"),
-                "L_ret": loss("finetune", "posttrain"),
-                "L_ft": loss("finetune", "finetune"),
-                "L_pre": loss("finetune", "pretrain"),
-            }
-            metrics["delta"] = metrics["L_ret"] - metrics["L_im"]
+            L_im, L_ret = _losses((posttrained, finetuned), family.distribution("posttrain"), family.basis)
+            (L_ft,) = _losses((finetuned,), family.distribution("finetune"), family.basis)
+            (L_pre,) = _losses((finetuned,), family.distribution("pretrain"), family.basis)
+            metrics = {"L_im": L_im, "L_ret": L_ret, "L_ft": L_ft, "L_pre": L_pre, "delta": L_ret - L_im}
         bad = [name for name, value in metrics.items() if not math.isfinite(value)]
         if bad:
             # the stage whose checkpoint gave the first non-finite metric

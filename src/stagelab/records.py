@@ -11,6 +11,7 @@ of the same experiment produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -68,28 +69,16 @@ def _json_value(v: Any) -> str:
     raise TypeError(f"record values must be scalars or flat lists, got {type(v).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
+def _json_key(key: str) -> str:
+    """json.dumps(key), cached: every line of a records file repeats one small set of keys."""
+    return json.dumps(key)
+
+
 def dumps_record(record: Mapping[str, Any]) -> str:
     """One canonical JSON line, keys in insertion order."""
-    body = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in record.items())
+    body = ", ".join(f"{_json_key(k)}: {_json_value(v)}" for k, v in record.items())
     return "{" + body + "}"
-
-
-def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]], append: bool = False) -> int:
-    """Write records one per line; returns the number written.
-
-    An append first mends the end of the file (see _mend_tail), so a record
-    never lands on the line of a write that was cut short.
-    """
-    if append:
-        _mend_tail(path)
-    mode = "a" if append else "w"
-    count = 0
-    with open(path, mode, encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dumps_record(record))
-            fh.write("\n")
-            count += 1
-    return count
 
 
 def _parses(text: bytes | str) -> bool:
@@ -100,25 +89,32 @@ def _parses(text: bytes | str) -> bool:
     return True
 
 
-def _mend_tail(path: str | os.PathLike) -> None:
-    """Cut an unterminated last line that does not parse; terminate one that does."""
-    try:
-        fh = open(path, "rb+")
-    except FileNotFoundError:
-        return
-    with fh:
-        if fh.seek(0, os.SEEK_END) == 0:
-            return
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        data = fh.read()
-        start = data.rfind(b"\n") + 1
-        if _parses(data[start:]):
-            fh.write(b"\n")
-        else:
-            fh.truncate(start)
+def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]], append: bool = False) -> int:
+    """Write records one per line; returns the number written.
+
+    An append first mends the end of the file through the handle it writes
+    with: an unterminated last line that does not parse is a write that was
+    cut short and is cut, one that parses is terminated, so a record never
+    lands on such a line.  Writes are binary; the UTF-8 bytes are those a
+    text-mode write gives, and every line is ASCII, as json.dumps escapes.
+    """
+    count = 0
+    with open(path, "a+b" if append else "wb") as fh:
+        # writes in append mode go to the end, wherever reads left the handle
+        if append and fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                data = fh.read()
+                start = data.rfind(b"\n") + 1
+                if _parses(data[start:]):
+                    fh.write(b"\n")
+                else:
+                    fh.truncate(start)
+        for record in records:
+            fh.write(f"{dumps_record(record)}\n".encode())
+            count += 1
+    return count
 
 
 def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
@@ -212,18 +208,20 @@ def _write_csv(path: str | os.PathLike, columns: Sequence[str], rows: Iterable[S
 
 
 def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str | os.PathLike) -> None:
-    """Write run records in CSV_COLUMNS order.
+    """Write run records in CSV_COLUMNS order, each cell as _write_csv would.
 
     Failed runs carry no metrics and are omitted; they live in the JSONL
     records with their failure status instead.
     """
-    _write_csv(
-        path,
-        CSV_COLUMNS,
-        (
-            [rec["run_id"]]
-            + [record_number(rec, c, int if c == "steps3" else float) for c in CSV_COLUMNS[1:]]
-            for rec in records
-            if rec.get("L_im") is not None
-        ),
-    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            if rec.get("L_im") is not None:
+                writer.writerow(
+                    [rec["run_id"]]
+                    + [
+                        str(record_number(rec, c, int)) if c == "steps3" else format_float(record_number(rec, c))
+                        for c in CSV_COLUMNS[1:]
+                    ]
+                )

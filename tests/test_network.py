@@ -575,6 +575,36 @@ def test_an_identity_basis_state_with_an_off_diagonal_entry_takes_the_matrix_ker
         assert not built.called
 
 
+def copied_off_diagonals_are_zero(M):
+    """The reference for network._off_diagonals_are_zero: zero a copy's diagonals, then read its bits."""
+    n = M.shape[-1]
+    rest = M.copy()
+    rest[..., range(n), range(n)] = 0.0
+    return not rest.view(np.int64).any()
+
+
+bit_entries = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def diagonal_stacks(draw):
+    """1-3 square blocks of size 1-7, diagonal but for up to three entries drawn anywhere."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    M = np.zeros((m, n, n))
+    for block in M:
+        block[range(n), range(n)] = draw(st.lists(bit_entries, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        M[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(bit_entries)
+    return M
+
+
+@given(diagonal_stacks())
+@settings(max_examples=500, deadline=None)
+def test_the_off_diagonal_view_reads_the_bits_a_copy_does(M):
+    # n = 1 has no off-diagonals; -0.0 and 5e-324 off the diagonal are not +0.0
+    assert network._off_diagonals_are_zero(M) == copied_off_diagonals_are_zero(M)
+
+
 def test_a_1x1_product_in_another_basis_sums_from_plus_zero():
     # the matrix kernel's 1x1 products are np.matmul's, +0.0 for 0.0 * -3.0,
     # where np.dot would give the plain product -0.0

@@ -134,6 +134,22 @@ def test_only_an_unparsable_unterminated_last_line_is_dropped(tmp_path):
     path.write_text('{"a": 1}\n{"b": \n{"c": 3}\n')
     with pytest.raises(ConfigError, match=r"runs\.jsonl line 2 is not a JSON record"):
         read_records(path)
+    # an append to a missing file creates it
+    missing = tmp_path / "new.jsonl"
+    assert write_records(missing, [{"c": 3}], append=True) == 1
+    assert missing.read_text() == '{"c": 3}\n'
+    # every record of one append lands after the cut line, in order
+    path.write_text('{"a": 1}\n{"b": ')
+    assert write_records(path, [{"c": 3}, {"d": 4}, {"e": 5}], append=True) == 3
+    assert path.read_text() == '{"a": 1}\n{"c": 3}\n{"d": 4}\n{"e": 5}\n'
+    # keys are encoded as json.dumps encodes them, escapes and all, on every line
+    keys = ['a"b', "caf\u00e9", "\u2603\n"]
+    path.unlink()
+    for value in (1, 2):
+        write_records(path, [{key: value for key in keys}], append=True)
+    lines = [", ".join(f"{json.dumps(key)}: {value}" for key in keys) for value in (1, 2)]
+    assert path.read_bytes() == "".join(f"{{{line}}}\n" for line in lines).encode("ascii")
+    assert read_records(path) == [{key: value for key in keys} for value in (1, 2)]
 
 
 def test_existing_run_ids(tmp_path):
