@@ -14,28 +14,20 @@ Balanced diagonal states (W1 = U sqrt(S), W2 = sqrt(S) V^T) stay balanced and
 diagonal under these dynamics, which is what makes the per-coordinate scalar
 recursions in derived_diag_step faithful companions of the matrix updates.
 
-train() has two update kernels that give the same bits.  A start state in the
-identity basis whose factors are diagonal, every off-diagonal entry +0.0,
-stays diagonal, and _diagonal_kernel steps each coordinate in Python floats:
-its float operations are the IEEE operations that numpy's ufuncs and matmul
-apply to the diagonal entries, and it hands a run whose product underflows
-to -0.0 back to the matrix kernel.  A coordinate whose step returns both factors
-with the same bit patterns is at a fixed point, since the step is a
-deterministic function of them, and _diagonal_kernel stops stepping it and
-writes its product into the rows still to record.  The products of such a
-run are +0.0 off the diagonal, so its Trajectory stores only their
-diagonals, one row of n per snapshot, and builds the whole products when
-they are asked for.  A coordinate whose two factors hold the same bits, as
-in every identity-basis init and pipeline checkpoint, keeps them equal bit
-for bit, since IEEE multiplication is commutative: g * w2 and w1 * g are one
-operation when w1 and w2 share bits.  _diagonal_kernel steps it as one
-float.  Every other state, and
-every state in a random basis, takes the matrix kernel, _gradient_kernel
-stepped in numpy.  Its rule is the same for the whole matrix: once the
-factors return to the bit patterns of an earlier step, the run is an exact
-orbit, and train() stops stepping it and writes each recorded row from its
-phase's product.  Most random-basis trainings end in such orbits, of
-periods from one step to a few dozen.
+train() has two update kernels that give the same bits, and the start state
+picks one.  A balanced diagonal start in the identity basis takes
+_diagonal_kernel: its factors and the target are +0.0 off the diagonal, and
+its two factors are equal bit for bit, as in every identity-basis init and
+pipeline checkpoint.  The state stays so, and the kernel steps each
+coordinate as one Python float; its Trajectory stores only the products'
+diagonals, one row of n per snapshot.  Every other state, unbalanced,
+off-diagonal or in a random basis, takes the matrix kernel, _gradient_kernel
+stepped in numpy.  Each kernel stops stepping what has stopped moving: a
+diagonal coordinate whose step returns the same float is at a fixed point,
+and a matrix run whose factors return to the bit patterns of an earlier
+step is an exact orbit, whose recorded rows take their phase's product.
+Most random-basis trainings end in such orbits, of periods from one step to
+a few dozen.
 """
 
 from __future__ import annotations
@@ -363,10 +355,6 @@ def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndar
     return M.diagonal().copy(), _offdiag_norm(M)
 
 
-class _Underflow(Exception):
-    """A product of two nonzero factors rounded to zero in the diagonal kernel."""
-
-
 def _off_diagonals_are_zero(M: np.ndarray) -> bool:
     """Whether every off-diagonal entry of the square matrices in M is +0.0 by bit pattern.
 
@@ -380,77 +368,42 @@ def _off_diagonals_are_zero(M: np.ndarray) -> bool:
     return not runs[..., :n].any()
 
 
-def _product(x: float, y: float) -> float:
-    """A diagonal matmul entry x * y + 0.0, as _diagonal_kernel takes it."""
-    p = x * y
-    if not p:
-        if x and y:
-            raise _Underflow
-        p = 0.0
-    return p
-
-
 def _diagonal_kernel(
     W: np.ndarray, diagonals: np.ndarray, A: np.ndarray, v: np.ndarray, config: TrainConfig
 ) -> Callable[[int, int, int], None]:
-    """train()'s update for a diagonal state in the identity basis, in Python floats.
+    """train()'s update for a balanced diagonal state in the identity basis, in Python floats.
 
-    W holds the two factors and A the target, all diagonal with +0.0 off their
-    diagonals, and v the input variances.  In that frame the matrix update
-    decouples into one recursion per coordinate, and this kernel runs each
-    one with the operations the matrix kernel applies to the diagonal
-    entries, so it is bitwise that kernel:
+    W holds the two factors, equal bit for bit, and A the target, all with
+    +0.0 off their diagonals, and v the input variances.  In that frame the
+    matrix update decouples into one recursion per coordinate, and this
+    kernel runs each one with the operations the matrix kernel applies to
+    the diagonal entries, so it is bitwise that kernel:
 
     - Each elementwise ufunc (subtract, multiply, add) is the IEEE binary64
       operation Python's float operator performs, with the same rounding,
       subnormals, signed zeros, inf and nan.
     - Each matmul entry of two diagonal operands sums one product x * y with
-      zero terms, starting from +0.0, so it is x * y + 0.0: the rounded
-      product when that is nonzero, and +0.0 when a factor is zero, where the
-      plain product can be -0.0 (0.0 * -3.0).  An entry off the diagonal sums
-      only zeros and is +0.0, so the factors stay diagonal and the products
-      are +0.0 there, which is why only their diagonals are recorded.
-    - The exception is a product of two nonzero factors that underflows to
-      -0.0.  A fused multiply-add onto +0.0 keeps it (the exact sum is
-      negative), so the entry is -0.0 or +0.0 depending on whether the BLAS
-      kernel adds a zero term after it.  The kernel raises _Underflow there,
-      and train() reruns the run on the matrix kernel.
+      zero terms, starting from +0.0, so it is x * y + 0.0.  An entry off the
+      diagonal sums only zeros and is +0.0, so the factors stay diagonal and
+      the products are +0.0 there, which is why only their diagonals are
+      recorded.
+    - IEEE multiplication is commutative, so g * w2 and w1 * g are one
+      operation while w1 and w2 share bits, and both factors take the same
+      update.  advance steps each coordinate as one float w, t = w * w and
+      u = w - eta * (g * w), and writes w back to both factors.
+    - w * w is never -0.0, so its matmul entry is w * w.  A zero g * w from a
+      nonzero w gives u = w whichever zero it is, and from a zero w, u == w
+      holds whatever the sign of g * w, where the fixed-point exit keeps w,
+      the bits the entry's +0.0 gives.
 
-    A coordinate whose factors start with the same bit pattern (w1 == w2
-    with the same sign, which no nan has) is balanced, and stays balanced:
-    IEEE multiplication is commutative, so g * w2 and w1 * g are one
-    operation once w1 and w2 share bits, and both factors take the same
-    update.  advance steps it as one float w, t = w * w and
-    u = w - eta * (g * w), and writes w back to both factors.  It needs none
-    of the zero handling of the loop for two factors:
-
-    - w * w is never -0.0, so its matmul entry is w * w + 0.0 = w * w, also
-      when the square underflows; nothing goes back to the matrix kernel.
-    - A zero g * w from a nonzero w gives u = w whichever zero it is.
-    - From a zero w, u == w holds whatever the sign of g * w, and the
-      fixed-point exit keeps w, the bits the entry's +0.0 gives.
-
-    The choice is made once per coordinate, from the factors the kernel is
-    built on; an unbalanced coordinate takes the loop for two factors.
-
-    A coordinate whose step returns both factors with the same bit patterns
-    is at a fixed point, and advance stops stepping it, in this call and in
-    every later one, and writes its product into each row it still records.
-    The rule is exact:
-
-    - Given the run's constants (target, variance, ridge anchor, eta and
-      2 lambda), a step is a deterministic function of (w1, w2), so a step
-      that returns the same bits returns them at every later step.
-    - A state that got through one step without raising _Underflow never
-      raises it later.
-    - Neither nan nor +-inf can be fixed: nan equals nothing, and an
-      infinite factor makes g infinite or nan, which turns that factor into
-      nan.  The test still checks that the product is finite, which costs
-      nothing once the equality holds.
-    - In the loop for two factors, bit patterns, not values, are compared: == holds between -0.0 and
-      +0.0, so once it holds the signs are compared too.  From W1 = -0.0,
-      W2 = 5e-324 with target 1, variance 1 and eta 0.02, eta * g1 is -0.0
-      and the next w1 is +0.0, which == accepts as -0.0.
+    A coordinate whose step returns w is at a fixed point: given the run's
+    constants (target, variance, ridge anchor, eta and 2 lambda) a step is a
+    deterministic function of w.  advance stops stepping it, in this call
+    and in every later one, and writes its product into each row it still
+    records.  Neither nan nor +-inf can be fixed: nan equals nothing, and an
+    infinite w makes g infinite or nan, which turns w into nan.  The test
+    still checks that the product is finite, which costs nothing once the
+    equality holds.
 
     Returns train()'s advance(count, row, rows), which writes the factors
     back into W and the products' diagonals into the rows of diagonals,
@@ -458,33 +411,27 @@ def _diagonal_kernel(
     matrix kernel.
     """
     n = W.shape[1]
-    nn = n * n
     factors = memoryview(W.reshape(-1))
     products = memoryview(diagonals.reshape(-1))
     eta = float(config.eta)
     ridge, lam2 = config.ridge_lambda > 0, float(2.0 * config.ridge_lambda)
-    repeat, copysign, isfinite = itertools.repeat, math.copysign, math.isfinite
-    # per coordinate: its target, variance, ridge anchor, index, flat offsets
-    # in W, whether its factors start with the same bits, and its product once
-    # it is at a fixed point, None until then
+    repeat, isfinite = itertools.repeat, math.isfinite
+    # per coordinate: its target, variance, ridge anchor, index, flat offset
+    # in W1, and its product once it is at a fixed point, None until then
     coords = []
     for i, (a, vi) in enumerate(zip(A.diagonal().tolist(), v.tolist())):
-        k1, k2 = i * (n + 1), nn + i * (n + 1)
-        w1, w2 = factors[k1], factors[k2]
-        balanced = w1 == w2 and copysign(1.0, w1) == copysign(1.0, w2)
-        anchor = w1 * w1 if balanced else _product(w1, w2)
-        coords.append([a, vi, anchor, i, k1, k2, balanced, None])
+        k = i * (n + 1)
+        coords.append([a, vi, factors[k] * factors[k], i, k, None])
 
     def advance(count: int, row: int, rows: int) -> None:
         # coordinate by coordinate, each through all rows; r is the row being
         # finished, and the rows from r on take a fixed coordinate's product
         end = row + rows
         for coord in coords:
-            a, vi, anchor, i, k1, k2, balanced, fixed = coord
+            a, vi, anchor, i, k, fixed = coord
             r = row
-            if fixed is None and balanced:
-                # w is both factors: no zero handling is needed (see above)
-                w = factors[k1]
+            if fixed is None:
+                w = factors[k]
                 while r < end:
                     for _ in repeat(None, count):
                         t = w * w
@@ -503,49 +450,7 @@ def _diagonal_kernel(
                         r += 1
                         continue
                     break
-                factors[k1] = factors[k2] = w
-            elif fixed is None:
-                w1, w2 = factors[k1], factors[k2]
-                while r < end:
-                    for _ in repeat(None, count):
-                        t = w1 * w2
-                        if not t:
-                            if w1 and w2:
-                                raise _Underflow
-                            t = 0.0
-                        g = (t - a) * vi
-                        g = g + g
-                        if ridge:
-                            g = g + lam2 * (t - anchor)
-                        g1 = g * w2
-                        if not g1:
-                            if g and w2:
-                                raise _Underflow
-                            g1 = 0.0
-                        g2 = w1 * g
-                        if not g2:
-                            if w1 and g:
-                                raise _Underflow
-                            g2 = 0.0
-                        u1 = w1 - eta * g1
-                        u2 = w2 - eta * g2
-                        if (
-                            u1 == w1
-                            and u2 == w2
-                            and copysign(1.0, u1) == copysign(1.0, w1)
-                            and copysign(1.0, u2) == copysign(1.0, w2)
-                            and isfinite(t)
-                        ):
-                            coord[-1] = t
-                            break
-                        w1, w2 = u1, u2
-                    else:
-                        if row:
-                            products[i + r * n] = _product(w1, w2)
-                        r += 1
-                        continue
-                    break
-                factors[k1], factors[k2] = w1, w2
+                factors[k] = factors[k + n * n] = w
             if row and r < end:
                 diagonals[r:end, i] = coord[-1]
 
@@ -569,13 +474,10 @@ def train(
     training loss are not finite (finite weights can still overflow the
     loss).
 
-    A start state in the identity basis whose factors are diagonal (every
-    off-diagonal entry +0.0) stays diagonal, and _diagonal_kernel steps it
-    per coordinate in Python floats, recording only the products' diagonals
-    into a (num_snapshots, n) array.  Every other state takes the matrix
-    kernel and records the products into a (num_snapshots, n, n) array, and
-    so does a diagonal run whose product underflows to -0.0, which starts
-    again on it.  Both kernels give the same bits.
+    The start state picks the kernel by the rule in the module docstring.
+    _diagonal_kernel records only the products' diagonals, into a
+    (num_snapshots, n) array, and the matrix kernel the products, into a
+    (num_snapshots, n, n) array.  Both kernels give the same bits.
 
     The matrix kernel takes the factors' bytes as a mark every MARK_EVERY
     steps and compares the bytes after each later step with it.  When they
@@ -599,7 +501,8 @@ def train(
     # it, and restart() copies the factors back from it
     n = state.n
     start = np.array((state.W1, state.W2, A))
-    diagonal = V is None and _off_diagonals_are_zero(start)
+    balanced = start[0].tobytes() == start[1].tobytes()
+    diagonal = V is None and balanced and _off_diagonals_are_zero(start)
     # both factors live in one buffer, so the update and the finiteness check
     # each cover them in one numpy call
     W = np.empty((2, n, n))
@@ -607,8 +510,7 @@ def train(
     theta, E = np.empty((n, n)), np.empty((n, n))
     # a snapshot every probe_every steps and one after the last, each row
     # written by the run; the step numbers are only built for a run that
-    # returns.  The closures below read products when they run, so the
-    # matrix kernel's rerun after _Underflow records into its own array.
+    # returns
     full, rest = divmod(config.max_steps, config.probe_every)
     num_snapshots = 1 + full + bool(rest)
     products = np.empty((num_snapshots, n) if diagonal else (num_snapshots, n, n))
@@ -692,15 +594,22 @@ def train(
             advance(1, 0, 1)
         return config.max_steps
 
-    def run(kernel: Callable[[], Callable[[int, int, int], None]]) -> None:
-        """Train from the start state with the advance(count, row, rows) that kernel() builds.
-
-        advance takes count steps rows times, and after each count records the
-        product into the next row from row on; a row of 0 records nothing.
-        """
+    # The update has no division, so a weight that turns inf or nan stays
+    # non-finite, and a loss that overflows from finite weights drives them
+    # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps
+    # and of weights and loss after the last step therefore tells whether any
+    # step failed, and a replay from the start state finds the first one, the
+    # step a check after every step would find.  The diagonal kernel runs
+    # coordinate by coordinate within each block, so it stops within a block
+    # too.  Overflow is caught that way, so numpy's own warning about it is
+    # noise on a run that is about to raise anyway.
+    with np.errstate(over="ignore", invalid="ignore"):
         restart()
-        products[0] = theta if products.ndim == 3 else theta.diagonal()
-        advance = kernel()
+        products[0] = theta.diagonal() if diagonal else theta
+        # advance(count, row, rows) takes count steps rows times, and after
+        # each count records the product into the next row from row on; a row
+        # of 0 records nothing
+        advance = _diagonal_kernel(W, products, A, v, config) if diagonal else matrix_kernel()
         every, last = config.probe_every, config.max_steps
         step, row = 0, 1
         while step < last:
@@ -724,25 +633,6 @@ def train(
         subtract(theta, A, E)
         if not finite():
             raise TrainingDiverged(state.step + first_nonfinite())
-
-    # The update has no division, so a weight that turns inf or nan stays
-    # non-finite, and a loss that overflows from finite weights drives them
-    # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps
-    # and of weights and loss after the last step therefore tells whether any
-    # step failed, and a replay from the start state finds the first one, the
-    # step a check after every step would find.  The diagonal kernel runs
-    # coordinate by coordinate within each block, so it stops within a block
-    # too.  Overflow is caught that way, so numpy's own warning about it is
-    # noise on a run that is about to raise anyway.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if diagonal:
-            try:
-                run(lambda: _diagonal_kernel(W, products, A, v, config))
-            except _Underflow:
-                products = np.empty((num_snapshots, n, n))
-                run(matrix_kernel)
-        else:
-            run(matrix_kernel)
 
     steps = np.arange(0, num_snapshots * config.probe_every, config.probe_every)
     steps[-1] = config.max_steps

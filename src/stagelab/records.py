@@ -122,11 +122,17 @@ def read_records(path: str | os.PathLike) -> list[dict[str, Any]]:
 
     Such a line is a write that was cut short; the run it held is not on
     record.  Any other line that does not parse, or that is not an object
-    whose run_id (if any) is a string, raises ConfigError.
+    whose run_id (if any) is a string, raises ConfigError, and so does a
+    line that is not UTF-8, the last one included: every record is ASCII,
+    so no write cut short leaves such a line.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path} line {lineno} is not a JSON record: {exc}") from None
             text = line.strip()
             if not text:
                 continue
@@ -213,15 +219,13 @@ def sweep_to_csv(records: Iterable[Mapping[str, Any]], path: str | os.PathLike) 
     Failed runs carry no metrics and are omitted; they live in the JSONL
     records with their failure status instead.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            if rec.get("L_im") is not None:
-                writer.writerow(
-                    [rec["run_id"]]
-                    + [
-                        str(record_number(rec, c, int)) if c == "steps3" else format_float(record_number(rec, c))
-                        for c in CSV_COLUMNS[1:]
-                    ]
-                )
+    rows = (
+        [rec["run_id"]]
+        + [
+            str(record_number(rec, c, int)) if c == "steps3" else format_float(record_number(rec, c))
+            for c in CSV_COLUMNS[1:]
+        ]
+        for rec in records
+        if rec.get("L_im") is not None
+    )
+    _write_csv(path, CSV_COLUMNS, rows)

@@ -519,6 +519,29 @@ def test_an_unparsable_record_line_exits_2(sweep_out, tmp_path, capsys, command)
     assert (out / "runs.jsonl").read_text() == corrupt
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "plot", "frontier"])
+def test_a_record_line_that_is_not_utf8_exits_2(sweep_out, tmp_path, capsys, command):
+    cfg, done = sweep_out
+    out = tmp_path / "out"
+    out.mkdir()
+    data = Path(done, "runs.jsonl").read_bytes()
+    (out / "runs.jsonl").write_bytes(b"\xff\n" + data)
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'runs.jsonl'} line 1 is not a JSON record: ")
+    assert err.count("\n") == 1
+    assert (out / "runs.jsonl").read_bytes() == b"\xff\n" + data
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe[pretrain]\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "line, refused_on_read",
     [

@@ -79,6 +79,13 @@ def test_missing_config_file():
         load_config("/nonexistent/dir/lab.ini")
 
 
+def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[pretrain]\nsteps = 5\n")
+    with pytest.raises(ConfigError, match=r"cannot read config file .*bad\.ini: 'utf-8' codec"):
+        load_config(str(path))
+
+
 def test_stage_plans_reflect_the_stage_sections():
     pre, post, ft = load_config(None).stage_plans()
     assert (pre.stage, post.stage, ft.stage) == ("pretrain", "posttrain", "finetune")

@@ -477,9 +477,11 @@ def diagonal_problem(d1, d2, variances, targets):
 
 
 # factor entries: signed zeros, subnormals, ordinary values of both signs,
-# products that underflow, and magnitudes that diverge
+# products that underflow, magnitudes that diverge, and non-finite starts
 diagonal_entries = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2e-310, 1e-200, -1e-200, 1e150, -1e200]),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, -2e-310, 1e-200, -1e-200, 1e150, -1e200, math.nan, math.inf, -math.inf]
+    ),
     st.floats(min_value=-4.0, max_value=4.0),
 )
 
@@ -489,7 +491,7 @@ def diagonal_problems(draw):
     n = draw(st.integers(1, 7))
     d1, d2 = (draw(st.lists(diagonal_entries, min_size=n, max_size=n)) for _ in range(2))
     # a drawn subset of coordinates starts balanced, the same float in both
-    # factors, and takes the kernel's one-float loop
+    # factors; when that is every coordinate, the state takes the diagonal kernel
     for i in draw(st.sets(st.integers(0, n - 1))):
         d2[i] = d1[i]
     variances = draw(
@@ -510,13 +512,13 @@ def diagonal_problems(draw):
 def test_diagonal_identity_basis_states_train_bitwise_as_the_reference_loop(
     problem, ridge_lambda, probe_every, max_steps, eta
 ):
-    # these states take the per-coordinate kernel, unless a product
-    # underflows and the run goes back to the matrix kernel
+    # a state whose factors hold the same bits takes the per-coordinate
+    # kernel, and every other state the matrix kernel
     state, dist, basis = problem
     config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
     with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
         assert_train_is_the_reference_bitwise(state, dist, basis, config)
-    assert built.called
+    assert built.called == (state.W1.tobytes() == state.W2.tobytes())
 
 
 @pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
@@ -539,17 +541,19 @@ def test_a_zero_factor_times_a_negative_one_is_a_plus_zero_product(ridge_lambda)
                 assert_train_is_the_reference_bitwise(NetworkState(W1=W1, W2=state.W2), dist, basis, config)
 
 
-def test_an_underflowing_product_goes_back_to_the_matrix_kernel():
+def test_an_unbalanced_diagonal_state_trains_bitwise_as_the_reference_loop_on_the_matrix_kernel():
     # -1e-200 * 1e-200 rounds to -0.0; matmul's entry is -0.0 or +0.0
-    # depending on where the BLAS kernel adds it, so train() reruns the
-    # run on the matrix kernel, whose bits the reference loop has
+    # depending on where the BLAS kernel adds it, and the matrix kernel,
+    # which unequal factors take, has the reference loop's bits
     for n in (1, 2, 6):
         for i in (0, n - 1):
             d1, d2 = [0.5] * n, [0.5] * n
             d1[i], d2[i] = -1e-200, 1e-200
             state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
             config = TrainConfig(eta=0.02, max_steps=3, probe_every=1)
-            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
+                assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            assert not built.called
 
 
 @pytest.mark.parametrize(
@@ -644,7 +648,8 @@ def test_weight_checks_of_any_block_size_leave_every_bit(basis_mode, monkeypatch
 def test_a_fixed_point_is_a_bit_pattern_not_a_value():
     # from W1 = -0.0, W2 = 5e-324 the step gives w1 = -0.0 - eta * g1 with
     # eta * g1 = -0.0, that is +0.0, which == takes for -0.0; stopping there
-    # would leave the final W1 at -0.0, where every later step keeps +0.0
+    # would leave the final W1 at -0.0, where every later step keeps +0.0.
+    # The factors differ, so the run takes the matrix kernel.
     assert math.copysign(1.0, -0.0 - 0.02 * (-2.0 * 5e-324)) == 1.0
     for n, i in ((1, 0), (3, 1)):
         d1, d2 = [0.5] * n, [0.7] * n
@@ -654,7 +659,7 @@ def test_a_fixed_point_is_a_bit_pattern_not_a_value():
             config = TrainConfig(eta=0.02, max_steps=max_steps, probe_every=probe_every)
             with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
                 assert_train_is_the_reference_bitwise(state, dist, basis, config)
-            assert built.call_count == 1
+            assert not built.called
             final, _ = train(state, dist, basis, config)
             assert not np.signbit(final.W1[i, i])
 
@@ -672,7 +677,7 @@ def test_a_balanced_start_trained_past_its_fixed_points_keeps_equal_factors(ridg
         assert_train_is_the_reference_bitwise(state, dist, basis, config)
     assert built.call_count == 1
     final, traj = train(state, dist, basis, config)
-    assert traj.products.ndim == 2  # no coordinate went back to the matrix kernel
+    assert traj.products.ndim == 2  # the run took the diagonal kernel
     assert final.W1.tobytes() == final.W2.tobytes()
     if not ridge_lambda:  # with a ridge, a new start product would move the anchor
         again, _ = train(final, dist, basis, TrainConfig(eta=0.05, max_steps=1))
@@ -683,8 +688,7 @@ def test_a_balanced_start_trained_past_its_fixed_points_keeps_equal_factors(ridg
 def test_balanced_coordinates_whose_products_underflow_stay_on_the_diagonal_kernel(ridge_lambda):
     # w * w is never -0.0, so a square that underflows is +0.0 in the matmul
     # entry too; g * w underflows in the last coordinate, where any signed
-    # zero leaves u = w - eta * g1 at w.  Two unequal factors would go back
-    # to the matrix kernel in both cases.
+    # zero leaves u = w - eta * g1 at w.
     d = [1e-200, -1e-200, 5e-324, -5e-324, 0.5, 0.01]
     state, dist, basis = diagonal_problem(d, d, [1.0] * 5 + [5e-324], [1.0, 0.0, 2.0, 1.0, 1.0, 4.0])
     assert 0.01 * (2.0 * ((0.01 * 0.01 - 4.0) * 5e-324)) == 0.0
@@ -708,8 +712,8 @@ def test_balanced_coordinates_whose_products_underflow_stay_on_the_diagonal_kern
 )
 @pytest.mark.parametrize("ridge_lambda", [0.0, 0.3])
 def test_a_coordinate_one_ulp_from_balanced_trains_as_the_reference_loop(w1, w2, ridge_lambda):
-    # equal values of opposite sign, or factors one ulp apart, keep the
-    # two-factor loop beside balanced coordinates on the one-float loop
+    # equal values of opposite sign, or factors one ulp apart, in one
+    # coordinate beside balanced ones send the whole run to the matrix kernel
     n = 4
     for i in (0, n - 1):
         d1, d2 = [0.5, -1.5, 0.25, 1.0], [0.5, -1.5, 0.25, 1.0]
@@ -718,7 +722,7 @@ def test_a_coordinate_one_ulp_from_balanced_trains_as_the_reference_loop(w1, w2,
         config = TrainConfig(eta=0.02, max_steps=3_000, ridge_lambda=ridge_lambda, probe_every=7)
         with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
             assert_train_is_the_reference_bitwise(state, dist, basis, config)
-        assert built.called
+        assert not built.called
 
 
 @st.composite
@@ -891,9 +895,9 @@ def test_a_diagonal_trajectory_derives_every_column_bitwise_as_the_reference_loo
                 column()
 
 
-def test_an_underflowing_diagonal_run_records_the_whole_products():
-    # the rerun on the matrix kernel stores (num_snapshots, n, n) products,
-    # and its columns are those of the reference loop
+def test_an_unbalanced_diagonal_run_records_the_whole_products():
+    # unequal factors take the matrix kernel, which stores (num_snapshots, n, n)
+    # products, and its columns are those of the reference loop
     for n, probe_every in ((1, 1), (2, 2), (6, 1)):
         d1, d2 = [0.5] * n, [0.5] * n
         d1[-1], d2[-1] = -1e-200, 1e-200
@@ -902,7 +906,7 @@ def test_an_underflowing_diagonal_run_records_the_whole_products():
         _, _, want_snaps, want_thetas = reference_train(state, dist, basis, config, {"dist": dist}, True)
         with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
             _, traj = train(state, dist, basis, config)
-        assert built.called
+        assert not built.called
         assert traj.products.shape == (len(want_snaps), n, n)
         assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, {"dist": dist})
 

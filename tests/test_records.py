@@ -118,6 +118,18 @@ def test_append_mode_extends_the_file(tmp_path):
     assert [r["run_id"] for r in read_records(path)] == ["c"]
 
 
+@pytest.mark.parametrize(
+    "data", [b'{"a": 1}\n\xff\n{"c": 3}\n', b'{"a": 1}\n{"b": "\xff\xfe"}', b'{"a": 1}\n\xff']
+)
+def test_a_line_that_is_not_utf8_fails_the_read_by_name(tmp_path, data):
+    # records are ASCII, so such a line is damage, not a write cut short,
+    # also when it is the unterminated last line
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=r"runs\.jsonl line 2 is not a JSON record: 'utf-8' codec"):
+        read_records(path)
+
+
 def test_only_an_unparsable_unterminated_last_line_is_dropped(tmp_path):
     path = tmp_path / "runs.jsonl"
     # a write cut short: dropped on read, cut before the next append
