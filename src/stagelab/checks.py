@@ -24,8 +24,8 @@ bitwise-identical aligned entries over arbitrarily long training runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -66,10 +66,10 @@ def _render_value(value: object) -> str:
     """Render a measured value with floats at full 17-digit precision."""
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, Mapping):
-        return "{" + ", ".join(f"{k}: {_render_value(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(f"{k}: {_render_value(v)}" for k, v in value.items()) + "}"
     return str(value)
 
 
@@ -132,17 +132,27 @@ def _oracle_fixed_points(
     init_diag: np.ndarray,
     ridge_lambda: float = 0.0,
 ) -> np.ndarray:
-    """Independent per-coordinate limits from the derived scalar recursion."""
+    """Independent per-coordinate limits from the derived scalar recursion.
+
+    Coordinates whose variance, target and start have the same bits, such as
+    the k specialized ones, share one recursion.
+    """
+    rows = np.stack([dist.input_variances, dist.target_spectrum, init_diag], axis=1)
+    limits: dict[bytes, float] = {}
     fps = np.empty(dist.n)
-    for i in range(dist.n):
-        fps[i] = scalar_fixed_point(
-            variance=float(dist.input_variances[i]),
-            target=float(dist.target_spectrum[i]),
-            eta=eta,
-            ridge_lambda=ridge_lambda,
-            anchor=float(init_diag[i]),
-            init=float(init_diag[i]),
-        )
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in limits:
+            variance, target, start = row.tolist()
+            limits[key] = scalar_fixed_point(
+                variance=variance,
+                target=target,
+                eta=eta,
+                ridge_lambda=ridge_lambda,
+                anchor=start,
+                init=start,
+            )
+        fps[i] = limits[key]
     return fps
 
 
@@ -197,6 +207,22 @@ def check_specialized_acquisition(
     )
 
 
+def _first_above(column: np.ndarray, level: float) -> int | None:
+    """The index of column's first entry above level, or None if there is none.
+
+    Scans blocks that double in length from 256 entries, so a crossing in the
+    first few hundred rows of a long trajectory costs one short scan.
+    """
+    start, size = 0, 256
+    while start < len(column):
+        block = column[start : start + size]
+        first = int(np.argmax(block > level))
+        if block[first] > level:
+            return start + first
+        start, size = start + size, 2 * size
+    return None
+
+
 def check_sequential_order(
     family: TaskFamily,
     dist: StageDistribution | None = None,
@@ -224,12 +250,12 @@ def check_sequential_order(
     for i in range(part.n):
         if xc[i] > 0:
             fp = oracle[i]
-            above = diags[:, i] > fp / 2.0
-            if not above.any():
+            row = _first_above(diags[:, i], fp / 2.0)
+            if row is None:
                 crossings[i] = None
                 violations.append(f"coordinate {i} never crossed half its limit {fp / 2:.4g}")
             else:
-                crossings[i] = int(steps_axis[int(np.argmax(above))])
+                crossings[i] = int(steps_axis[row])
         else:
             crossings[i] = None
             peak = float(np.max(np.abs(diags[:, i])))
@@ -484,13 +510,15 @@ def check_assumptions(family: TaskFamily, alpha: float = ALPHA) -> CheckReport:
     spectra = family.spectra
     margins = inequality_margins(spectra)
 
-    def salience_margin(a: float) -> float:
+    def salience_margin(a: float | np.ndarray) -> float | np.ndarray:
+        # one alpha, or a column of them: each margin takes the same IEEE operations
         rhs = (1.0 - a) * spectra.pre_inconsistent + a * spectra.post_inconsistent
-        return float(np.min(a * spectra.specialized_target - rhs))
+        return np.min(a * spectra.specialized_target - rhs, axis=-1)
 
-    holding = [float(a) for a in np.linspace(0.0, 1.0, 101) if salience_margin(float(a)) > 0]
-    if holding:
-        scan = f"holds for {len(holding)}/101 grid points (first at alpha={holding[0]:g})"
+    grid = np.linspace(0.0, 1.0, 101)
+    holding = grid[salience_margin(grid[:, None]) > 0]
+    if holding.size:
+        scan = f"holds for {holding.size}/101 grid points (first at alpha={holding[0]:g})"
     else:
         scan = "fails for every alpha in a 101-point grid"
     return CheckReport(
@@ -499,7 +527,7 @@ def check_assumptions(family: TaskFamily, alpha: float = ALPHA) -> CheckReport:
         measured={
             "shared_spectral_basis": "structural",
             **{name: margin for name, margin, _ in margins},
-            "specialized_mixing_salience": salience_margin(alpha),
+            "specialized_mixing_salience": float(salience_margin(alpha)),
         },
         thresholds={},
         notes=(

@@ -2,6 +2,7 @@
 
 Commands: simulate (one pipeline run), sweep (grid of runs with resume),
 verify (behavioral checks), plot (frontier SVG), frontier (frontier CSV).
+The options may come before or after the command.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure
 (divergence or a failed check).  The output directory defaults to the
@@ -50,20 +51,20 @@ FAMILY_SECTIONS = ("init", "task")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one flat parser: no command takes options of its own, and a subparser
+    # per command costs about as much to build as the main parser, every call
+    commands = "\n".join(f"  {name:<10}{line}" for name, (_, line) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="stagelab",
         description="Staged-training laboratory for two-layer linear networks.",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument("command", choices=_COMMANDS, help="what to run; see the list below")
     parser.add_argument("--config", metavar="PATH", default=None, help="INI config file")
     parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in run provenance")
     parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", help="run one pretrain/posttrain/finetune pipeline")
-    sub.add_parser("sweep", help="run the configured hyperparameter grid (resumable)")
-    sub.add_parser("verify", help="run the behavioral checks and print a pass/fail table")
-    sub.add_parser("plot", help="render the frontier SVG from recorded runs")
-    sub.add_parser("frontier", help="export the per-method frontier as CSV")
     return parser
 
 
@@ -251,12 +252,13 @@ def cmd_frontier(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 0
 
 
+# each command's function and its line in --help
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "plot": cmd_plot,
-    "frontier": cmd_frontier,
+    "simulate": (cmd_simulate, "run one pretrain/posttrain/finetune pipeline"),
+    "sweep": (cmd_sweep, "run the configured hyperparameter grid (resumable)"),
+    "verify": (cmd_verify, "run the behavioral checks and print a pass/fail table"),
+    "plot": (cmd_plot, "render the frontier SVG from recorded runs"),
+    "frontier": (cmd_frontier, "export the per-method frontier as CSV"),
 }
 
 
@@ -267,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        command, _ = _COMMANDS[args.command]
+        return command(args, cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

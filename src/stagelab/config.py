@@ -17,7 +17,7 @@ from .checks import ACQUISITION_STEPS, ALPHA, EPSILON, ROUTING_STEPS, TAU
 from .errors import ConfigError
 from .network import NetworkState, init_scaled_identity
 from .pipeline import StagePlan
-from .tasks import STAGES, FeaturePartition, SpectralBasis, TaskFamily, TaskSpectra, build_task_family
+from .tasks import STAGES, FeaturePartition, TaskFamily, TaskSpectra, build_task_family
 
 # type tags: int | float | bool | str | floats (comma-separated list)
 DEFAULTS: dict[str, dict[str, tuple[str, Any]]] = {
@@ -123,10 +123,7 @@ class ExperimentConfig:
         t = self.values["task"]
         partition = FeaturePartition(n=t["n"], k=t["k"])
         spectra = TaskSpectra(**{f.name: t[f.name] for f in fields(TaskSpectra)})
-        # before the basis, whose n×n arrays a bad [task] n would make huge
-        spectra.validate(partition)
-        basis = SpectralBasis.from_mode(t["basis"], partition.n, t["basis_seed"])
-        return build_task_family(partition, spectra, basis=basis)
+        return build_task_family(partition, spectra, t["basis"], t["basis_seed"])
 
     def init_state(self, family: TaskFamily | None = None) -> NetworkState:
         """The [init] state in the basis of family, by default the config's own task family."""

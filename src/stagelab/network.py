@@ -667,11 +667,24 @@ def scalar_fixed_point(
     anchor: float = 0.0,
     init: float = 1.0,
 ) -> float:
-    """Iterate derived_diag_step from init until the update falls below FIXED_POINT_TOL."""
+    """Iterate derived_diag_step from init until the update falls below FIXED_POINT_TOL.
+
+    The loop inlines derived_diag_step's operations, in its order, on Python
+    floats, so each iterate has the bits that function returns for it.  An
+    iterate that is not finite raises TrainingDiverged with its iteration,
+    also where Python's float power raises OverflowError.
+    """
     sigma = float(init)
+    variance, target, eta = float(variance), float(target), float(eta)
+    ridge_lambda, anchor = float(ridge_lambda), float(anchor)
+    isfinite = math.isfinite
     for i in range(FIXED_POINT_MAX_ITER):
-        nxt = float(derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor))
-        if not math.isfinite(nxt):
+        g = 2.0 * (variance * (sigma - target) + ridge_lambda * (sigma - anchor))
+        try:
+            nxt = sigma * (1.0 - eta * g) ** 2
+        except OverflowError:
+            nxt = math.inf
+        if not isfinite(nxt):
             raise TrainingDiverged(i + 1, f"scalar recursion diverged at iteration {i + 1}")
         if abs(nxt - sigma) <= FIXED_POINT_TOL:
             return nxt

@@ -81,7 +81,7 @@ def dumps_record(record: Mapping[str, Any]) -> str:
     return "{" + body + "}"
 
 
-def _parses(text: bytes | str) -> bool:
+def _parses(text: str) -> bool:
     try:
         json.loads(text)
     except ValueError:
@@ -95,8 +95,10 @@ def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]],
     An append first mends the end of the file through the handle it writes
     with: an unterminated last line that does not parse is a write that was
     cut short and is cut, one that parses is terminated, so a record never
-    lands on such a line.  Writes are binary; the UTF-8 bytes are those a
-    text-mode write gives, and every line is ASCII, as json.dumps escapes.
+    lands on such a line.  One that is not UTF-8 raises ConfigError, as in
+    read_records, and the file is left as it was.  Writes are binary; the
+    UTF-8 bytes are those a text-mode write gives, and every line is ASCII,
+    as json.dumps escapes.
     """
     count = 0
     with open(path, "a+b" if append else "wb") as fh:
@@ -107,7 +109,12 @@ def write_records(path: str | os.PathLike, records: Iterable[Mapping[str, Any]],
                 fh.seek(0)
                 data = fh.read()
                 start = data.rfind(b"\n") + 1
-                if _parses(data[start:]):
+                try:
+                    last = data[start:].decode()
+                except UnicodeDecodeError as exc:
+                    line = data.count(b"\n", 0, start) + 1
+                    raise ConfigError(f"{path} line {line} is not a JSON record: {exc}") from None
+                if _parses(last):
                     fh.write(b"\n")
                 else:
                     fh.truncate(start)

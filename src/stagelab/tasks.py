@@ -277,14 +277,16 @@ def _stage_distribution(partition: FeaturePartition, spectra: TaskSpectra, stage
 def build_task_family(
     partition: FeaturePartition,
     spectra: TaskSpectra,
-    basis: SpectralBasis | None = None,
+    basis_mode: str = "identity",
+    basis_seed: int | None = None,
 ) -> TaskFamily:
-    """Assemble a TaskFamily, checking the block inequalities first."""
+    """Assemble a TaskFamily in the named basis (SpectralBasis.from_mode).
+
+    The spectra are checked first, before the n x n basis, whose arrays a
+    partition the spectra do not fit could make huge.
+    """
     spectra.validate(partition)
-    if basis is None:
-        basis = SpectralBasis.identity(partition.n)
-    if basis.n != partition.n:
-        raise ConfigError(f"basis dimension {basis.n} does not match partition n={partition.n}")
+    basis = SpectralBasis.from_mode(basis_mode, partition.n, basis_seed)
     dists = {stage: _stage_distribution(partition, spectra, stage) for stage in STAGES}
     return TaskFamily(partition=partition, spectra=spectra, basis=basis, distributions=dists)
 

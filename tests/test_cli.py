@@ -463,6 +463,48 @@ def test_help_does_not_list_threads(capsys):
     assert "--out" in out and "--threads" not in out
 
 
+def test_help_lists_every_command_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, description in [
+        ("simulate", "run one pretrain/posttrain/finetune pipeline"),
+        ("sweep", "run the configured hyperparameter grid (resumable)"),
+        ("verify", "run the behavioral checks and print a pass/fail table"),
+        ("plot", "render the frontier SVG from recorded runs"),
+        ("frontier", "export the per-method frontier as CSV"),
+    ]:
+        assert any(line.split() == [command, *description.split()] for line in lines), command
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["simulate", "sweep"], "unrecognized arguments: sweep"),
+    ],
+    ids=["missing", "unknown", "two"],
+)
+def test_a_usage_error_exits_2_before_anything_runs(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_options_may_follow_the_command(tmp_path):
+    cfg = write_ini(tmp_path, SIMULATE_INI)
+    first, after = tmp_path / "first", tmp_path / "after"
+    assert main(["--config", cfg, "--out", str(first), "--seed", "7", "simulate"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(after), "--seed", "7"]) == 0
+    assert (after / "runs.jsonl").read_bytes() == (first / "runs.jsonl").read_bytes()
+    assert '"seed": 7' in (after / "runs.jsonl").read_text()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
 def test_spectra_that_do_not_fit_n_exit_2_before_the_basis_is_built(tmp_path, monkeypatch, capsys, command):
     # a basis for n = 1000000 would take terabytes

@@ -947,6 +947,64 @@ def test_scalar_fixed_point_limits():
     assert got == pytest.approx((1.0 * 2.0 + 0.5 * 1.0) / 1.5, abs=1e-10)
 
 
+def _fixed_point_by_derived_steps(variance, target, eta, ridge_lambda, anchor, init):
+    """The reference loop: derived_diag_step from init until an update is within tolerance."""
+    sigma = float(init)
+    for i in range(network.FIXED_POINT_MAX_ITER):
+        try:
+            nxt = float(derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor))
+        except OverflowError:  # Python's float power, where IEEE gives inf
+            return "diverged", i + 1
+        if not math.isfinite(nxt):
+            return "diverged", i + 1
+        if abs(nxt - sigma) <= network.FIXED_POINT_TOL:
+            return "limit", nxt.hex()
+        sigma = nxt
+    return "no limit", None
+
+
+def _fixed_point_outcome(**kwargs):
+    try:
+        return "limit", scalar_fixed_point(**kwargs).hex()
+    except TrainingDiverged as err:
+        return "diverged", err.step
+    except StagelabError:
+        return "no limit", None
+
+
+signed_floats = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, math.nan])
+
+
+@given(
+    variance=st.floats(0.0, 1.0),
+    target=st.floats(0.0, 10.0),
+    eta=st.floats(1e-4, 0.6),
+    ridge_lambda=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+    anchor=signed_floats,
+    init=signed_floats,
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_fixed_point_is_the_derived_step_loop_bit_for_bit(
+    variance, target, eta, ridge_lambda, anchor, init
+):
+    # the limit's bits, or the iteration that diverged, or the cap reached
+    kwargs = dict(
+        variance=variance, target=target, eta=eta, ridge_lambda=ridge_lambda, anchor=anchor, init=init
+    )
+    with mock.patch.object(network, "FIXED_POINT_MAX_ITER", 3000):
+        assert _fixed_point_outcome(**kwargs) == _fixed_point_by_derived_steps(**kwargs)
+
+
+def test_scalar_fixed_point_names_the_iteration_that_diverged():
+    # 50 * (1 - 0.06 * 2 * (50 - 2))^2 is 23 times 50, and each later iterate grows faster
+    kwargs = dict(variance=1.0, target=2.0, eta=0.06, ridge_lambda=0.0, anchor=0.0, init=50.0)
+    outcome = _fixed_point_by_derived_steps(**kwargs)
+    assert outcome[0] == "diverged" and outcome[1] > 2
+    with pytest.raises(TrainingDiverged, match=f"at iteration {outcome[1]}$") as err:
+        scalar_fixed_point(**kwargs)
+    assert err.value.step == outcome[1]
+
+
 def test_saddle_persistence_is_bitwise():
     family = make_reference_family()
     post = family.distribution("posttrain")

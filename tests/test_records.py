@@ -130,6 +130,19 @@ def test_a_line_that_is_not_utf8_fails_the_read_by_name(tmp_path, data):
         read_records(path)
 
 
+@pytest.mark.parametrize("data", [b'{"a": 1}\n\xff', b'{"a": 1}\n{"b": "\xff\xfe"}', b"\xff"])
+def test_an_append_refuses_an_unterminated_last_line_that_is_not_utf8(tmp_path, data):
+    # the append raises the read's error, by line, and cuts nothing
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as read:
+        read_records(path)
+    with pytest.raises(ConfigError) as append:
+        write_records(path, [{"b": 2}], append=True)
+    assert str(append.value) == str(read.value)
+    assert path.read_bytes() == data
+
+
 def test_only_an_unparsable_unterminated_last_line_is_dropped(tmp_path):
     path = tmp_path / "runs.jsonl"
     # a write cut short: dropped on read, cut before the next append

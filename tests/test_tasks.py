@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mixture_moments_monte_carlo
@@ -246,6 +246,53 @@ def test_salience_never_holds_when_magnitudes_are_valid(alpha):
     report = check_assumptions(make_reference_family(), alpha)
     assert report.passed
     assert not report.measured["specialized_mixing_salience"] > 0
+
+
+def _salience_by_scalar_calls(spectra: TaskSpectra, alpha: float) -> tuple[float, str]:
+    """The measured margin at alpha and the note's scan, one scalar margin per grid point."""
+
+    def margin(a: float) -> float:
+        rhs = (1.0 - a) * spectra.pre_inconsistent + a * spectra.post_inconsistent
+        return float(np.min(a * spectra.specialized_target - rhs))
+
+    holding = [float(a) for a in np.linspace(0.0, 1.0, 101) if margin(float(a)) > 0]
+    if holding:
+        scan = f"holds for {len(holding)}/101 grid points (first at alpha={holding[0]:g})"
+    else:
+        scan = "fails for every alpha in a 101-point grid"
+    return margin(alpha), scan
+
+
+@st.composite
+def salience_spectra(draw):
+    k = draw(st.integers(1, 3))
+    values = st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)
+    return reference_spectra(
+        pre_inconsistent=np.array(draw(values)),
+        post_inconsistent=np.array(draw(values)),
+        ft_inconsistent=np.array(draw(values)),
+        specialized_target=draw(st.floats(0.01, 10.0)),
+    )
+
+
+@given(spectra=salience_spectra(), alpha=st.floats(0.0, 1.0))
+@example(  # holds from alpha = 0.2, where the margin is a rounding error
+    spectra=reference_spectra(
+        pre_inconsistent=np.array([0.5, 0.2]),
+        post_inconsistent=np.array([1.0, 1.5]),
+        specialized_target=3.0,
+    ),
+    alpha=0.5,
+)
+@settings(max_examples=200, deadline=None)
+def test_the_salience_scan_matches_one_scalar_margin_per_grid_point(spectra, alpha):
+    # spectra the validator refuses, so the scan can also hold: the family is
+    # built around them, as check_assumptions reads only its spectra
+    family = dataclasses.replace(make_reference_family(), spectra=spectra)
+    report = check_assumptions(family, alpha)
+    margin, scan = _salience_by_scalar_calls(spectra, alpha)
+    assert report.measured["specialized_mixing_salience"] == margin
+    assert report.notes[0].endswith(f"; {scan}")
 
 
 def test_family_distribution_unknown_stage():
