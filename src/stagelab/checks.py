@@ -441,7 +441,7 @@ def forgetting_lower_bound(k: int, mismatch_gap: float, specialized_target: floa
     gap / 2, which the family validator enforces).
     """
     return k * (
-        mismatch_gap**2 - 4.0 * specialized_target * epsilon - 2.0 * mismatch_gap * epsilon
+        mismatch_gap * mismatch_gap - 4.0 * specialized_target * epsilon - 2.0 * mismatch_gap * epsilon
     )
 
 
@@ -548,33 +548,24 @@ def run_all_checks(
     """Every check at its reference budget, in a stable order.
 
     literal_inconsistent=True does not replace the default reading of the
-    unmixed checkpoint; it adds a second routing/forgetting pair computed from
-    the literal posttrain inconsistent values, so the two readings can be
-    compared side by side.
+    unmixed checkpoint; after the default reports it adds a second
+    routing/forgetting pair computed from the literal posttrain inconsistent
+    values, so the two readings can be compared side by side.  The
+    frozen-direction run trains in the default reading only.
     """
     reports = [check_assumptions(family, alpha=alpha)]
     reports.append(check_specialized_acquisition(family, alpha=alpha, steps=acquisition_steps))
     reports.append(check_sequential_order(family, steps=acquisition_steps))
-    routing_report, states = check_posttrain_routing(
-        family, alpha=alpha, epsilon=epsilon, steps=routing_steps
-    )
-    reports.append(routing_report)
-
-    ft = family.distribution("finetune")
-    frozen_config = TrainConfig(eta=FT_ETA, max_steps=FT_STEPS, probe_every=1)
-    _, ft_traj = train(states["mixed"], ft, family.basis, frozen_config)
-    reports.append(check_frozen_directions(ft_traj, ft, family))
-
-    reports.append(check_forgetting_gap(family, states, epsilon=epsilon))
-    if literal_inconsistent:
-        literal_report, literal_states = check_posttrain_routing(
-            family,
-            alpha=alpha,
-            epsilon=epsilon,
-            steps=routing_steps,
-            literal_inconsistent=True,
+    for literal in (False, True) if literal_inconsistent else (False,):
+        routing_report, states = check_posttrain_routing(
+            family, alpha=alpha, epsilon=epsilon, steps=routing_steps, literal_inconsistent=literal
         )
-        reports.append(literal_report)
-        literal_gap = check_forgetting_gap(family, literal_states, epsilon=epsilon)
-        reports.append(replace(literal_gap, name="forgetting_gap_literal"))
+        reports.append(routing_report)
+        if not literal:
+            ft = family.distribution("finetune")
+            frozen_config = TrainConfig(eta=FT_ETA, max_steps=FT_STEPS, probe_every=1)
+            _, ft_traj = train(states["mixed"], ft, family.basis, frozen_config)
+            reports.append(check_frozen_directions(ft_traj, ft, family))
+        gap = check_forgetting_gap(family, states, epsilon=epsilon)
+        reports.append(replace(gap, name="forgetting_gap_literal") if literal else gap)
     return reports

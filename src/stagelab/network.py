@@ -652,11 +652,14 @@ def derived_diag_step(
     """Exact per-coordinate update for balanced diagonal states.
 
     With g = 2 (variance (sigma - target) + ridge_lambda (sigma - anchor)) both
-    factors scale by (1 - eta g), so the product updates as sigma (1 - eta g)^2.
-    This matches the matrix dynamics coordinate-by-coordinate.
+    factors scale by d = 1 - eta g, so the product updates as sigma (d d).
+    This matches the matrix dynamics coordinate-by-coordinate.  The square is
+    one IEEE multiplication, as numpy squares an array, so Python floats and
+    arrays get the same bits, and an overflow gives inf.
     """
     g = 2.0 * (variance * (sigma - target) + ridge_lambda * (sigma - anchor))
-    return sigma * (1.0 - eta * g) ** 2
+    d = 1.0 - eta * g
+    return sigma * (d * d)
 
 
 def scalar_fixed_point(
@@ -670,9 +673,9 @@ def scalar_fixed_point(
     """Iterate derived_diag_step from init until the update falls below FIXED_POINT_TOL.
 
     The loop inlines derived_diag_step's operations, in its order, on Python
-    floats, so each iterate has the bits that function returns for it.  An
-    iterate that is not finite raises TrainingDiverged with its iteration,
-    also where Python's float power raises OverflowError.
+    floats, so each iterate has the bits that function returns for it; it
+    squares by multiplication too.  An iterate that is not finite raises
+    TrainingDiverged with its iteration.
     """
     sigma = float(init)
     variance, target, eta = float(variance), float(target), float(eta)
@@ -680,10 +683,8 @@ def scalar_fixed_point(
     isfinite = math.isfinite
     for i in range(FIXED_POINT_MAX_ITER):
         g = 2.0 * (variance * (sigma - target) + ridge_lambda * (sigma - anchor))
-        try:
-            nxt = sigma * (1.0 - eta * g) ** 2
-        except OverflowError:
-            nxt = math.inf
+        d = 1.0 - eta * g
+        nxt = sigma * (d * d)
         if not isfinite(nxt):
             raise TrainingDiverged(i + 1, f"scalar recursion diverged at iteration {i + 1}")
         if abs(nxt - sigma) <= FIXED_POINT_TOL:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from stagelab import NetworkState, population_loss
-from stagelab.tasks import SpectralBasis, StageDistribution, target_matrix
+from stagelab.tasks import SpectralBasis, StageDistribution
 
 
 def finite_difference_gradients(
@@ -125,7 +125,7 @@ def population_loss_monte_carlo(
     root_v = np.sqrt(dist.input_variances)
     Z = rng.standard_normal((dist.n, samples))
     X = root_v[:, None] * Z if basis.is_identity else basis.V @ (root_v[:, None] * Z)
-    A = target_matrix(dist, basis)
+    A = basis.U @ np.diag(dist.target_spectrum) @ basis.V.T
     R = (state.theta - A) @ X
     per_sample = np.sum(R * R, axis=0)
     est = float(per_sample.mean())

@@ -1,5 +1,7 @@
 """Tests for the verification checks and their failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,10 @@ def test_lower_bound_can_go_negative_inside_the_routing_ceiling():
     # (ceiling 5), yet the bound is negative there; positivity needs eps <= gap/4
     assert forgetting_lower_bound(1, 2.0, 0.9, 4.0) < 0
     assert forgetting_lower_bound(2, 2.0, 0.9, 0.1) == pytest.approx(6.48, rel=1e-12)
+
+
+def test_lower_bound_overflows_to_inf():
+    assert forgetting_lower_bound(2, 1e200, 0.9, 0.1) == math.inf
 
 
 @given(

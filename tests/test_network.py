@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -935,6 +935,32 @@ def test_scalar_rules_share_fixed_points():
     assert derived_diag_step(0.0, 1.0, 2.0, 0.01) == 0.0
 
 
+@given(
+    sigma=st.floats(-1e3, 1e3),
+    variance=st.floats(0.0, 10.0),
+    target=st.floats(-10.0, 10.0),
+    eta=st.floats(1e-4, 0.6),
+    ridge_lambda=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+    anchor=st.floats(-1e3, 1e3),
+)
+# Python's float power overflows with OverflowError where a multiplication
+# gives inf, and rounds the second square differently from a multiplication
+@example(1e200, 1.0, 2.0, 0.06, 0.0, 0.0)
+@example(1.664407174993337, 0.101366400028582, 4.367364614409305, 0.022683536254972478, 0.0, 0.0)
+@settings(max_examples=300, deadline=None)
+def test_derived_step_has_the_same_bits_for_floats_and_arrays(
+    sigma, variance, target, eta, ridge_lambda, anchor
+):
+    scalar = derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        array = derived_diag_step(
+            np.array([sigma]), np.array([variance]), np.array([target]), eta, ridge_lambda,
+            np.array([anchor]),
+        )
+    assert type(scalar) is float
+    assert scalar.hex() == float(array[0]).hex()
+
+
 def test_scalar_fixed_point_limits():
     assert scalar_fixed_point(variance=1.0, target=2.0, eta=0.01, init=1.0) == pytest.approx(
         2.0, abs=1e-10
@@ -951,10 +977,7 @@ def _fixed_point_by_derived_steps(variance, target, eta, ridge_lambda, anchor, i
     """The reference loop: derived_diag_step from init until an update is within tolerance."""
     sigma = float(init)
     for i in range(network.FIXED_POINT_MAX_ITER):
-        try:
-            nxt = float(derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor))
-        except OverflowError:  # Python's float power, where IEEE gives inf
-            return "diverged", i + 1
+        nxt = float(derived_diag_step(sigma, variance, target, eta, ridge_lambda, anchor))
         if not math.isfinite(nxt):
             return "diverged", i + 1
         if abs(nxt - sigma) <= network.FIXED_POINT_TOL:

@@ -17,6 +17,7 @@ from stagelab import (
     build_task_family,
     compute_matched_plans,
     init_scaled_identity,
+    loads_config,
     make_reference_family,
     make_run_id,
     pipeline_run_record,
@@ -271,3 +272,26 @@ def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):
     gap = unmixed.metrics["L_ret"] - mixed.metrics["L_ret"]
     assert gap >= 1.0
     assert gap == pytest.approx(1.62, abs=0.01)
+
+
+def test_random_basis_sweep_is_the_identity_sweep_up_to_rounding():
+    # A random basis conjugates every teacher, covariance and the init by the
+    # orthogonal pair (U, V), so in exact arithmetic each run's losses are its
+    # identity twin's; only rounding may tell them apart.
+    def default_sweep(text):
+        cfg = loads_config(text)
+        family = cfg.task_family()
+        tasks = itertools.product(*cfg.sweep_plans())
+        return [run.metrics for run in run_sweep(family, cfg.init_state(family), tasks)]
+
+    identity = default_sweep("")
+    assert len(identity) == 30
+    for seed in range(6):
+        rotated = default_sweep(f"[task]\nbasis = random\nbasis_seed = {seed}\n")
+        for want, got in zip(identity, rotated, strict=True):
+            assert list(got) == list(want)
+            for key, value in want.items():
+                if abs(value) > 1e-12:
+                    assert abs(got[key] - value) <= 1e-12 * abs(value), (seed, key)
+                else:
+                    assert abs(got[key] - value) <= 1e-20, (seed, key)
