@@ -167,8 +167,8 @@ def check_specialized_acquisition(
     init = init_scaled_identity(part.n, TAU, family.basis)
     config = TrainConfig(eta=ACQUISITION_ETA, max_steps=steps, probe_every=max(1, steps // 10))
 
-    state_mixed, _ = train(init, mixed, family.basis, config, record_spectrum=False)
-    state_unmixed, _ = train(init, pre, family.basis, config, record_spectrum=False)
+    state_mixed, _ = train(init, mixed, config, record_spectrum=False)
+    state_unmixed, _ = train(init, pre, config, record_spectrum=False)
 
     diag_mixed, _ = aligned_spectrum(state_mixed, family.basis)
     diag_unmixed, _ = aligned_spectrum(state_unmixed, family.basis)
@@ -239,7 +239,7 @@ def check_sequential_order(
     part = family.partition
     init = init_scaled_identity(part.n, TAU, family.basis)
     config = TrainConfig(eta=eta, max_steps=steps, probe_every=1)
-    _, traj = train(init, dist, family.basis, config)
+    _, traj = train(init, dist, config)
 
     diags = traj.diagonals()
     steps_axis = traj.steps
@@ -291,11 +291,7 @@ def check_sequential_order(
     )
 
 
-def check_frozen_directions(
-    trajectory: Trajectory,
-    dist: StageDistribution,
-    family: TaskFamily,
-) -> CheckReport:
+def check_frozen_directions(trajectory: Trajectory, dist: StageDistribution) -> CheckReport:
     """Coordinates the distribution never excites must not move at all.
 
     Passes iff every aligned entry on a zero-input-variance coordinate is
@@ -317,7 +313,7 @@ def check_frozen_directions(
     block = diags[:, frozen]
     drift = float(np.max(np.abs(block - block[0])))
     constant = bool(np.all(block == block[0]))
-    note = f"identity_basis={family.basis.is_identity}"
+    note = f"identity_basis={dist.basis.is_identity}"
     if not constant:
         note = f"frozen coordinates {frozen.tolist()} moved: max_drift {drift:.3g} > 0"
     return CheckReport(
@@ -392,7 +388,7 @@ def check_posttrain_routing(
     failures: list[str] = []
     for kind, (init, oracle, moving, pinned, expected) in arms.items():
         config = TrainConfig(eta=ROUTING_ETA, max_steps=steps, ridge_lambda=ROUTING_RIDGE)
-        state, traj = train(init, post, basis, config)
+        state, traj = train(init, post, config)
         states[kind] = state
 
         diags = traj.diagonals()
@@ -462,14 +458,13 @@ def check_forgetting_gap(
     """
     post = family.distribution("posttrain")
     ft = family.distribution("finetune")
-    basis = family.basis
     config = TrainConfig(eta=FT_ETA, max_steps=ft_steps)
 
     deltas: dict[str, float] = {}
     for kind, state in posttrain_states.items():
-        before = population_loss(state, post, basis)
-        final, _ = train(state, ft, basis, config, record_spectrum=False)
-        after = population_loss(final, post, basis)
+        before = population_loss(state, post)
+        final, _ = train(state, ft, config, record_spectrum=False)
+        after = population_loss(final, post)
         deltas[kind] = after - before
 
     bound = forgetting_lower_bound(
@@ -564,8 +559,8 @@ def run_all_checks(
         if not literal:
             ft = family.distribution("finetune")
             frozen_config = TrainConfig(eta=FT_ETA, max_steps=FT_STEPS, probe_every=1)
-            _, ft_traj = train(states["mixed"], ft, family.basis, frozen_config)
-            reports.append(check_frozen_directions(ft_traj, ft, family))
+            _, ft_traj = train(states["mixed"], ft, frozen_config)
+            reports.append(check_frozen_directions(ft_traj, ft))
         gap = check_forgetting_gap(family, states, epsilon=epsilon)
         reports.append(replace(gap, name="forgetting_gap_literal") if literal else gap)
     return reports

@@ -5,8 +5,8 @@ stage distribution is
 
     L(theta) = sum_i v_i * || (theta - A) V e_i ||^2
 
-where A is the stage teacher matrix and v the per-coordinate input variances
-in the shared basis.  Gradients flow through both factors, updates are
+where A is the stage distribution's teacher matrix and v its input variances,
+both in its basis.  Gradients flow through both factors, updates are
 simultaneous, and an optional ridge term lambda * ||theta - anchor||_F^2
 pulls the product toward an anchor, in train() the product it started from.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StagelabError, TrainingDiverged
-from .tasks import SpectralBasis, StageDistribution, _freeze, target_matrix
+from .tasks import SpectralBasis, StageDistribution, _freeze
 
 FIXED_POINT_TOL = 1e-12  # scalar_fixed_point stops once an update is this small
 FIXED_POINT_MAX_ITER = 2_000_000
@@ -145,12 +145,11 @@ class Trajectory:
     train() used to evaluate at each snapshot, so the values are bitwise
     theirs: losses(dist) on any stage distribution, train_losses on the
     training one, and, when the run recorded its spectrum, the aligned
-    diagonals() and offdiags().
+    diagonals() and offdiags(), in the training distribution's basis.
     """
 
     steps: np.ndarray
     products: np.ndarray
-    basis: SpectralBasis
     dist: StageDistribution
     spectrum: bool = True
 
@@ -179,7 +178,7 @@ class Trajectory:
 
     def losses(self, dist: StageDistribution) -> np.ndarray:
         """Population loss on dist at every recorded step, shape (num_snapshots,)."""
-        return np.array(_losses(self.thetas, dist, self.basis))
+        return np.array(_losses(self.thetas, dist))
 
     @property
     def train_losses(self) -> np.ndarray:
@@ -192,9 +191,9 @@ class Trajectory:
         """
         if not self.spectrum:
             raise StagelabError("trajectory was recorded without aligned spectra")
-        if self.basis.is_identity:
+        if self.dist.basis.is_identity:
             return self.products
-        U, V = self.basis.U, self.basis.V
+        U, V = self.dist.basis.U, self.dist.basis.V
         frames = np.empty_like(self.products)
         for theta, M in zip(self.products, frames):
             np.matmul(U.T @ theta, V, out=M)
@@ -307,36 +306,31 @@ def _data_loss(E: np.ndarray, v: np.ndarray, V: np.ndarray | None) -> float:
     return float(np.add.reduce(EV * EV * v, axis=None))
 
 
-def _losses(
-    thetas: Sequence[np.ndarray], dist: StageDistribution, basis: SpectralBasis
-) -> list[float]:
+def _losses(thetas: Sequence[np.ndarray], dist: StageDistribution) -> list[float]:
     """The exact expected squared error of each product in thetas on dist."""
-    A = target_matrix(dist, basis)
-    v = dist.input_variances
-    V = None if basis.is_identity else basis.V
+    A, v = dist.teacher, dist.input_variances
+    V = None if dist.basis.is_identity else dist.basis.V
     return [_data_loss(theta - A, v, V) for theta in thetas]
 
 
-def population_loss(state: NetworkState, dist: StageDistribution, basis: SpectralBasis) -> float:
+def population_loss(state: NetworkState, dist: StageDistribution) -> float:
     """Exact expected squared error of theta on the stage distribution."""
-    return _losses([state.theta], dist, basis)[0]
+    return _losses([state.theta], dist)[0]
 
 
 def population_gradient(
     state: NetworkState,
     dist: StageDistribution,
-    basis: SpectralBasis,
     ridge_lambda: float = 0.0,
     ridge_anchor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients (dL/dW1, dL/dW2), including the optional ridge term."""
     if ridge_lambda > 0 and ridge_anchor is None:
         raise ConfigError("ridge_lambda > 0 requires a ridge_anchor")
-    A = target_matrix(dist, basis)
-    V = None if basis.is_identity else basis.V
+    A, v = dist.teacher, dist.input_variances
+    V = None if dist.basis.is_identity else dist.basis.V
     theta = state.theta
     grads = np.empty((2, state.n, state.n))
-    v = dist.input_variances
     _gradient_kernel(state.W1, state.W2, theta, theta - A, v, V, ridge_lambda, ridge_anchor, grads)()
     return grads[0], grads[1]
 
@@ -460,7 +454,6 @@ def _diagonal_kernel(
 def train(
     state: NetworkState,
     dist: StageDistribution,
-    basis: SpectralBasis,
     config: TrainConfig,
     record_spectrum: bool = True,
 ) -> tuple[NetworkState, Trajectory]:
@@ -493,9 +486,8 @@ def train(
     non-finite state, which can repeat its bits, is left to the weight
     checks.
     """
-    A = target_matrix(dist, basis)
-    v = dist.input_variances
-    V = None if basis.is_identity else basis.V
+    A, v = dist.teacher, dist.input_variances
+    V = None if dist.basis.is_identity else dist.basis.V
 
     # the start factors and the target in one copy: the kernel is chosen from
     # it, and restart() copies the factors back from it
@@ -638,7 +630,7 @@ def train(
     steps[-1] = config.max_steps
     steps.flags.writeable = products.flags.writeable = False
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
-    return final_state, Trajectory(steps, products, basis, dist, record_spectrum)
+    return final_state, Trajectory(steps, products, dist, record_spectrum)
 
 
 def derived_diag_step(

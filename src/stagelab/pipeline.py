@@ -44,6 +44,9 @@ class StagePlan:
             raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
+        for name in ("mix_fraction", "replay_fraction", "ridge_lambda"):
+            # -0.0 equals 0.0, so the two are one plan: + 0.0 gives it one run id and record
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         for name in ("mix_fraction", "replay_fraction"):
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:
@@ -106,7 +109,7 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
 def _train_stage(family: TaskFamily, plan: StagePlan, state: NetworkState) -> NetworkState:
     """The checkpoint at the end of one stage; a ridge anchors the state it starts from."""
     dist = stage_training_distribution(family, plan)
-    state, _ = train(state, dist, family.basis, plan.train_config(), record_spectrum=False)
+    state, _ = train(state, dist, plan.train_config(), record_spectrum=False)
     return state
 
 
@@ -160,14 +163,14 @@ def continue_from_pretrained(
     metrics = None
     failed_stage = None if failure is None else STAGES[len(states)]
     if failure is None:
-        # each checkpoint's product and each distribution's target once; the
-        # losses are population_loss's bits.  They are losses on distributions
-        # no stage may have trained on, so finite weights can still overflow them
+        # each checkpoint's product once; the losses are population_loss's
+        # bits.  They are losses on distributions no stage may have trained
+        # on, so finite weights can still overflow them
         posttrained, finetuned = states["posttrain"].theta, states["finetune"].theta
         with np.errstate(over="ignore", invalid="ignore"):
-            L_im, L_ret = _losses((posttrained, finetuned), family.distribution("posttrain"), family.basis)
-            (L_ft,) = _losses((finetuned,), family.distribution("finetune"), family.basis)
-            (L_pre,) = _losses((finetuned,), family.distribution("pretrain"), family.basis)
+            L_im, L_ret = _losses((posttrained, finetuned), family.distribution("posttrain"))
+            (L_ft,) = _losses((finetuned,), family.distribution("finetune"))
+            (L_pre,) = _losses((finetuned,), family.distribution("pretrain"))
             metrics = {"L_im": L_im, "L_ret": L_ret, "L_ft": L_ft, "L_pre": L_pre, "delta": L_ret - L_im}
         bad = [name for name, value in metrics.items() if not math.isfinite(value)]
         if bad:

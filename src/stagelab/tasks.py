@@ -19,7 +19,8 @@ which is what a quadratic learner actually regresses toward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -101,6 +102,11 @@ class TaskSpectra:
                 raise TaskValidationError(
                     f"{name} spectrum has length {vec.size}, partition wants k={partition.k}"
                 )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value).all():
+                # margins on an infinite spectrum can all stay positive
+                raise TaskValidationError(f"{f.name} must be finite, got {np.asarray(value).tolist()}")
         if self.mismatch_gap <= 0:
             raise TaskValidationError(f"mismatch_gap must be positive, got {self.mismatch_gap}")
         if self.specialized_target <= 0:
@@ -174,62 +180,68 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class StageDistribution:
-    """One stage's data distribution in the shared spectral frame.
+    """One stage's data distribution in its family's basis.
 
     input_variances and cross_covariance are the primitive quantities (they mix
-    linearly); target_spectrum is derived as cross_covariance / variance with a
-    zero placeholder on unobserved coordinates.
+    linearly).  Derived from them once, on first access: target_spectrum, as
+    cross_covariance / variance with a zero placeholder on unobserved
+    coordinates, and the teacher matrix U diag(target_spectrum) V^T.
     """
 
     label: str
+    basis: SpectralBasis
     input_variances: np.ndarray
-    target_spectrum: np.ndarray
     cross_covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("input_variances", "target_spectrum", "cross_covariance"):
+        for name in ("input_variances", "cross_covariance"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        v = self.input_variances
-        if np.any(v < 0) or np.any(v > 1):
+        v, xc = self.input_variances, self.cross_covariance
+        if not ((v >= 0) & (v <= 1)).all():
             raise ConfigError(f"input variances must lie in [0, 1], got {v}")
-        if self.target_spectrum.shape != v.shape or self.cross_covariance.shape != v.shape:
-            raise ConfigError("distribution vectors must share one length")
-        if np.any(self.target_spectrum < 0):
-            raise ConfigError("target spectrum entries must be nonnegative")
+        if xc.shape != v.shape or self.basis.n != v.size:
+            raise ConfigError("distribution vectors and basis must share one length")
+        if not (np.isfinite(xc) & (xc >= 0)).all():
+            raise ConfigError(f"cross-covariance entries must be finite and nonnegative, got {xc}")
+        if (xc[v == 0] != 0).any():
+            raise ConfigError(f"cross-covariance must be zero where the input variance is, got {xc}")
 
     @property
     def n(self) -> int:
         return self.input_variances.size
 
+    @cached_property
+    def target_spectrum(self) -> np.ndarray:
+        v = self.input_variances
+        return _freeze(np.where(v > 0, self.cross_covariance / np.where(v > 0, v, 1.0), 0.0))
 
-def target_matrix(dist: StageDistribution, basis: SpectralBasis) -> np.ndarray:
-    """Teacher matrix U diag(target_spectrum) V^T."""
-    return (basis.U * dist.target_spectrum) @ basis.V.T
+    @cached_property
+    def teacher(self) -> np.ndarray:
+        """The teacher matrix U diag(target_spectrum) V^T."""
+        return _freeze((self.basis.U * self.target_spectrum) @ self.basis.V.T)
 
 
 def mix_distributions(d1: StageDistribution, d2: StageDistribution, alpha: float) -> StageDistribution:
     """Convex mixture: draw from d2 with probability alpha, else from d1.
 
-    Variances and cross-covariances mix linearly; effective targets are
-    recomputed as cross-covariance / variance.  alpha = 0 or 1 returns the pure
-    input unchanged, including bitwise-identical arrays.
+    Variances and cross-covariances mix linearly; the mixture derives its
+    effective targets from them.  Both must be in one basis.  alpha = 0 or 1
+    returns the pure input unchanged, including bitwise-identical arrays.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"mixing weight must lie in [0, 1], got {alpha}")
-    if d1.n != d2.n:
-        raise ConfigError("cannot mix distributions of different dimension")
+    b1, b2 = d1.basis, d2.basis
+    if b1 is not b2 and not (np.array_equal(b1.U, b2.U) and np.array_equal(b1.V, b2.V)):
+        raise ConfigError("cannot mix distributions in different bases")
     if alpha == 0.0:
         return d1
     if alpha == 1.0:
         return d2
-    v = (1.0 - alpha) * d1.input_variances + alpha * d2.input_variances
-    xc = (1.0 - alpha) * d1.cross_covariance + alpha * d2.cross_covariance
-    target = np.where(v > 0, xc / np.where(v > 0, v, 1.0), 0.0)
     return StageDistribution(
         label=f"mix({d1.label}, {d2.label}, {alpha:g})",
-        input_variances=v,
-        target_spectrum=target,
-        cross_covariance=xc,
+        basis=b1,
+        input_variances=(1.0 - alpha) * d1.input_variances + alpha * d2.input_variances,
+        cross_covariance=(1.0 - alpha) * d1.cross_covariance + alpha * d2.cross_covariance,
     )
 
 
@@ -252,7 +264,9 @@ class TaskFamily:
         return self.distributions[stage]
 
 
-def _stage_distribution(partition: FeaturePartition, spectra: TaskSpectra, stage: str) -> StageDistribution:
+def _stage_distribution(
+    partition: FeaturePartition, spectra: TaskSpectra, basis: SpectralBasis, stage: str
+) -> StageDistribution:
     n = partition.n
     v = np.ones(n)
     t = np.zeros(n)
@@ -266,12 +280,7 @@ def _stage_distribution(partition: FeaturePartition, spectra: TaskSpectra, stage
     else:  # finetune
         v[partition.specialized] = 0.0
         t[partition.inconsistent] = spectra.ft_inconsistent
-    return StageDistribution(
-        label=stage,
-        input_variances=v,
-        target_spectrum=t,
-        cross_covariance=v * t,
-    )
+    return StageDistribution(label=stage, basis=basis, input_variances=v, cross_covariance=v * t)
 
 
 def build_task_family(
@@ -287,7 +296,7 @@ def build_task_family(
     """
     spectra.validate(partition)
     basis = SpectralBasis.from_mode(basis_mode, partition.n, basis_seed)
-    dists = {stage: _stage_distribution(partition, spectra, stage) for stage in STAGES}
+    dists = {stage: _stage_distribution(partition, spectra, basis, stage) for stage in STAGES}
     return TaskFamily(partition=partition, spectra=spectra, basis=basis, distributions=dists)
 
 

@@ -40,7 +40,6 @@ def base_pretrained(family, tau12_init):
     state, _ = train(
         tau12_init,
         stage_training_distribution(family, plan),
-        family.basis,
         plan.train_config(),
         record_spectrum=False,
     )

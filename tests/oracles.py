@@ -15,13 +15,12 @@ import math
 import numpy as np
 
 from stagelab import NetworkState, population_loss
-from stagelab.tasks import SpectralBasis, StageDistribution
+from stagelab.tasks import StageDistribution
 
 
 def finite_difference_gradients(
     state: NetworkState,
     dist: StageDistribution,
-    basis: SpectralBasis,
     ridge_lambda: float = 0.0,
     ridge_anchor: np.ndarray | None = None,
     step: float = 1e-5,
@@ -29,7 +28,7 @@ def finite_difference_gradients(
     """Central differences of the (optionally ridge-augmented) population loss."""
 
     def objective(W1: np.ndarray, W2: np.ndarray) -> float:
-        value = population_loss(NetworkState(W1=W1, W2=W2), dist, basis)
+        value = population_loss(NetworkState(W1=W1, W2=W2), dist)
         if ridge_lambda > 0:
             diff = W1 @ W2 - ridge_anchor
             value += ridge_lambda * float(np.sum(diff * diff))
@@ -117,11 +116,11 @@ def hypervolume_monte_carlo(
 def population_loss_monte_carlo(
     state: NetworkState,
     dist: StageDistribution,
-    basis: SpectralBasis,
     samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """(estimate, standard error) of E ||theta x - A x||^2 over the stage Gaussian."""
+    basis = dist.basis
     root_v = np.sqrt(dist.input_variances)
     Z = rng.standard_normal((dist.n, samples))
     X = root_v[:, None] * Z if basis.is_identity else basis.V @ (root_v[:, None] * Z)
@@ -165,7 +164,6 @@ def stochastic_step(
 def mixture_moments_monte_carlo(
     d1: StageDistribution,
     d2: StageDistribution,
-    basis: SpectralBasis,
     alpha: float,
     samples: int,
     rng: np.random.Generator,

@@ -51,8 +51,8 @@ def test_c01_gradients_match_finite_differences(family):
     for _ in range(20):
         state = NetworkState(W1=rng.standard_normal((6, 6)), W2=rng.standard_normal((6, 6)))
         for dist in dists:
-            G1, G2 = population_gradient(state, dist, family.basis)
-            F1, F2 = finite_difference_gradients(state, dist, family.basis)
+            G1, G2 = population_gradient(state, dist)
+            F1, F2 = finite_difference_gradients(state, dist)
             worst = max(
                 worst, worst_gradient_discrepancy(G1, F1), worst_gradient_discrepancy(G2, F2)
             )
@@ -68,13 +68,13 @@ def test_c02_specialized_directions_freeze_under_finetuning(family):
     start = init_from_spectrum(family.basis, np.array([5.0, 4.0, 0.0, 0.0, 0.9, 0.9]))
     ft = family.distribution("finetune")
     _, traj = train(
-        start, ft, family.basis, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
+        start, ft, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
     )
     diags = traj.diagonals()
     spec = diags[:, family.partition.specialized]
     assert diags.shape[0] == 10_001
     assert np.all(spec == spec[0])  # zero tolerance
-    report = check_frozen_directions(traj, ft, family)
+    report = check_frozen_directions(traj, ft)
     assert report.passed
     dt = time.perf_counter() - t0
     assert dt < 5.0
@@ -86,7 +86,7 @@ def test_c03_matrix_dynamics_match_the_scalar_recursion(family, tau12_init):
     t0 = time.perf_counter()
     pre = family.distribution("pretrain")
     _, traj = train(
-        tau12_init, pre, family.basis, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
+        tau12_init, pre, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
     )
     expected = scalar_trajectory(
         np.diag(tau12_init.theta), pre.input_variances, pre.target_spectrum, 0.02, 10_000
@@ -237,7 +237,7 @@ def test_c10_replay_preserves_pretraining_performance(family, base_pretrained):
         )
         run = continue_from_pretrained(family, base_pretrained, plans, run_id=f"rho{rho:g}")
         assert run.succeeded
-        losses[rho] = population_loss(run.posttrained, d_pre, family.basis)
+        losses[rho] = population_loss(run.posttrained, d_pre)
     margin = losses[0.0] - losses[0.1]
     assert margin >= 1e-3
     assert losses[0.0] == pytest.approx(12.5, abs=1e-9)  # frozen

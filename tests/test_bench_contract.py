@@ -63,7 +63,7 @@ def test_train_results_carry_the_attributes_the_tracer_reads():
     dist = family.distribution("pretrain")
     state = init_scaled_identity(family.n, 12.0)
     config = TrainConfig(eta=0.02, max_steps=1, probe_every=50)
-    final, trajectory = train(state, dist, family.basis, config, record_spectrum=False)
+    final, trajectory = train(state, dist, config, record_spectrum=False)
     assert dist.label == "pretrain"
     assert config.probe_every == 50
     assert final.step - state.step == 1

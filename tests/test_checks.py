@@ -96,8 +96,8 @@ def test_sequential_order_with_boosted_specialization_reorders_crossings(family)
     target[family.partition.specialized] = 9.0
     boosted = StageDistribution(
         label="posttrain",
+        basis=family.basis,
         input_variances=post.input_variances,
-        target_spectrum=target,
         cross_covariance=post.input_variances * target,
     )
     mixed = mix_distributions(family.distribution("pretrain"), boosted, 0.5)
@@ -125,8 +125,8 @@ def test_sequential_order_is_invariant_to_halving_the_learning_rate(family):
 def test_frozen_directions_vacuous_without_dead_coordinates(family):
     post = family.distribution("posttrain")
     init = init_from_spectrum(family.basis, _idealized_spectrum(family, "unmixed"))
-    _, traj = train(init, post, family.basis, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
-    report = check_frozen_directions(traj, post, family)
+    _, traj = train(init, post, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
+    report = check_frozen_directions(traj, post)
     assert report.passed
     assert any("vacuously" in note for note in report.notes)
 
@@ -134,15 +134,15 @@ def test_frozen_directions_vacuous_without_dead_coordinates(family):
 def test_frozen_directions_hold_for_a_hand_built_distribution(family):
     dist = StageDistribution(
         label="first_coordinate_dead",
+        basis=family.basis,
         input_variances=np.array([0.0, 1, 1, 1, 1, 1]),
-        target_spectrum=np.array([3.0, 2, 2, 2, 2, 2]),
         cross_covariance=np.array([0.0, 2, 2, 2, 2, 2]),
     )
     init = init_from_spectrum(family.basis, np.array([1.7, 0.3, 0.3, 0.3, 0.3, 0.3]))
     _, traj = train(
-        init, dist, family.basis, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
+        init, dist, TrainConfig(eta=0.02, max_steps=10_000, probe_every=1)
     )
-    report = check_frozen_directions(traj, dist, family)
+    report = check_frozen_directions(traj, dist)
     assert report.passed
     assert report.measured["frozen_coordinates"] == [0]
     assert report.measured["max_drift"] == 0.0
@@ -153,14 +153,14 @@ def test_frozen_directions_failure_names_the_drift(family):
     # coordinate 0 is dead in the checked distribution but trained on pretraining data
     dist = StageDistribution(
         label="first_coordinate_dead",
+        basis=family.basis,
         input_variances=np.array([0.0, 1, 1, 1, 1, 1]),
-        target_spectrum=np.array([3.0, 2, 2, 2, 2, 2]),
         cross_covariance=np.array([0.0, 2, 2, 2, 2, 2]),
     )
     init = init_from_spectrum(family.basis, np.array([1.7, 0.3, 0.3, 0.3, 0.3, 0.3]))
     pre = family.distribution("pretrain")
-    _, traj = train(init, pre, family.basis, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
-    report = check_frozen_directions(traj, dist, family)
+    _, traj = train(init, pre, TrainConfig(eta=0.02, max_steps=10, probe_every=1))
+    report = check_frozen_directions(traj, dist)
     assert not report.passed
     assert report.notes == (
         f"frozen coordinates [0] moved: max_drift {report.measured['max_drift']:.3g} > 0",

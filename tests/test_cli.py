@@ -437,6 +437,38 @@ def test_a_grid_that_lists_a_run_twice_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_a_grid_whose_values_differ_only_in_the_sign_of_a_zero_exits_2(tmp_path, monkeypatch, capsys):
+    # 0.0 == -0.0: one plan, which the grid would train and record twice
+    cfg = write_ini(
+        tmp_path,
+        "[pretrain]\nsteps = 10\n[sweep]\nmix_fractions = 0.0, -0.0\neta2 = 0.02\n"
+        "eta3 = 0.01\nsteps2 = 10\nsteps3 = 10\n",
+    )
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing")
+
+    monkeypatch.setattr(stagelab.pipeline, "train", no_training)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the [sweep] grid lists run m0-s1_10-r0-l0-e2_0.02-s2_10-e3_0.01-s3_10 twice\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_non_finite_task_spectrum_exits_2(tmp_path, capsys, command):
+    # every validity margin stays positive with an infinite invariant value
+    cfg = write_ini(tmp_path, "[task]\ninvariant = inf, 4\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == "error: invariant must be finite, got [inf, 4.0]\n"
+    assert not (out / "runs.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify", "plot", "frontier"])
 def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys, command):
     out = tmp_path / "taken"

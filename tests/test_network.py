@@ -38,18 +38,20 @@ from stagelab import (
     train,
 )
 from stagelab import network
-from stagelab.tasks import target_matrix
 
 
-def scalar_problem(target: float = 2.0):
-    basis = SpectralBasis.identity(1)
-    dist = StageDistribution(
+def scalar_problem(target: float = 2.0, basis: SpectralBasis | None = None):
+    return StageDistribution(
         label="scalar",
+        basis=SpectralBasis.identity(1) if basis is None else basis,
         input_variances=np.array([1.0]),
-        target_spectrum=np.array([target]),
         cross_covariance=np.array([target]),
     )
-    return basis, dist
+
+
+def reference_teacher(dist):
+    """U diag(target_spectrum) V^T, built here from the distribution's basis and spectrum."""
+    return (dist.basis.U * dist.target_spectrum) @ dist.basis.V.T
 
 
 # ---------------------------------------------------------------- state / init
@@ -111,14 +113,14 @@ def test_population_loss_reference_values():
     family = make_reference_family()
     pre = family.distribution("pretrain")
     zero = NetworkState(W1=np.zeros((6, 6)), W2=np.zeros((6, 6)))
-    assert population_loss(zero, pre, family.basis) == 42.64
+    assert population_loss(zero, pre) == 42.64
 
     a_post = init_from_spectrum(family.basis, family.distribution("posttrain").target_spectrum)
-    assert population_loss(a_post, pre, family.basis) == 12.5
+    assert population_loss(a_post, pre) == 12.5
 
     # a bitwise copy of the teacher (sqrt round trips can be one ulp off)
-    a_pre = NetworkState(W1=target_matrix(pre, family.basis), W2=np.eye(6))
-    assert population_loss(a_pre, pre, family.basis) == 0.0
+    a_pre = NetworkState(W1=reference_teacher(pre), W2=np.eye(6))
+    assert population_loss(a_pre, pre) == 0.0
 
 
 def test_population_loss_matches_monte_carlo():
@@ -126,7 +128,7 @@ def test_population_loss_matches_monte_carlo():
     pre = family.distribution("pretrain")
     zero = NetworkState(W1=np.zeros((6, 6)), W2=np.zeros((6, 6)))
     rng = np.random.default_rng(7)
-    est, se = population_loss_monte_carlo(zero, pre, family.basis, 10**6, rng)
+    est, se = population_loss_monte_carlo(zero, pre, 10**6, rng)
     assert abs(est - 42.64) <= 3 * se
 
 
@@ -138,9 +140,7 @@ def test_population_loss_ignores_zero_variance_coordinates():
         family.basis, pre.target_spectrum + np.array([0, 0, 0, 0, 7.0, 7.0])
     )
     # a spike on dead coordinates changes theta but not the loss
-    assert population_loss(spiked, pre, family.basis) == population_loss(
-        base, pre, family.basis
-    )
+    assert population_loss(spiked, pre) == population_loss(base, pre)
 
 
 # ------------------------------------------------------------------- gradients
@@ -153,16 +153,16 @@ def test_gradients_match_finite_differences_in_every_configuration():
     cases = []
     for fam in (family, rot):
         for stage in ("pretrain", "posttrain", "finetune"):
-            cases.append((fam.basis, fam.distribution(stage)))
+            cases.append(fam.distribution(stage))
     mixed = mix_distributions(
         family.distribution("pretrain"), family.distribution("posttrain"), 0.5
     )
-    cases.append((family.basis, mixed))
+    cases.append(mixed)
 
-    for basis, dist in cases:
+    for dist in cases:
         state = NetworkState(W1=rng.standard_normal((6, 6)), W2=rng.standard_normal((6, 6)))
-        G1, G2 = population_gradient(state, dist, basis)
-        F1, F2 = finite_difference_gradients(state, dist, basis)
+        G1, G2 = population_gradient(state, dist)
+        F1, F2 = finite_difference_gradients(state, dist)
         assert worst_gradient_discrepancy(G1, F1) <= 1.0
         assert worst_gradient_discrepancy(G2, F2) <= 1.0
 
@@ -173,8 +173,8 @@ def test_ridge_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     state = NetworkState(W1=rng.standard_normal((6, 6)), W2=rng.standard_normal((6, 6)))
     anchor = rng.standard_normal((6, 6))
-    G1, G2 = population_gradient(state, post, family.basis, ridge_lambda=0.3, ridge_anchor=anchor)
-    F1, F2 = finite_difference_gradients(state, post, family.basis, ridge_lambda=0.3, ridge_anchor=anchor)
+    G1, G2 = population_gradient(state, post, ridge_lambda=0.3, ridge_anchor=anchor)
+    F1, F2 = finite_difference_gradients(state, post, ridge_lambda=0.3, ridge_anchor=anchor)
     assert worst_gradient_discrepancy(G1, F1) <= 1.0
     assert worst_gradient_discrepancy(G2, F2) <= 1.0
 
@@ -183,13 +183,13 @@ def test_gradient_vanishes_at_the_teacher_and_at_the_origin():
     family = make_reference_family()
     post = family.distribution("posttrain")
     # a bitwise teacher: theta equals the target matrix exactly
-    teacher = NetworkState(W1=target_matrix(post, family.basis), W2=np.eye(6))
-    G1, G2 = population_gradient(teacher, post, family.basis)
+    teacher = NetworkState(W1=reference_teacher(post), W2=np.eye(6))
+    G1, G2 = population_gradient(teacher, post)
     np.testing.assert_array_equal(G1, np.zeros((6, 6)))
     np.testing.assert_array_equal(G2, np.zeros((6, 6)))
 
     zero = NetworkState(W1=np.zeros((6, 6)), W2=np.zeros((6, 6)))
-    G1, G2 = population_gradient(zero, post, family.basis)
+    G1, G2 = population_gradient(zero, post)
     np.testing.assert_array_equal(G1, np.zeros((6, 6)))
     np.testing.assert_array_equal(G2, np.zeros((6, 6)))
 
@@ -198,7 +198,7 @@ def test_ridge_requires_an_anchor():
     family = make_reference_family()
     state = init_scaled_identity(6, 5.0)
     with pytest.raises(ConfigError, match="anchor"):
-        population_gradient(state, family.distribution("posttrain"), family.basis, ridge_lambda=0.1)
+        population_gradient(state, family.distribution("posttrain"), ridge_lambda=0.1)
 
 
 def test_zero_variance_coordinates_receive_no_gradient():
@@ -206,7 +206,7 @@ def test_zero_variance_coordinates_receive_no_gradient():
     ft = family.distribution("finetune")
     rng = np.random.default_rng(21)
     state = NetworkState(W1=rng.standard_normal((6, 6)), W2=rng.standard_normal((6, 6)))
-    _, G2 = population_gradient(state, ft, family.basis)
+    _, G2 = population_gradient(state, ft)
     # input-side gradient columns on dead coordinates are identically zero
     np.testing.assert_array_equal(G2[:, 4:], np.zeros((6, 2)))
 
@@ -215,9 +215,9 @@ def test_zero_variance_coordinates_receive_no_gradient():
 
 
 def test_gradient_step_scalar_arithmetic():
-    basis, dist = scalar_problem(target=2.0)
+    dist = scalar_problem(target=2.0)
     state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
-    nxt, _ = train(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
+    nxt, _ = train(state, dist, TrainConfig(eta=0.01, max_steps=1))
     assert nxt.W1[0, 0] == 1.02
     assert nxt.W2[0, 0] == 1.02
     assert nxt.step == 1
@@ -226,9 +226,9 @@ def test_gradient_step_scalar_arithmetic():
 def test_gradient_step_matches_derived_not_idealized_scalar_rule():
     # the product after one matrix step follows sigma (1 - eta g)^2, not the
     # cubic rule; both share fixed points but differ at finite step size
-    basis, dist = scalar_problem(target=2.0)
+    dist = scalar_problem(target=2.0)
     state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
-    nxt, _ = train(state, dist, basis, TrainConfig(eta=0.01, max_steps=1))
+    nxt, _ = train(state, dist, TrainConfig(eta=0.01, max_steps=1))
     derived = derived_diag_step(1.0, 1.0, 2.0, 0.01)
     # the textbook cubic rule sigma - 2 eta sigma (sigma^2 - target^2)
     cubic = 1.0 - 2.0 * 0.01 * 1.0 * (1.0**2 - 2.0**2)
@@ -252,19 +252,19 @@ def test_one_train_step_is_the_tested_gradient_bitwise(basis_mode, ridge_lambda)
     prev = state
     for steps in (1, 2):
         config = TrainConfig(eta=0.02, max_steps=steps, ridge_lambda=ridge_lambda)
-        nxt, _ = train(state, dist, family.basis, config)
-        G1, G2 = population_gradient(prev, dist, family.basis, ridge_lambda, anchor)
+        nxt, _ = train(state, dist, config)
+        G1, G2 = population_gradient(prev, dist, ridge_lambda, anchor)
         np.testing.assert_array_equal(nxt.W1, prev.W1 - 0.02 * G1)
         np.testing.assert_array_equal(nxt.W2, prev.W2 - 0.02 * G2)
         assert nxt.step == steps
         prev = nxt
 
 
-def allocating_gradients(state, dist, basis, ridge_lambda, anchor):
+def allocating_gradients(state, dist, ridge_lambda, anchor):
     """(dL/dW1, dL/dW2) by the allocating expressions of reference_train's update."""
     theta = state.W1 @ state.W2
-    E = theta - target_matrix(dist, basis)
-    v = dist.input_variances
+    E = theta - reference_teacher(dist)
+    v, basis = dist.input_variances, dist.basis
     G = 2.0 * (E * v) if basis.is_identity else 2.0 * ((E @ basis.V) * v) @ basis.V.T
     if ridge_lambda > 0:
         G = G + 2.0 * ridge_lambda * (theta - anchor)
@@ -298,31 +298,30 @@ def test_population_gradient_is_bitwise_the_allocating_expressions(
     state = NetworkState(W1=W1, W2=W2)
     anchor = rng.normal(0, 1.0, (6, 6)) if ridge_lambda > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):
-        want = allocating_gradients(state, dist, family.basis, ridge_lambda, anchor)
-        got = population_gradient(state, dist, family.basis, ridge_lambda, anchor)
+        want = allocating_gradients(state, dist, ridge_lambda, anchor)
+        got = population_gradient(state, dist, ridge_lambda, anchor)
     for g, w in zip(got, want):
         assert_same_bits(g, w)
 
 
 def test_population_gradient_keeps_the_reference_rounding_in_the_subnormal_range():
     # the state of test_train_keeps_the_reference_rounding_in_the_subnormal_range
-    basis = SpectralBasis.identity(1)
     dist = StageDistribution(
         label="faint",
+        basis=SpectralBasis.identity(1),
         input_variances=np.array([1e-20]),
-        target_spectrum=np.array([0.0]),
         cross_covariance=np.array([0.0]),
     )
     state = NetworkState(W1=np.array([[3.3e-300]]), W2=np.array([[1e10]]))
     for ridge_lambda, anchor in ((0.0, None), (0.3, np.array([[1e-300]]))):
-        want = allocating_gradients(state, dist, basis, ridge_lambda, anchor)
-        got = population_gradient(state, dist, basis, ridge_lambda, anchor)
+        want = allocating_gradients(state, dist, ridge_lambda, anchor)
+        got = population_gradient(state, dist, ridge_lambda, anchor)
         assert want[0][0, 0] != 0.0
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
 
-def reference_train(state, dist, basis, config, probes, record_spectrum, factors=None):
+def reference_train(state, dist, config, probes, record_spectrum, factors=None):
     """train() as allocating numpy expressions, checking weights and loss after every step.
 
     A ridge anchors the start product.
@@ -334,10 +333,9 @@ def reference_train(state, dist, basis, config, probes, record_spectrum, factors
     as factors receives the bytes of the stacked factors at every step, the
     start state included.
     """
-    A = target_matrix(dist, basis)
-    v = dist.input_variances
+    A, v, basis = reference_teacher(dist), dist.input_variances, dist.basis
     V = None if basis.is_identity else basis.V
-    probe_mats = {name: (target_matrix(d, basis), d.input_variances) for name, d in probes.items()}
+    probe_mats = {name: (reference_teacher(d), d.input_variances) for name, d in probes.items()}
 
     def data_loss(E, weights):
         EV = E if V is None else E @ V
@@ -403,13 +401,13 @@ def test_train_is_bitwise_the_allocating_reference_loop(
     probes = {"finetune": family.distribution("finetune")} if with_probe else {}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            want = reference_train(state, dist, family.basis, config, probes, record_spectrum)
+            want = reference_train(state, dist, config, probes, record_spectrum)
     except TrainingDiverged as exc:
         with pytest.raises(TrainingDiverged) as err:
-            train(state, dist, family.basis, config, record_spectrum)
+            train(state, dist, config, record_spectrum)
         assert err.value.step == exc.step
         return
-    final, traj = train(state, dist, family.basis, config, record_spectrum)
+    final, traj = train(state, dist, config, record_spectrum)
     assert_same_bits(final.W1, want[0])
     assert_same_bits(final.W2, want[1])
     assert_same_bits(traj.thetas, want[3])
@@ -431,34 +429,33 @@ def test_train_is_bitwise_the_allocating_reference_loop(
 def test_train_keeps_the_reference_rounding_in_the_subnormal_range():
     # E * v is subnormal here, where 2.0 * (E * v) and E * (2.0 * v) round
     # differently; the factor w2 = 1e10 carries the difference into W1
-    basis = SpectralBasis.identity(1)
     dist = StageDistribution(
         label="faint",
+        basis=SpectralBasis.identity(1),
         input_variances=np.array([1e-20]),
-        target_spectrum=np.array([0.0]),
         cross_covariance=np.array([0.0]),
     )
     state = NetworkState(W1=np.array([[3.3e-300]]), W2=np.array([[1e10]]))
     E, v = state.theta, dist.input_variances
     assert (2.0 * (E * v))[0, 0] != (E * (2.0 * v))[0, 0]
     config = TrainConfig(eta=0.01, max_steps=1)
-    want_W1, want_W2, *_ = reference_train(state, dist, basis, config, {}, False)
-    final, _ = train(state, dist, basis, config, record_spectrum=False)
+    want_W1, want_W2, *_ = reference_train(state, dist, config, {}, False)
+    final, _ = train(state, dist, config, record_spectrum=False)
     assert_same_bits(final.W1, want_W1)
     assert_same_bits(final.W2, want_W2)
 
 
-def assert_train_is_the_reference_bitwise(state, dist, basis, config):
+def assert_train_is_the_reference_bitwise(state, dist, config):
     """train() against reference_train: final factors, every recorded product, or the divergence step."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            want_W1, want_W2, _, want_thetas = reference_train(state, dist, basis, config, {}, False)
+            want_W1, want_W2, _, want_thetas = reference_train(state, dist, config, {}, False)
     except TrainingDiverged as exc:
         with pytest.raises(TrainingDiverged) as err:
-            train(state, dist, basis, config)
+            train(state, dist, config)
         assert err.value.step == exc.step
         return
-    final, traj = train(state, dist, basis, config)
+    final, traj = train(state, dist, config)
     assert_same_bits(final.W1, want_W1)
     assert_same_bits(final.W2, want_W2)
     assert_same_bits(traj.thetas, want_thetas)
@@ -466,14 +463,13 @@ def assert_train_is_the_reference_bitwise(state, dist, basis, config):
 
 def diagonal_problem(d1, d2, variances, targets):
     """An identity-basis problem whose start factors are diag(d1) and diag(d2)."""
-    n = len(d1)
     dist = StageDistribution(
         label="diagonal",
+        basis=SpectralBasis.identity(len(d1)),
         input_variances=np.array(variances),
-        target_spectrum=np.array(targets),
         cross_covariance=np.array(variances) * np.array(targets),
     )
-    return NetworkState(W1=np.diag(d1), W2=np.diag(d2)), dist, SpectralBasis.identity(n)
+    return NetworkState(W1=np.diag(d1), W2=np.diag(d2)), dist
 
 
 # factor entries: signed zeros, subnormals, ordinary values of both signs,
@@ -514,10 +510,10 @@ def test_diagonal_identity_basis_states_train_bitwise_as_the_reference_loop(
 ):
     # a state whose factors hold the same bits takes the per-coordinate
     # kernel, and every other state the matrix kernel
-    state, dist, basis = problem
+    state, dist = problem
     config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
     with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+        assert_train_is_the_reference_bitwise(state, dist, config)
     assert built.called == (state.W1.tobytes() == state.W2.tobytes())
 
 
@@ -532,13 +528,13 @@ def test_a_zero_factor_times_a_negative_one_is_a_plus_zero_product(ridge_lambda)
             d1[i], d2[i] = 0.0, -3.0
             targets = [1.0] * n
             targets[i] = 0.0
-            state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, targets)
+            state, dist = diagonal_problem(d1, d2, [1.0] * n, targets)
             config = TrainConfig(eta=0.02, max_steps=5, ridge_lambda=ridge_lambda, probe_every=1)
-            assert_train_is_the_reference_bitwise(state, dist, basis, config)
-            _, traj = train(state, dist, basis, config)
+            assert_train_is_the_reference_bitwise(state, dist, config)
+            _, traj = train(state, dist, config)
             assert not np.signbit(traj.thetas).any()
             for W1 in (np.diag(d1), -np.diag(d1)):  # +0.0 and -0.0 on the diagonal
-                assert_train_is_the_reference_bitwise(NetworkState(W1=W1, W2=state.W2), dist, basis, config)
+                assert_train_is_the_reference_bitwise(NetworkState(W1=W1, W2=state.W2), dist, config)
 
 
 def test_an_unbalanced_diagonal_state_trains_bitwise_as_the_reference_loop_on_the_matrix_kernel():
@@ -549,10 +545,10 @@ def test_an_unbalanced_diagonal_state_trains_bitwise_as_the_reference_loop_on_th
         for i in (0, n - 1):
             d1, d2 = [0.5] * n, [0.5] * n
             d1[i], d2[i] = -1e-200, 1e-200
-            state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
+            state, dist = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
             config = TrainConfig(eta=0.02, max_steps=3, probe_every=1)
             with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-                assert_train_is_the_reference_bitwise(state, dist, basis, config)
+                assert_train_is_the_reference_bitwise(state, dist, config)
             assert not built.called
 
 
@@ -568,14 +564,14 @@ def test_an_identity_basis_state_with_an_off_diagonal_entry_takes_the_matrix_ker
     dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
     dist = StageDistribution(
         label="head",
+        basis=SpectralBasis.identity(4),
         input_variances=dist.input_variances[:4],
-        target_spectrum=dist.target_spectrum[:4],
         cross_covariance=dist.cross_covariance[:4],
     )
     for ridge_lambda in (0.0, 0.3):
         config = TrainConfig(eta=0.02, max_steps=60, ridge_lambda=ridge_lambda, probe_every=7)
         with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-            assert_train_is_the_reference_bitwise(state, dist, SpectralBasis.identity(4), config)
+            assert_train_is_the_reference_bitwise(state, dist, config)
         assert not built.called
 
 
@@ -616,12 +612,12 @@ def test_a_1x1_product_in_another_basis_sums_from_plus_zero():
     assert not basis.is_identity
     assert math.copysign(1.0, np.dot(np.array([[0.0]]), np.array([[-3.0]]))[0, 0]) == -1.0
     for target in (0.0, 2.0):
-        _, dist = scalar_problem(target)
+        dist = scalar_problem(target, basis)
         for ridge_lambda in (0.0, 0.3):
             state = NetworkState(W1=np.array([[0.0]]), W2=np.array([[-3.0]]))
             config = TrainConfig(eta=0.02, max_steps=4, ridge_lambda=ridge_lambda, probe_every=1)
-            assert_train_is_the_reference_bitwise(state, dist, basis, config)
-            _, traj = train(state, dist, basis, config)
+            assert_train_is_the_reference_bitwise(state, dist, config)
+            _, traj = train(state, dist, config)
             assert not np.signbit(traj.thetas[0]).any()
 
 
@@ -635,14 +631,14 @@ def test_weight_checks_of_any_block_size_leave_every_bit(basis_mode, monkeypatch
     calm = init_scaled_identity(6, 1.0, family.basis)
     hot = init_from_spectrum(family.basis, np.full(6, 25.0))
     with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
-        reference_train(hot, dist, family.basis, TrainConfig(eta=0.05, max_steps=50), {}, False)
+        reference_train(hot, dist, TrainConfig(eta=0.05, max_steps=50), {}, False)
     assert err.value.step == 7
     for block in (1, 5, 16):
         monkeypatch.setattr(network, "FINITE_CHECK_EVERY", block)
         for state, eta in ((calm, 0.02), (hot, 0.05)):
             for probe_every, max_steps in itertools.product((1, 3, 16, 50), (0, 1, 5, 16, 53)):
                 config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=0.3, probe_every=probe_every)
-                assert_train_is_the_reference_bitwise(state, dist, family.basis, config)
+                assert_train_is_the_reference_bitwise(state, dist, config)
 
 
 def test_a_fixed_point_is_a_bit_pattern_not_a_value():
@@ -654,13 +650,13 @@ def test_a_fixed_point_is_a_bit_pattern_not_a_value():
     for n, i in ((1, 0), (3, 1)):
         d1, d2 = [0.5] * n, [0.7] * n
         d1[i], d2[i] = -0.0, 5e-324
-        state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [1.0] * n)
+        state, dist = diagonal_problem(d1, d2, [1.0] * n, [1.0] * n)
         for max_steps, probe_every in ((1, 1), (3, 1), (40, 7)):
             config = TrainConfig(eta=0.02, max_steps=max_steps, probe_every=probe_every)
             with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-                assert_train_is_the_reference_bitwise(state, dist, basis, config)
+                assert_train_is_the_reference_bitwise(state, dist, config)
             assert not built.called
-            final, _ = train(state, dist, basis, config)
+            final, _ = train(state, dist, config)
             assert not np.signbit(final.W1[i, i])
 
 
@@ -671,16 +667,16 @@ def test_a_balanced_start_trained_past_its_fixed_points_keeps_equal_factors(ridg
     # -0.0 at target 0 has g = +0.0, where g * w is -0.0 and the matmul entry +0.0
     d = [0.5, -0.25, 1.0, -0.0, 0.0, 1.7]
     targets = [2.0, 0.3, 1.0, 0.0, 1.0, 2.9]
-    state, dist, basis = diagonal_problem(d, d, [1.0, 0.5, 1.0, 1.0, 1.0, 0.25], targets)
+    state, dist = diagonal_problem(d, d, [1.0, 0.5, 1.0, 1.0, 1.0, 0.25], targets)
     config = TrainConfig(eta=0.05, max_steps=20_000, ridge_lambda=ridge_lambda, probe_every=1_000)
     with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+        assert_train_is_the_reference_bitwise(state, dist, config)
     assert built.call_count == 1
-    final, traj = train(state, dist, basis, config)
+    final, traj = train(state, dist, config)
     assert traj.products.ndim == 2  # the run took the diagonal kernel
     assert final.W1.tobytes() == final.W2.tobytes()
     if not ridge_lambda:  # with a ridge, a new start product would move the anchor
-        again, _ = train(final, dist, basis, TrainConfig(eta=0.05, max_steps=1))
+        again, _ = train(final, dist, TrainConfig(eta=0.05, max_steps=1))
         assert again.W1.tobytes() == again.W2.tobytes() == final.W1.tobytes()
 
 
@@ -690,12 +686,12 @@ def test_balanced_coordinates_whose_products_underflow_stay_on_the_diagonal_kern
     # entry too; g * w underflows in the last coordinate, where any signed
     # zero leaves u = w - eta * g1 at w.
     d = [1e-200, -1e-200, 5e-324, -5e-324, 0.5, 0.01]
-    state, dist, basis = diagonal_problem(d, d, [1.0] * 5 + [5e-324], [1.0, 0.0, 2.0, 1.0, 1.0, 4.0])
+    state, dist = diagonal_problem(d, d, [1.0] * 5 + [5e-324], [1.0, 0.0, 2.0, 1.0, 1.0, 4.0])
     assert 0.01 * (2.0 * ((0.01 * 0.01 - 4.0) * 5e-324)) == 0.0
     for max_steps, probe_every in ((1, 1), (3, 1), (40, 7), (2_000, 50)):
         config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
-        assert_train_is_the_reference_bitwise(state, dist, basis, config)
-        final, traj = train(state, dist, basis, config)
+        assert_train_is_the_reference_bitwise(state, dist, config)
+        final, traj = train(state, dist, config)
         assert traj.products.ndim == 2
         assert final.W1.tobytes() == final.W2.tobytes()
 
@@ -718,10 +714,10 @@ def test_a_coordinate_one_ulp_from_balanced_trains_as_the_reference_loop(w1, w2,
     for i in (0, n - 1):
         d1, d2 = [0.5, -1.5, 0.25, 1.0], [0.5, -1.5, 0.25, 1.0]
         d1[i], d2[i] = w1, w2
-        state, dist, basis = diagonal_problem(d1, d2, [1.0, 0.5, 1.0, 0.25], [1.0, 2.0, 0.0, 3.0])
+        state, dist = diagonal_problem(d1, d2, [1.0, 0.5, 1.0, 0.25], [1.0, 2.0, 0.0, 3.0])
         config = TrainConfig(eta=0.02, max_steps=3_000, ridge_lambda=ridge_lambda, probe_every=7)
         with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-            assert_train_is_the_reference_bitwise(state, dist, basis, config)
+            assert_train_is_the_reference_bitwise(state, dist, config)
         assert not built.called
 
 
@@ -765,10 +761,10 @@ def test_coordinates_at_a_fixed_point_fill_their_rows_bitwise_as_the_reference_l
 ):
     # coordinates reach their fixed points mid-row and mid-block, and later
     # calls of the kernel only fill their rows
-    state, dist, basis = problem
+    state, dist = problem
     config = TrainConfig(eta=eta, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
     with mock.patch.object(network, "FINITE_CHECK_EVERY", block):
-        assert_train_is_the_reference_bitwise(state, dist, basis, config)
+        assert_train_is_the_reference_bitwise(state, dist, config)
 
 
 def first_orbit(factors):
@@ -810,7 +806,7 @@ def test_dense_orbits_fill_their_rows_bitwise_as_the_reference_loop():
         state, dist = init_scaled_identity(6, 12.0, family.basis), family.distribution(stage)
         config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=1)
         factors = []
-        want_W1, want_W2, _, want_thetas = reference_train(state, dist, family.basis, config, {}, False, factors)
+        want_W1, want_W2, _, want_thetas = reference_train(state, dist, config, {}, False, factors)
         orbit = first_orbit(factors)
         if orbit is None:
             continue
@@ -819,7 +815,7 @@ def test_dense_orbits_fill_their_rows_bitwise_as_the_reference_loop():
             calls = []
             with mock.patch.object(network, "FINITE_CHECK_EVERY", block), \
                     mock.patch.object(network, "_gradient_kernel", counting_steps(calls)):
-                final, traj = train(state, dist, family.basis, config)
+                final, traj = train(state, dist, config)
             assert_same_bits(final.W1, want_W1)
             assert_same_bits(final.W2, want_W2)
             assert_same_bits(traj.thetas, want_thetas[traj.steps])
@@ -837,19 +833,19 @@ def test_a_diverging_dense_run_whose_nan_state_repeats_raises_at_the_reference_s
     dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
     hot = init_from_spectrum(family.basis, np.full(6, 25.0))
     with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
-        reference_train(hot, dist, family.basis, TrainConfig(eta=0.05, max_steps=50), {}, False)
+        reference_train(hot, dist, TrainConfig(eta=0.05, max_steps=50), {}, False)
     assert err.value.step == 7
     state, nan_bits = hot, []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(12):
-            G1, G2 = population_gradient(state, dist, family.basis)
+            G1, G2 = population_gradient(state, dist)
             state = NetworkState(W1=state.W1 - 0.05 * G1, W2=state.W2 - 0.05 * G2)
             nan_bits.append(np.stack((state.W1, state.W2)).tobytes())
     assert np.isnan(state.W1).all() and nan_bits[-1] == nan_bits[-2] == nan_bits[-3]
     for probe_every, block in itertools.product((1, 7, 50), (5, 64, 4096)):
         config = TrainConfig(eta=0.05, max_steps=10_000, probe_every=probe_every)
         with mock.patch.object(network, "FINITE_CHECK_EVERY", block), pytest.raises(TrainingDiverged) as err:
-            train(hot, dist, family.basis, config)
+            train(hot, dist, config)
         assert err.value.step == 7
 
 
@@ -858,7 +854,7 @@ def test_the_reference_init_takes_the_diagonal_kernel():
     config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=0.1, probe_every=50)
     with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
         assert_train_is_the_reference_bitwise(
-            init_scaled_identity(6, 12.0), family.distribution("pretrain"), family.basis, config
+            init_scaled_identity(6, 12.0), family.distribution("pretrain"), config
         )
     assert built.call_count == 1
 
@@ -883,12 +879,12 @@ def test_a_diagonal_trajectory_derives_every_column_bitwise_as_the_reference_loo
     for stage, probe_every, max_steps in (("pretrain", 1, 300), ("posttrain", 7, 1000), ("finetune", 50, 123)):
         config = TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=probe_every)
         state, dist = init_scaled_identity(6, 12.0), probes[stage]
-        _, _, want_snaps, want_thetas = reference_train(state, dist, family.basis, config, probes, True)
-        _, traj = train(state, dist, family.basis, config)
+        _, _, want_snaps, want_thetas = reference_train(state, dist, config, probes, True)
+        _, traj = train(state, dist, config)
         assert traj.products.shape == (len(want_snaps), 6)
         assert not traj.thetas.flags.writeable and not traj.diagonals().flags.writeable
         assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, probes)
-        _, blind = train(state, dist, family.basis, config, record_spectrum=False)
+        _, blind = train(state, dist, config, record_spectrum=False)
         assert_same_bits(blind.products, traj.products)
         for column in (blind.diagonals, blind.offdiags):
             with pytest.raises(StagelabError, match="without aligned spectra"):
@@ -901,11 +897,11 @@ def test_an_unbalanced_diagonal_run_records_the_whole_products():
     for n, probe_every in ((1, 1), (2, 2), (6, 1)):
         d1, d2 = [0.5] * n, [0.5] * n
         d1[-1], d2[-1] = -1e-200, 1e-200
-        state, dist, basis = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
+        state, dist = diagonal_problem(d1, d2, [1.0] * n, [0.0] * n)
         config = TrainConfig(eta=0.02, max_steps=5, probe_every=probe_every)
-        _, _, want_snaps, want_thetas = reference_train(state, dist, basis, config, {"dist": dist}, True)
+        _, _, want_snaps, want_thetas = reference_train(state, dist, config, {"dist": dist}, True)
         with mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built:
-            _, traj = train(state, dist, basis, config)
+            _, traj = train(state, dist, config)
         assert not built.called
         assert traj.products.shape == (len(want_snaps), n, n)
         assert_columns_are_the_reference_bitwise(traj, want_snaps, want_thetas, {"dist": dist})
@@ -919,13 +915,13 @@ def test_a_diverging_diagonal_run_replays_to_the_reference_step_with_its_ridge()
     hot = init_from_spectrum(family.basis, np.full(6, 25.0))
     config = TrainConfig(eta=0.05, max_steps=50, ridge_lambda=0.3, probe_every=1)
     with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
-        reference_train(hot, dist, family.basis, config, {}, False)
+        reference_train(hot, dist, config, {}, False)
     assert err.value.step == 7
     for block in (1, 5, 16, 4096):
         with mock.patch.object(network, "FINITE_CHECK_EVERY", block), \
                 mock.patch.object(network, "_diagonal_kernel", wraps=network._diagonal_kernel) as built, \
                 pytest.raises(TrainingDiverged) as err:
-            train(hot, dist, family.basis, config)
+            train(hot, dist, config)
         assert built.called
         assert err.value.step == 7
 
@@ -1035,7 +1031,7 @@ def test_saddle_persistence_is_bitwise():
     state = init_from_spectrum(family.basis, np.array([5.0, 4.0, 1.0, 0.8, 0.0, 0.0]))
     config = TrainConfig(eta=0.02, max_steps=1)
     for _ in range(200):
-        state, _ = train(state, post, family.basis, config, record_spectrum=False)
+        state, _ = train(state, post, config, record_spectrum=False)
     assert np.all(state.W1[:, 4:] == 0.0)
     assert np.all(state.W1[4:, :] == 0.0)
     assert np.all(state.W2[:, 4:] == 0.0)
@@ -1051,7 +1047,7 @@ def test_frozen_coordinates_stay_bitwise_constant_under_finetuning():
     frozen_w1 = state.W1[4:, 4:].copy()
     config = TrainConfig(eta=0.02, max_steps=1)
     for _ in range(500):
-        state, _ = train(state, ft, family.basis, config, record_spectrum=False)
+        state, _ = train(state, ft, config, record_spectrum=False)
     diag, _ = aligned_spectrum(state, family.basis)
     assert diag[4] == before[4] and diag[5] == before[5]
     assert diag[4] == pytest.approx(0.9, abs=1e-12)
@@ -1062,8 +1058,8 @@ def test_stochastic_large_batch_approaches_the_population_gradient():
     family = make_reference_family()
     pre = family.distribution("pretrain")
     state = init_scaled_identity(6, 5.0)
-    exact1, exact2 = population_gradient(state, pre, family.basis)
-    A = target_matrix(pre, family.basis)
+    exact1, exact2 = population_gradient(state, pre)
+    A = reference_teacher(pre)
 
     replicas1, replicas2 = [], []
     for seed in range(8):
@@ -1084,7 +1080,7 @@ def test_stochastic_step_is_deterministic_in_the_seed():
     family = make_reference_family()
     pre = family.distribution("pretrain")
     state = init_scaled_identity(6, 5.0)
-    A = target_matrix(pre, family.basis)
+    A = reference_teacher(pre)
     args = (state.W1, state.W2, A, pre.input_variances, family.basis.V, 0.01)
     a = stochastic_step(*args, np.random.default_rng(5), 1)
     b = stochastic_step(*args, np.random.default_rng(5), 1)
@@ -1100,7 +1096,7 @@ def test_stochastic_step_leaves_the_zero_saddle_in_place():
     W1, W2 = stochastic_step(
         zero,
         zero,
-        target_matrix(pre, family.basis),
+        reference_teacher(pre),
         pre.input_variances,
         family.basis.V,
         0.01,
@@ -1119,7 +1115,7 @@ def test_train_zero_steps_returns_only_the_initial_snapshot():
     family = make_reference_family()
     init = init_scaled_identity(6, 12.0)
     final, traj = train(
-        init, family.distribution("pretrain"), family.basis, TrainConfig(eta=0.02, max_steps=0)
+        init, family.distribution("pretrain"), TrainConfig(eta=0.02, max_steps=0)
     )
     assert final.step == 0
     assert list(traj.steps) == [0]
@@ -1131,8 +1127,8 @@ def test_unmixed_pretraining_reaches_the_pretrain_targets():
     pre = family.distribution("pretrain")
     init = init_scaled_identity(6, 12.0)
     config = TrainConfig(eta=0.05, max_steps=40_000, probe_every=40_000)
-    final, _ = train(init, pre, family.basis, config)
-    assert population_loss(final, pre, family.basis) <= 1e-4
+    final, _ = train(init, pre, config)
+    assert population_loss(final, pre) <= 1e-4
     diag, _ = aligned_spectrum(final, family.basis)
     assert np.max(np.abs(diag[4:])) <= 1e-5
 
@@ -1141,7 +1137,7 @@ def test_trajectory_stays_diagonal_in_the_aligned_frame():
     family = make_reference_family()
     init = init_scaled_identity(6, 12.0)
     config = TrainConfig(eta=0.02, max_steps=3000, probe_every=50)
-    _, traj = train(init, family.distribution("pretrain"), family.basis, config, record_spectrum=True)
+    _, traj = train(init, family.distribution("pretrain"), config, record_spectrum=True)
     assert np.max(traj.offdiags()) <= 1e-8
 
 
@@ -1150,7 +1146,7 @@ def test_matrix_dynamics_match_the_derived_scalar_recursion():
     pre = family.distribution("pretrain")
     init = init_from_spectrum(family.basis, np.full(6, math.exp(-10.0)))
     config = TrainConfig(eta=0.02, max_steps=2000, probe_every=1)
-    _, traj = train(init, pre, family.basis, config, record_spectrum=True)
+    _, traj = train(init, pre, config, record_spectrum=True)
     oracle = scalar_trajectory(
         np.full(6, math.exp(-10.0)), pre.input_variances, pre.target_spectrum, 0.02, 2000
     )
@@ -1165,7 +1161,7 @@ def test_monotone_descent_without_ridge():
         (family.distribution("posttrain"), 0.02),
         (mix_distributions(family.distribution("pretrain"), family.distribution("posttrain"), 0.5), 0.05),
     ):
-        _, traj = train(init, dist, family.basis, TrainConfig(eta=eta, max_steps=3000, probe_every=10))
+        _, traj = train(init, dist, TrainConfig(eta=eta, max_steps=3000, probe_every=10))
         losses = traj.train_losses
         assert np.all(np.diff(losses) <= 1e-12 * np.maximum(losses[:-1], 1.0))
 
@@ -1174,7 +1170,7 @@ def test_snapshot_cadence_includes_first_and_final_step():
     family = make_reference_family()
     init = init_scaled_identity(6, 12.0)
     _, traj = train(
-        init, family.distribution("pretrain"), family.basis,
+        init, family.distribution("pretrain"),
         TrainConfig(eta=0.02, max_steps=123, probe_every=50),
     )
     assert list(traj.steps) == [0, 50, 100, 123]
@@ -1184,14 +1180,14 @@ def test_probe_losses_are_recorded_per_distribution():
     family = make_reference_family()
     init = init_scaled_identity(6, 12.0)
     pre, ft = family.distribution("pretrain"), family.distribution("finetune")
-    final, traj = train(init, pre, family.basis, TrainConfig(eta=0.02, max_steps=100, probe_every=50))
+    final, traj = train(init, pre, TrainConfig(eta=0.02, max_steps=100, probe_every=50))
     pre_losses = traj.losses(pre)
     assert pre_losses.shape == (3,)
-    assert pre_losses[-1] == population_loss(final, pre, family.basis)
+    assert pre_losses[-1] == population_loss(final, pre)
     np.testing.assert_array_equal(pre_losses, traj.train_losses)
     ft_losses = traj.losses(ft)
     assert ft_losses.shape == (3,)
-    assert ft_losses[-1] == population_loss(final, ft, family.basis)
+    assert ft_losses[-1] == population_loss(final, ft)
     assert ft_losses[0] != pre_losses[0]
 
 
@@ -1201,7 +1197,7 @@ def test_a_trajectory_holds_one_array_of_products():
     config = TrainConfig(eta=0.05, max_steps=40_000, probe_every=1)
     tracemalloc.start()
     try:
-        _, traj = train(init, family.distribution("pretrain"), family.basis, config)
+        _, traj = train(init, family.distribution("pretrain"), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1234,7 +1230,7 @@ def scalar_divergence_step(target: float, eta: float) -> int:
 
 
 def test_divergence_raises_with_the_offending_step():
-    basis, dist = scalar_problem(target=50.0)
+    dist = scalar_problem(target=50.0)
     # budget check passes with its fixed norm bound, but the actual teacher value
     # is far above it, so the iteration blows up.  The loss overflows at step 7
     # and the weights at step 9; the step reported is the first, whatever the
@@ -1245,7 +1241,7 @@ def test_divergence_raises_with_the_offending_step():
         for start in (0, 5):
             state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]), step=start)
             with pytest.raises(TrainingDiverged) as err:
-                train(state, dist, basis, config)
+                train(state, dist, config)
             assert err.value.step == start + 7
 
 
@@ -1254,26 +1250,26 @@ def test_divergence_is_found_by_the_end_of_run_check():
     # the one after FINITE_CHECK_EVERY steps, then replays from the start
     # state to name the first non-finite step; a run shorter than a block
     # is caught by the check after its last step, as in the test above
-    basis, dist = scalar_problem(target=50.0)
+    dist = scalar_problem(target=50.0)
     for probe_every in (1, 100_000):
         config = TrainConfig(eta=0.06, max_steps=100_000, probe_every=probe_every)
         state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
         with pytest.raises(TrainingDiverged) as err:
-            train(state, dist, basis, config)
+            train(state, dist, config)
         assert err.value.step == 7
 
 
 def test_a_diverging_run_stops_within_a_block_of_steps():
     # without the block check this run trains all 10,000,000 steps (about
     # 150 s on a 2-core x86_64 machine) before its replay finds step 7
-    basis, dist = scalar_problem(target=50.0)
+    dist = scalar_problem(target=50.0)
     assert network.FINITE_CHECK_EVERY < 10_000_000
     for probe_every in (1, 10_000_000):
         config = TrainConfig(eta=0.06, max_steps=10_000_000, probe_every=probe_every)
         state = NetworkState(W1=np.array([[1.0]]), W2=np.array([[1.0]]))
         began = time.perf_counter()
         with pytest.raises(TrainingDiverged) as err:
-            train(state, dist, basis, config)
+            train(state, dist, config)
         assert time.perf_counter() - began < 1.0
         assert err.value.step == 7
 
@@ -1286,12 +1282,12 @@ def test_a_converged_run_stops_stepping_its_coordinates():
     family = make_reference_family()
     dist = family.distribution("pretrain")
     converged, _ = train(
-        init_scaled_identity(6, 12.0), dist, family.basis, TrainConfig(eta=0.02, max_steps=40_000)
+        init_scaled_identity(6, 12.0), dist, TrainConfig(eta=0.02, max_steps=40_000)
     )
     for probe_every in (1_000, 10_000_000):
         config = TrainConfig(eta=0.02, max_steps=10_000_000, probe_every=probe_every)
         began = time.perf_counter()
-        final, traj = train(converged, dist, family.basis, config)
+        final, traj = train(converged, dist, config)
         assert time.perf_counter() - began < 1.0
         assert_same_bits(final.W1, converged.W1)
         assert_same_bits(final.W2, converged.W2)
@@ -1308,7 +1304,7 @@ def test_a_dense_run_in_an_exact_orbit_stops_stepping():
     for probe_every in (1_000, 10_000_000):
         config = TrainConfig(eta=0.02, max_steps=10_000_000, probe_every=probe_every)
         began = time.perf_counter()
-        final, traj = train(zero, family.distribution("pretrain"), family.basis, config)
+        final, traj = train(zero, family.distribution("pretrain"), config)
         assert time.perf_counter() - began < 1.0
         assert_same_bits(final.W1, zero.W1)
         assert_same_bits(final.W2, zero.W2)
@@ -1326,18 +1322,17 @@ def test_a_non_finite_start_state_diverges_at_step_0():
             train(
                 NetworkState(W1=W1, W2=np.eye(6)),
                 family.distribution("pretrain"),
-                family.basis,
                 TrainConfig(eta=0.02, max_steps=max_steps, ridge_lambda=ridge_lambda, probe_every=1),
             )
         assert err.value.step == 0
 
 
 def test_an_infinite_loss_from_finite_weights_counts_as_divergence():
-    basis, dist = scalar_problem(target=1.0)
+    dist = scalar_problem(target=1.0)
     big = math.exp(180.0)  # finite factors whose squared residual overflows
     state = NetworkState(W1=np.array([[big]]), W2=np.array([[big]]), step=7)
     with pytest.raises(TrainingDiverged) as err:
-        train(state, dist, basis, TrainConfig(eta=0.01, max_steps=0))
+        train(state, dist, TrainConfig(eta=0.01, max_steps=0))
     assert err.value.step == 7
 
 
@@ -1359,9 +1354,9 @@ def test_train_config_validation_messages():
 )
 @settings(max_examples=200, deadline=None)
 def test_derived_step_agrees_with_a_balanced_matrix_step(sigma, target, eta):
-    basis, dist = scalar_problem(target=target)
+    dist = scalar_problem(target=target)
     root = math.sqrt(sigma)
     state = NetworkState(W1=np.array([[root]]), W2=np.array([[root]]))
-    nxt, _ = train(state, dist, basis, TrainConfig(eta=eta, max_steps=1))
+    nxt, _ = train(state, dist, TrainConfig(eta=eta, max_steps=1))
     want = derived_diag_step(state.theta[0, 0], 1.0, target, eta)
     assert nxt.theta[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-15)

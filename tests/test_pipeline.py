@@ -1,6 +1,7 @@
 """Pipeline staging, compute-matched splits, sweeps, and metric bookkeeping."""
 
 import csv
+import functools
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from stagelab import (
     ConfigError,
     FeaturePartition,
+    StageDistribution,
     StagePlan,
     TaskSpectra,
     aligned_spectrum,
@@ -162,7 +164,7 @@ def test_metrics_are_recomputable_from_the_checkpoints():
         run = run_pipeline(family, small_plans(), init_scaled_identity(family.n, 12.0, family.basis))
 
         def loss(state, stage):
-            return population_loss(state, family.distribution(stage), family.basis)
+            return population_loss(state, family.distribution(stage))
 
         m = run.metrics
         assert list(m) == ["L_im", "L_ret", "L_ft", "L_pre", "delta"]
@@ -261,6 +263,40 @@ def test_run_id_encodes_the_swept_hyperparameters():
     p2 = StagePlan("posttrain", 250, 0.02)
     p3 = StagePlan("finetune", 300, 0.05)
     assert make_run_id(p1, p2, p3) == "m0.5-s1_3000-r0-l0-e2_0.02-s2_250-e3_0.05-s3_300"
+
+
+def test_a_signed_zero_is_one_plan_with_one_run_id_and_record():
+    p2, p3 = StagePlan("posttrain", 250, 0.02), StagePlan("finetune", 300, 0.05)
+    plus = (StagePlan("pretrain", 3000, 0.02, mix_fraction=0.0), p2, p3)
+    minus = (StagePlan("pretrain", 3000, 0.02, mix_fraction=-0.0), p2, p3)
+    assert make_run_id(*minus) == make_run_id(*plus) == "m0-s1_3000-r0-l0-e2_0.02-s2_250-e3_0.05-s3_300"
+    assert not np.signbit(minus[0].mix_fraction)
+    for name in ("replay_fraction", "ridge_lambda"):
+        signed = StagePlan("posttrain", 250, 0.02, **{name: -0.0})
+        assert not np.signbit(getattr(signed, name))
+        assert make_run_id(plus[0], signed, p3) == make_run_id(*plus)
+
+
+def test_a_default_sweep_builds_one_teacher_per_distribution(monkeypatch):
+    # 30 runs train on 4 distributions (the three stages and the one
+    # mixture), and each builds its teacher once, on first use
+    cfg = loads_config("[pretrain]\nsteps = 30\n[sweep]\nsteps2 = 20\nsteps3 = 20\n")
+    family = cfg.task_family()
+    built = []
+    teacher = StageDistribution.__dict__["teacher"]
+
+    def counted(dist):
+        built.append(dist)
+        return teacher.func(dist)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(StageDistribution, "teacher")
+    monkeypatch.setattr(StageDistribution, "teacher", counting)
+    runs = list(run_sweep(family, cfg.init_state(family), itertools.product(*cfg.sweep_plans())))
+    assert len(runs) == 30 and all(run.succeeded for run in runs)
+    assert len(built) == len({id(dist) for dist in built}) == 4
+    labels = ["finetune", "mix(pretrain, posttrain, 0.5)", "posttrain", "pretrain"]
+    assert sorted(dist.label for dist in built) == labels
 
 
 def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):

@@ -20,7 +20,6 @@ from stagelab import (
     make_reference_family,
     mix_distributions,
 )
-from stagelab.tasks import target_matrix
 
 
 def reference_spectra(**overrides) -> TaskSpectra:
@@ -96,12 +95,23 @@ def test_mixing_rejects_bad_weight_and_dimension():
         mix_distributions(pre, post, 1.5)
     other = StageDistribution(
         label="small",
+        basis=SpectralBasis.identity(2),
         input_variances=np.ones(2),
-        target_spectrum=np.ones(2),
         cross_covariance=np.ones(2),
     )
-    with pytest.raises(ConfigError, match="different dimension"):
+    with pytest.raises(ConfigError, match="different bases"):
         mix_distributions(pre, other, 0.5)
+    # a basis of the same size but other matrices is another frame, at any weight
+    rotated = make_reference_family(basis_mode="random", basis_seed=5).distribution("posttrain")
+    for alpha in (0.0, 0.5, 1.0):
+        with pytest.raises(ConfigError, match="different bases"):
+            mix_distributions(pre, rotated, alpha)
+    # equal matrices are one basis, whichever object holds them
+    again = make_reference_family().distribution("posttrain")
+    assert again.basis is not pre.basis
+    mixed = mix_distributions(pre, again, 0.5)
+    assert mixed.basis is pre.basis
+    assert mixed.target_spectrum.tobytes() == mix_distributions(pre, post, 0.5).target_spectrum.tobytes()
 
 
 @given(alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -133,7 +143,7 @@ def test_mixture_moments_match_monte_carlo():
     mixed = mix_distributions(pre, post, 0.5)
     rng = np.random.default_rng(3)
     var, var_se, xc, xc_se = mixture_moments_monte_carlo(
-        pre, post, family.basis, 0.5, 10**6, rng
+        pre, post, 0.5, 10**6, rng
     )
     assert np.all(np.abs(var - mixed.input_variances) <= 5 * np.maximum(var_se, 1e-12))
     assert np.all(np.abs(xc - mixed.cross_covariance) <= 5 * np.maximum(xc_se, 1e-12))
@@ -169,37 +179,86 @@ def test_basis_derives_is_identity_from_its_matrices():
 def test_target_and_covariance_matrices_in_both_bases():
     family = make_reference_family()
     post = family.distribution("posttrain")
-    np.testing.assert_array_equal(target_matrix(post, family.basis), np.diag(post.target_spectrum))
+    np.testing.assert_array_equal(post.teacher, np.diag(post.target_spectrum))
 
     rot = make_reference_family(basis_mode="random", basis_seed=5)
     post_r = rot.distribution("posttrain")
-    A = target_matrix(post_r, rot.basis)
+    A = post_r.teacher
     np.testing.assert_allclose(
         rot.basis.U.T @ A @ rot.basis.V, np.diag(post_r.target_spectrum), atol=1e-12
     )
 
 
+def stored_targets(family, alpha):
+    """Each stage's and mixture's target vector as the distribution stored it before deriving it.
+
+    A family distribution stored the vector it was built from, and a mixture
+    np.where(v > 0, xc / np.where(v > 0, v, 1.0), 0.0) of its mixed moments.
+    """
+    part, spectra = family.partition, family.spectra
+    built = {}
+    for stage, inconsistent in (
+        ("pretrain", spectra.pre_inconsistent),
+        ("posttrain", spectra.post_inconsistent),
+        ("finetune", spectra.ft_inconsistent),
+    ):
+        t = np.zeros(part.n)
+        t[part.invariant] = spectra.invariant
+        t[part.inconsistent] = inconsistent
+        if stage == "posttrain":
+            t[part.specialized] = spectra.specialized_target
+        built[stage] = t
+    pre, post = family.distribution("pretrain"), family.distribution("posttrain")
+    for name, d1, d2 in (("mix", pre, post), ("replay", post, pre)):
+        v = (1.0 - alpha) * d1.input_variances + alpha * d2.input_variances
+        xc = (1.0 - alpha) * d1.cross_covariance + alpha * d2.cross_covariance
+        built[name] = np.where(v > 0, xc / np.where(v > 0, v, 1.0), 0.0)
+    return built
+
+
+@pytest.mark.parametrize("basis_mode", ["identity", "random"])
+@pytest.mark.parametrize("alpha", [0.01, 0.123, 0.25, 0.3, 0.5])
+def test_derived_targets_and_teachers_keep_the_stored_bits(basis_mode, alpha):
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    pre, post = family.distribution("pretrain"), family.distribution("posttrain")
+    dists = {stage: family.distribution(stage) for stage in ("pretrain", "posttrain", "finetune")}
+    dists["mix"] = mix_distributions(pre, post, alpha)
+    dists["replay"] = mix_distributions(post, pre, alpha)
+    U, V = family.basis.U, family.basis.V
+    for name, want in stored_targets(family, alpha).items():
+        dist = dists[name]
+        assert dist.basis is family.basis
+        assert dist.target_spectrum.tobytes() == want.tobytes(), name
+        # the teacher is (U * t) @ V.T, built once and read-only
+        assert dist.teacher.tobytes() == ((U * want) @ V.T).tobytes(), name
+        assert dist.teacher is dist.teacher
+        assert not dist.teacher.flags.writeable and not dist.target_spectrum.flags.writeable
+
+
 def test_distribution_rejects_bad_vectors():
-    with pytest.raises(ConfigError, match=r"input variances must lie in \[0, 1\]"):
-        StageDistribution(
-            label="bad",
-            input_variances=np.array([1.5]),
-            target_spectrum=np.array([1.0]),
-            cross_covariance=np.array([1.5]),
-        )
-    with pytest.raises(ConfigError, match="nonnegative"):
-        StageDistribution(
-            label="bad",
-            input_variances=np.array([1.0]),
-            target_spectrum=np.array([-1.0]),
-            cross_covariance=np.array([-1.0]),
-        )
+    one, two = SpectralBasis.identity(1), SpectralBasis.identity(2)
+    for variance in (1.5, -0.5, np.nan):
+        with pytest.raises(ConfigError, match=r"input variances must lie in \[0, 1\]"):
+            StageDistribution(
+                label="bad", basis=one, input_variances=np.array([variance]), cross_covariance=np.array([0.0])
+            )
+    for xc in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            StageDistribution(
+                label="bad", basis=one, input_variances=np.array([1.0]), cross_covariance=np.array([xc])
+            )
     with pytest.raises(ConfigError, match="share one length"):
         StageDistribution(
-            label="bad",
-            input_variances=np.array([1.0, 1.0]),
-            target_spectrum=np.array([1.0]),
-            cross_covariance=np.array([1.0]),
+            label="bad", basis=two, input_variances=np.array([1.0, 1.0]), cross_covariance=np.array([1.0])
+        )
+    with pytest.raises(ConfigError, match="vectors and basis must share one length"):
+        StageDistribution(
+            label="bad", basis=two, input_variances=np.array([1.0]), cross_covariance=np.array([1.0])
+        )
+    # an unobserved coordinate carries no cross-covariance, so no target
+    with pytest.raises(ConfigError, match="zero where the input variance is"):
+        StageDistribution(
+            label="bad", basis=two, input_variances=np.array([1.0, 0.0]), cross_covariance=np.array([1.0, 3.0])
         )
 
 
@@ -220,6 +279,23 @@ def test_validator_names_the_violated_inequality():
         reference_spectra(mismatch_gap=0.0).validate(part)
     with pytest.raises(TaskValidationError, match="must be nonnegative"):
         reference_spectra(pre_inconsistent=np.array([-0.1, 0.8])).validate(part)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # every margin stays positive with an infinite invariant value
+        ("invariant", np.array([np.inf, 4.0])),
+        ("pre_inconsistent", np.array([-np.inf, 0.8])),
+        ("post_inconsistent", np.array([3.5, np.nan])),
+        ("ft_inconsistent", np.array([np.inf, 0.3])),
+        ("specialized_target", np.nan),
+        ("mismatch_gap", np.inf),
+    ],
+)
+def test_validator_names_a_non_finite_field(name, value):
+    with pytest.raises(TaskValidationError, match=f"^{name} must be finite, got "):
+        reference_spectra(**{name: value}).validate(FeaturePartition(n=6, k=2))
 
 
 def test_assumption_margins_for_the_reference_family():
