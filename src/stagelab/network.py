@@ -451,11 +451,21 @@ def _diagonal_kernel(
     return advance
 
 
+def _memo_key(
+    state: NetworkState, dist: StageDistribution, config: TrainConfig, record_spectrum: bool
+) -> tuple:
+    """Everything a train() result depends on, the arrays by their bytes."""
+    U, V = dist.basis.U, dist.basis.V
+    arrays = (dist.input_variances, dist.cross_covariance, U, V, state.W1, state.W2)
+    return (*(a.tobytes() for a in arrays), state.step, config, record_spectrum)
+
+
 def train(
     state: NetworkState,
     dist: StageDistribution,
     config: TrainConfig,
     record_spectrum: bool = True,
+    memo: dict | None = None,
 ) -> tuple[NetworkState, Trajectory]:
     """Run max_steps of full-batch gradient descent, recording theta every probe_every steps.
 
@@ -485,7 +495,27 @@ def train(
     Bit patterns, not values, are compared: -0.0 and +0.0 differ, and a
     non-finite state, which can repeat its bits, is left to the weight
     checks.
+
+    memo, a caller-owned dict, serves a repeat of an earlier successful call
+    (equal distribution, start factors and step, config and record_spectrum,
+    arrays compared by their bytes) without stepping: the final state and
+    products that call computed, in a Trajectory over this call's
+    distribution.  A diverged run is not stored; a repeat raises again.
     """
+    if memo is None:
+        return _train(state, dist, config, record_spectrum)
+    key = _memo_key(state, dist, config, record_spectrum)
+    if key not in memo:
+        final_state, trajectory = _train(state, dist, config, record_spectrum)
+        memo[key] = final_state, trajectory.steps, trajectory.products
+    final_state, steps, products = memo[key]
+    return final_state, Trajectory(steps, products, dist, record_spectrum)
+
+
+def _train(
+    state: NetworkState, dist: StageDistribution, config: TrainConfig, record_spectrum: bool
+) -> tuple[NetworkState, Trajectory]:
+    """train() without a memo: every call steps."""
     A, v = dist.teacher, dist.input_variances
     V = None if dist.basis.is_identity else dist.basis.V
 

@@ -106,10 +106,12 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
-def _train_stage(family: TaskFamily, plan: StagePlan, state: NetworkState) -> NetworkState:
+def _train_stage(
+    family: TaskFamily, plan: StagePlan, state: NetworkState, memo: dict | None = None
+) -> NetworkState:
     """The checkpoint at the end of one stage; a ridge anchors the state it starts from."""
     dist = stage_training_distribution(family, plan)
-    state, _ = train(state, dist, plan.train_config(), record_spectrum=False)
+    state, _ = train(state, dist, plan.train_config(), record_spectrum=False, memo=memo)
     return state
 
 
@@ -143,10 +145,12 @@ def continue_from_pretrained(
     pretrained: NetworkState | TrainingDiverged,
     plans: Sequence[StagePlan],
     run_id: str,
+    memo: dict | None = None,
 ) -> PipelineRun:
     """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
 
     Given the divergence that ended stage 1 instead, it returns that failed run.
+    memo, if given, is the stage-2 train() call's (see train).
     """
     plans = _check_plans(plans)
     states: dict[str, NetworkState] = {}
@@ -155,7 +159,7 @@ def continue_from_pretrained(
         state = states["pretrain"] = pretrained
         for plan in plans[1:]:
             try:
-                state = _train_stage(family, plan, state)
+                state = _train_stage(family, plan, state, memo if plan.stage == "posttrain" else None)
             except TrainingDiverged as exc:
                 failure = exc
                 break
@@ -237,14 +241,18 @@ def run_sweep(
     Every task's plans are checked before any training.  Stage-1 training
     depends only on the stage-1 plan, so its checkpoint is computed the first
     time a task needs it and shared by every later task with that plan
-    (bitwise identical to rerunning it).  Each run is yielded as soon as it
-    completes, so a caller can record it before the next one starts.
-    Diverged runs are yielded with their failure marked; the sweep itself
-    never aborts.
+    (bitwise identical to rerunning it).  Stage 2 depends only on the
+    (stage-1, stage-2) plan pair, so it is trained once per pair: every
+    stage-2 train() call of one sweep shares a memo, which serves a repeat
+    its checkpoint bitwise and lives as long as the sweep.  Each run is
+    yielded as soon as it completes, so a caller can record it before the
+    next one starts.  Diverged runs are yielded with their failure marked;
+    the sweep itself never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
     pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
+    memo: dict = {}
     for plans in tasks:
         if plans[0] not in pretrained:
             pretrained[plans[0]] = _pretrain(family, plans[0], init_state)
-        yield continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans))
+        yield continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans), memo)

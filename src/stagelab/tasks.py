@@ -121,7 +121,7 @@ class TaskSpectra:
                 raise TaskValidationError(f"{name} violated: {condition} (margin {margin:+.6g})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Orthonormal output/input basis pair shared by every stage of a family.
 
@@ -178,7 +178,7 @@ class SpectralBasis:
         return cls.random(n, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageDistribution:
     """One stage's data distribution in its family's basis.
 

@@ -37,22 +37,40 @@ def test_default_outputs_match_the_pinned_hashes(tmp_path, capsys, monkeypatch):
     # every module attribute that binds train, as the benchmark's tracer wraps it
     for module in (network, pipeline, checks):
         monkeypatch.setattr(module, "train", counting)
+    # and train()'s uncached body, which steps: a call that train() serves
+    # from a memo never reaches it
+    trainings = []
+    uncached = network._train
+
+    def training(*args):
+        trainings.append(None)
+        return uncached(*args)
+
+    monkeypatch.setattr(network, "_train", training)
 
     out = tmp_path / "out"
-    trained = {}
+    trained, calls, stepped = {}, {}, {}
     for command in ("simulate", "sweep", "plot", "frontier", "verify"):
-        before = sum(steps)
+        before = sum(steps), len(steps), len(trainings)
         assert main(["--out", str(out), command]) == 0, command
-        trained[command] = sum(steps) - before
+        trained[command] = sum(steps) - before[0]
+        calls[command], stepped[command] = len(steps) - before[1], len(trainings) - before[2]
     capsys.readouterr()
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert got == pinned
     # bench/run.py --trace 1 fails an op whose train() calls take other step
-    # counts, so a change that trains fewer steps (batching outside train(),
-    # caching repeated stages) needs a benchmark change first
+    # counts, so removing train() calls or their steps (batching outside
+    # train()) needs a benchmark change first.  A repeat that train() serves
+    # from a sweep's memo still counts its steps, as the steps skipped by
+    # the orbit and fixed-point exits do
     assert trained["simulate"] + trained["sweep"] == 29_500
     assert trained["verify"] == 170_000
     assert trained["plot"] == trained["frontier"] == 0
+    # the sweep trains stage 2 once per (stage-1, stage-2) plan pair: 6 for
+    # its 30 runs, so simulate and sweep step in 41 of their 65 train() calls
+    assert calls["simulate"] + calls["sweep"] == 65
+    assert stepped["simulate"] + stepped["sweep"] == 41
+    assert stepped["verify"] == calls["verify"] == 8
 
 
 def test_literal_mode_verify_matches_its_pinned_hash(tmp_path, capsys):

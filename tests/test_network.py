@@ -1360,3 +1360,111 @@ def test_derived_step_agrees_with_a_balanced_matrix_step(sigma, target, eta):
     nxt, _ = train(state, dist, TrainConfig(eta=eta, max_steps=1))
     want = derived_diag_step(state.theta[0, 0], 1.0, target, eta)
     assert nxt.theta[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------- memo
+
+
+def counting_trainings():
+    """A patch of network._train, the uncached body of train(), that counts its calls."""
+    return mock.patch.object(network, "_train", wraps=network._train)
+
+
+def assert_same_training(got, want):
+    (got_state, got_traj), (want_state, want_traj) = got, want
+    assert_same_bits(got_state.W1, want_state.W1)
+    assert_same_bits(got_state.W2, want_state.W2)
+    assert got_state.step == want_state.step
+    assert_same_bits(got_traj.steps, want_traj.steps)
+    assert_same_bits(got_traj.products, want_traj.products)
+    assert got_traj.spectrum == want_traj.spectrum
+
+
+@pytest.mark.parametrize("basis_mode", ["identity", "random"])
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.1])
+def test_a_memo_hit_is_bitwise_an_uncached_call(basis_mode, ridge_lambda):
+    # a replay mixture is a new distribution on every build, so the second
+    # call hits on content, and its trajectory is over its own distribution
+    family = make_reference_family(basis_mode=basis_mode, basis_seed=3)
+    post, pre = family.distribution("posttrain"), family.distribution("pretrain")
+    start = init_scaled_identity(6, 12.0, family.basis)
+    start = NetworkState(W1=start.W1, W2=start.W2, step=7)
+    config = TrainConfig(eta=0.02, max_steps=300, ridge_lambda=ridge_lambda, probe_every=7)
+    for build in (lambda: post, lambda: mix_distributions(post, pre, 0.01)):
+        first, again = build(), build()
+        memo = {}
+        with counting_trainings() as trained:
+            stored = train(start, first, config, memo=memo)
+            served = train(start, again, config, memo=memo)
+        assert trained.call_count == 1 and len(memo) == 1
+        want = train(start, again, config)
+        assert_same_training(stored, want)
+        assert_same_training(served, want)
+        assert served[0].step == 307
+        assert served[1].dist is again
+        assert_same_bits(served[1].diagonals(), want[1].diagonals())
+
+
+def test_a_memo_misses_when_any_input_differs():
+    family = make_reference_family()
+    dist = family.distribution("posttrain")
+    start = init_scaled_identity(6, 12.0)
+    config = TrainConfig(eta=0.02, max_steps=50, probe_every=10)
+    signed = start.W1.copy()
+    signed[0, 1] = -0.0  # one off-diagonal entry differs from +0.0 only in its sign bit
+    xc = dist.cross_covariance.copy()
+    xc[0] = np.nextafter(xc[0], 0.0)
+    variants = {
+        "signed zero": (NetworkState(W1=signed, W2=start.W2), dist, config, True),
+        "start step": (NetworkState(W1=start.W1, W2=start.W2, step=1), dist, config, True),
+        "eta": (start, dist, TrainConfig(eta=0.01, max_steps=50, probe_every=10), True),
+        "steps": (start, dist, TrainConfig(eta=0.02, max_steps=51, probe_every=10), True),
+        "ridge": (start, dist, TrainConfig(eta=0.02, max_steps=50, ridge_lambda=0.1, probe_every=10), True),
+        "probe_every": (start, dist, TrainConfig(eta=0.02, max_steps=50, probe_every=7), True),
+        "record_spectrum": (start, dist, config, False),
+        "cross_covariance": (
+            start,
+            StageDistribution("posttrain", dist.basis, dist.input_variances, xc),
+            config,
+            True,
+        ),
+        "basis": (
+            start,
+            StageDistribution("posttrain", SpectralBasis.random(6, 3), dist.input_variances, dist.cross_covariance),
+            config,
+            True,
+        ),
+    }
+    for name, args in variants.items():
+        memo = {}
+        train(start, dist, config, memo=memo)
+        with counting_trainings() as trained:
+            got = train(*args, memo=memo)
+        assert trained.call_count == 1 and len(memo) == 2, name
+        assert_same_training(got, train(*args))
+
+
+def test_a_diverging_call_is_not_stored_and_a_repeat_raises_at_the_same_step():
+    family = make_reference_family(basis_mode="random", basis_seed=3)
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    hot = init_from_spectrum(family.basis, np.full(6, 25.0))
+    config = TrainConfig(eta=0.05, max_steps=50)
+    memo = {}
+    with counting_trainings() as trained:
+        for _ in range(2):
+            with pytest.raises(TrainingDiverged) as err:
+                train(hot, dist, config, memo=memo)
+            assert err.value.step == 7 and memo == {}
+    assert trained.call_count == 2
+
+
+def test_train_without_a_memo_builds_no_key(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a key was built")
+
+    monkeypatch.setattr(network, "_memo_key", refuse)
+    dist = make_reference_family().distribution("pretrain")
+    config = TrainConfig(eta=0.02, max_steps=20)
+    train(init_scaled_identity(6, 12.0), dist, config)
+    with pytest.raises(AssertionError, match="a key was built"):
+        train(init_scaled_identity(6, 12.0), dist, config, memo={})

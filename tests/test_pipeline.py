@@ -3,6 +3,7 @@
 import csv
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from stagelab import (
     stage_training_distribution,
     sweep_to_csv,
 )
+from stagelab import network, pipeline
+from stagelab.cli import main
 from stagelab.records import CSV_COLUMNS
 
 
@@ -297,6 +300,46 @@ def test_a_default_sweep_builds_one_teacher_per_distribution(monkeypatch):
     assert len(built) == len({id(dist) for dist in built}) == 4
     labels = ["finetune", "mix(pretrain, posttrain, 0.5)", "posttrain", "pretrain"]
     assert sorted(dist.label for dist in built) == labels
+
+
+def test_two_sweeps_each_train_their_own_stage2(family, tau12_init):
+    # 1 stage-1, 2 stage-2 and 2 stage-3 plans: the 4 runs call train() 1 + 4 * 2
+    # times, and each sweep trains each stage-2 plan once, with a memo of its own
+    p1, p2, p3 = small_plans()
+    posttrains, finetunes = [p2, StagePlan("posttrain", 150, 0.02)], [p3, StagePlan("finetune", 150, 0.02)]
+    tasks = list(itertools.product([p1], posttrains, finetunes))
+    with mock.patch.object(pipeline, "train", wraps=pipeline.train) as called, \
+            mock.patch.object(network, "_train", wraps=network._train) as trained:
+        first = list(run_sweep(family, tau12_init, tasks))
+        assert (called.call_count, trained.call_count) == (9, 1 + 2 + 4)
+        second = list(run_sweep(family, tau12_init, tasks))
+        assert (called.call_count, trained.call_count) == (18, 14)
+    # only stage 2 gets a memo, one dict per sweep
+    memos = [(call.args[1].label, call.kwargs["memo"]) for call in called.call_args_list]
+    assert {label for label, memo in memos if memo is not None} == {"posttrain"}
+    assert len({id(memo) for _, memo in memos if memo is not None}) == 2
+    for a, b in zip(first, second, strict=True):
+        assert a.metrics == b.metrics
+        np.testing.assert_array_equal(a.finetuned.W1, b.finetuned.W1)
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_path, monkeypatch):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(f"[task]\nbasis = {basis}\nbasis_seed = 4\n")
+
+    def trainings(out):
+        with mock.patch.object(network, "_train", wraps=network._train) as trained:
+            assert main(["--config", str(ini), "--out", str(out), "sweep"]) == 0
+        return trained.call_count
+
+    # 2 stage-1, 6 stage-2 and 30 stage-3 trainings, against 30 stage-2 ones
+    assert trainings(tmp_path / "memo") == 38
+    original = pipeline.train
+    monkeypatch.setattr(pipeline, "train", lambda *args, memo=None, **kwargs: original(*args, **kwargs))
+    assert trainings(tmp_path / "plain") == 62
+    for file in ("runs.jsonl", "sweep.csv"):
+        assert (tmp_path / "memo" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
 
 
 def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):

@@ -114,6 +114,17 @@ def test_mixing_rejects_bad_weight_and_dimension():
     assert mixed.target_spectrum.tobytes() == mix_distributions(pre, post, 0.5).target_spectrum.tobytes()
 
 
+def test_distributions_and_bases_compare_and_hash_by_identity():
+    # by identity: a dataclass == over the array fields would raise, and so would hash()
+    one, two = make_reference_family(), make_reference_family()
+    for a, b in ((one.distribution("pretrain"), two.distribution("pretrain")), (one.basis, two.basis)):
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+    # equal content is still one basis to mix_distributions, which compares the arrays
+    mixed = mix_distributions(one.distribution("pretrain"), two.distribution("posttrain"), 0.5)
+    assert mixed.basis is one.basis
+
+
 @given(alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_mixing_is_linear_in_the_moments(alpha):
