@@ -16,6 +16,7 @@ every command.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -50,9 +51,12 @@ FAMILY_JSON = "family.json"
 FAMILY_SECTIONS = ("init", "task")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # one flat parser: no command takes options of its own, and a subparser
-    # per command costs about as much to build as the main parser, every call
+    # per command costs about as much to build as the main parser.  It is
+    # built once per process: parse_args leaves it as it was, and building
+    # it costs several times what a parse does
     commands = "\n".join(f"  {name:<10}{line}" for name, (_, line) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="stagelab",

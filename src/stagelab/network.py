@@ -21,13 +21,19 @@ its two factors are equal bit for bit, as in every identity-basis init and
 pipeline checkpoint.  The state stays so, and the kernel steps each
 coordinate as one Python float; its Trajectory stores only the products'
 diagonals, one row of n per snapshot.  Every other state, unbalanced,
-off-diagonal or in a random basis, takes the matrix kernel, _gradient_kernel
-stepped in numpy.  Each kernel stops stepping what has stopped moving: a
+off-diagonal or in a random basis, takes the matrix kernel, _matrix_kernel,
+which steps _gradient_kernel in numpy.  Each kernel stops stepping what has stopped moving: a
 diagonal coordinate whose step returns the same float is at a fixed point,
 and a matrix run whose factors return to the bit patterns of an earlier
 step is an exact orbit, whose recorded rows take their phase's product.
 Most random-basis trainings end in such orbits, of periods from one step to
 a few dozen.
+
+train_lockstep runs the matrix kernel on a stack of runs that share a
+distribution, each run's arithmetic the one train() does for it, and
+stores each result in a memo from which train() serves it.  A step costs
+numpy dispatch far more than arithmetic at these sizes, so B runs stepped
+as one stack cost little more than one.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,17 +225,19 @@ class Trajectory:
 
 
 def _matmul_for(a: np.ndarray) -> Callable[..., np.ndarray]:
-    """The call f(b, out) that writes a @ b into out for (n, n) operands, as np.matmul rounds it.
+    """The call f(b, out) that writes a @ b into out, as np.matmul rounds it.
 
-    For n >= 2 it is the bound method a.dot.  ndarray.dot reaches the same
-    cblas_dgemm call as np.matmul, transpose flags included: a transposed
-    view is passed to BLAS as a transposed operand, not copied.  Bound once
-    to a fixed buffer, it also skips the __array_function__ dispatcher that
-    the np.dot function goes through on every call.  At n = 1 dot returns
-    the plain product, -0.0 for 0.0 * -3.0, where np.matmul's 1x1 path sums
-    from +0.0, so there f is np.matmul with a as its first operand.
+    For one (n, n) matrix with n >= 2 it is the bound method a.dot.
+    ndarray.dot reaches the same cblas_dgemm call as np.matmul, transpose
+    flags included: a transposed view is passed to BLAS as a transposed
+    operand, not copied.  Bound once to a fixed buffer, it also skips the
+    __array_function__ dispatcher that the np.dot function goes through on
+    every call.  At n = 1 dot returns the plain product, -0.0 for
+    0.0 * -3.0, where np.matmul's 1x1 path sums from +0.0, so there f is
+    np.matmul with a as its first operand.  So it is for a stack of
+    matrices, shape (B, n, n), whose np.matmul makes one such call per matrix.
     """
-    return functools.partial(np.matmul, a) if a.shape[0] == 1 else a.dot
+    return a.dot if a.ndim == 2 and a.shape[0] > 1 else functools.partial(np.matmul, a)
 
 
 def _gradient_kernel(
@@ -239,45 +247,51 @@ def _gradient_kernel(
     E: np.ndarray,
     v: np.ndarray,
     V: np.ndarray | None,
-    ridge_lambda: float,
+    ridge_lambda: float | np.ndarray,
     ridge_anchor: np.ndarray | None,
     out: np.ndarray,
 ) -> Callable[[], None]:
-    """The update kernel: a closure that writes (dL/dW1, dL/dW2) into out[0] and out[1].
+    """The update kernel: a closure that writes (dL/dW1, dL/dW2) into out's two factor slots.
 
-    Each call reads the current contents of W1, W2, theta = W1 @ W2 and the
-    residual E = theta - A, so a loop that updates those buffers in place
-    calls it once per step; out must not alias any of them.  Its results are
-    bitwise those of the allocating expressions 2.0 * (E * v),
+    It serves one run, with (n, n) matrices and out of shape (2, n, n), or B
+    runs in lock step, with (B, n, n) stacks, out of shape (B, 2, n, n) and
+    ridge_lambda one value per run, shape (B, 1, 1); all of them share v
+    and V, and every run's ridge_lambda is positive or none is.  Each call
+    reads the current contents of W1, W2, theta = W1 @ W2 and the residual
+    E = theta - A, so a loop that updates those buffers in place calls it
+    once per step; out must not alias any of them.  Its results are bitwise
+    those of the allocating expressions 2.0 * (E * v),
     2.0 * ((E @ V) * v) @ V.T and G + 2.0 * lam * (theta - anchor), followed
-    by G @ W2.T and W1.T @ G, although it issues them through cheaper calls.
-    Each rewrite is exact:
+    by G @ W2.T and W1.T @ G, run by run, although it issues them through
+    cheaper calls.  Each rewrite is exact:
 
     - x + x stands for 2.0 * x.  Both round the same real number 2x, so they
       agree in every range, subnormal and overflow included.  Folding the 2
       into v would not: E * (2.0 * v) rounds differently when E * v is
       subnormal.
-    - v broadcast to (n, n) and 2 lam are built once as full-shape operands.
-      Every element is multiplied by the same factor as under broadcasting
-      or by a Python scalar, and a same-shape ufunc call dispatches faster.
-    - W1.T, W2.T and V.T are taken once.  They are views of the same
+    - v and 2 lam are broadcast once to full-shape operands.  Every element
+      is multiplied by the same factor as under broadcasting or by a Python
+      scalar, and a same-shape ufunc call dispatches faster.
+    - The transposes of W1, W2 and V are taken once, as views of the same
       buffers, so BLAS sees the transpose flags the expressions' own .T give
       it; a contiguous copy would be a different gemm call.
     - out is passed positionally, which numpy parses faster than out=.
-    - Each @ is the bound ndarray.dot method of its left operand for n >= 2,
-      bound once to these fixed buffers: the same gemm call as np.matmul
-      without numpy's function dispatch.  At n = 1 it stays np.matmul, whose
-      1x1 product sums from +0.0 (see _matmul_for).
+    - Each @ is _matmul_for of its left operand, bound once to these fixed
+      buffers: the bound ndarray.dot for one matrix with n >= 2, the same
+      gemm call as np.matmul without numpy's function dispatch, and
+      np.matmul otherwise, which makes that call once per matrix of a stack
+      (and whose 1x1 product sums from +0.0).
     """
-    n = theta.shape[0]
-    G, work = np.empty((2, n, n))
-    v = np.broadcast_to(v, (n, n)).copy()
-    lam2 = np.full((n, n), 2.0 * ridge_lambda)
-    out1, out2 = out
+    shape = theta.shape
+    G, work = np.empty((2, *shape))
+    v = np.broadcast_to(v, shape).copy()
+    lam2 = np.broadcast_to(2.0 * ridge_lambda, shape).copy()
+    ridge = bool(np.all(lam2 > 0))
+    out1, out2 = out[..., 0, :, :], out[..., 1, :, :]
     # a closure finds its own names faster than numpy's attributes
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    E_dot, work_dot, G_dot, W1T_dot = (_matmul_for(M) for M in (E, work, G, W1.T))
-    VT, W2T = None if V is None else V.T, W2.T
+    E_dot, work_dot, G_dot, W1T_dot = (_matmul_for(M) for M in (E, work, G, W1.swapaxes(-1, -2)))
+    VT, W2T = None if V is None else V.T, W2.swapaxes(-1, -2)
 
     def gradients() -> None:
         if V is None:
@@ -288,7 +302,7 @@ def _gradient_kernel(
             multiply(work, v, work)
             add(work, work, work)
             work_dot(VT, G)
-        if ridge_lambda > 0:
+        if ridge:
             subtract(theta, ridge_anchor, work)
             multiply(lam2, work, work)
             add(G, work, G)
@@ -460,6 +474,143 @@ def _memo_key(
     return (*(a.tobytes() for a in arrays), state.step, config, record_spectrum)
 
 
+def _matrix_kernel(
+    W: np.ndarray,
+    theta: np.ndarray,
+    E: np.ndarray,
+    products: np.ndarray,
+    A: np.ndarray,
+    v: np.ndarray,
+    V: np.ndarray | None,
+    eta: float | np.ndarray,
+    ridge_lambda: float | np.ndarray,
+) -> Callable[[int, int, int], None]:
+    """The update of every state the diagonal kernel does not take, for one run or a stack in lock step.
+
+    W holds the factors, shape (2, n, n) for one run or (B, 2, n, n) for B
+    runs, theta = W1 @ W2 and E = theta - A their current products and
+    residuals, and products one row per snapshot, each of theta's shape.
+    The runs of a stack share A, v and V, and each has its own eta, shape
+    (B, 1, 1, 1), and ridge_lambda, shape (B, 1, 1), as _gradient_kernel
+    takes them.  The ridge anchors the current products.
+
+    The kernel takes the factors' bytes as a mark every MARK_EVERY steps
+    and compares the bytes after each later step with it.  When they match
+    and the factors are finite, the run is periodic with the period p of
+    steps since the mark: given the run's constants (target, variances,
+    basis, eta, 2 lambda and the start product) a step is a deterministic
+    function of the factors.  The kernel then steps p more times to collect
+    the p phases, which brings the factors back to the same bits, and stops
+    stepping: each later recorded row takes its phase's product, and the
+    factors are left at their phase's state after every advance call, so
+    the weight checks and the replay see what stepping would have left.
+    Bit patterns, not values, are compared: -0.0 and +0.0 differ, and a
+    non-finite state, which can repeat its bits, is left to the weight
+    checks.  A stack's bytes are all its runs' factors, so it stops once
+    every run is in an orbit and the stack's period, the least common
+    multiple of theirs, is at most MARK_EVERY.
+
+    Returns advance(count, row, rows), which takes count steps rows times,
+    and after each count records the product into the next row of products
+    from row on; a row of 0 records nothing.
+    """
+    W1, W2 = W[..., 0, :, :], W[..., 1, :, :]
+    W1_dot = _matmul_for(W1)
+    multiply, subtract, copyto, tobytes = np.multiply, np.subtract, np.copyto, W.tobytes
+    grads = np.empty_like(W)
+    gradients = _gradient_kernel(W1, W2, theta, E, v, V, ridge_lambda, theta.copy(), grads)
+    # a full-shape eta, for the gradient kernel's reason: the same products, cheaper
+    eta = np.broadcast_to(eta, W.shape).copy()
+    # the steps taken so far, the factors' bytes at the last mark and its
+    # step, and once they repeat: the step the orbit was found at with the
+    # factors and product of each of its phases
+    done, mark, marked = 0, tobytes(), 0
+    orbit = None
+
+    def step() -> None:
+        gradients()
+        multiply(eta, grads, grads)
+        subtract(W, grads, W)
+        W1_dot(W2, theta)
+        subtract(theta, A, E)
+
+    def collect(found: int, period: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Step once around the orbit, collecting each phase's factors and product."""
+        factors, thetas = np.empty((period, *W.shape)), np.empty((period, *theta.shape))
+        for phase in range(period):
+            factors[phase], thetas[phase] = W, theta
+            step()
+        return found, factors, thetas
+
+    def advance(count: int, row: int, rows: int) -> None:
+        nonlocal done, mark, marked, orbit
+        first, r, end = done, row, row + rows
+        while orbit is None and r < end:
+            for done in range(done + 1, done + count + 1):
+                step()
+                now = tobytes()
+                if now == mark and np.isfinite(W).all():
+                    orbit = collect(done, done - marked)
+                    break
+                if not done % MARK_EVERY:
+                    mark, marked = now, done
+            else:
+                if r:
+                    copyto(products[r], theta)
+                r += 1
+        if orbit is not None:
+            # step t of the run is at phase (t - found) % period
+            found, factors, thetas = orbit
+            period = len(factors)
+            if row and r < end:
+                at = first + count * np.arange(r - row + 1, rows + 1)
+                products[r:end] = thetas[(at - found) % period]
+            done = first + count * rows
+            phase = (done - found) % period
+            copyto(W, factors[phase])
+            copyto(theta, thetas[phase])
+            subtract(theta, A, E)
+
+    return advance
+
+
+def _snapshot_steps(config: TrainConfig) -> np.ndarray:
+    """The steps a run records, read-only: one every probe_every steps and the last."""
+    full, rest = divmod(config.max_steps, config.probe_every)
+    steps = np.arange(0, (1 + full + bool(rest)) * config.probe_every, config.probe_every)
+    steps[-1] = config.max_steps
+    steps.flags.writeable = False
+    return steps
+
+
+def _schedule(
+    advance: Callable[[int, int, int], None], config: TrainConfig, check: Callable[[], None] | None
+) -> None:
+    """Take config.max_steps steps through a kernel's advance, recording the rows _snapshot_steps names.
+
+    check, if given, runs after every FINITE_CHECK_EVERY-th step.
+    """
+    every, last = config.probe_every, config.max_steps
+    full = last // every
+    step, row = 0, 1
+    while step < last:
+        stop = min(step - step % FINITE_CHECK_EVERY + FINITE_CHECK_EVERY, last)
+        while step < stop:
+            at = min(row * every, last)  # the step that row records
+            if at > stop:
+                advance(stop - step, 0, 1)
+                step = stop
+            elif at - step < every:  # a row cut by a weight check, or the short last row
+                advance(at - step, row, 1)
+                step, row = at, row + 1
+            else:  # whole rows, as many as end by stop
+                rows = min(full + 1 - row, (stop - step) // every)
+                advance(every, row, rows)
+                step, row = step + rows * every, row + rows
+        if check is not None and step % FINITE_CHECK_EVERY == 0:
+            check()
+
+
 def train(
     state: NetworkState,
     dist: StageDistribution,
@@ -479,28 +630,16 @@ def train(
 
     The start state picks the kernel by the rule in the module docstring.
     _diagonal_kernel records only the products' diagonals, into a
-    (num_snapshots, n) array, and the matrix kernel the products, into a
-    (num_snapshots, n, n) array.  Both kernels give the same bits.
-
-    The matrix kernel takes the factors' bytes as a mark every MARK_EVERY
-    steps and compares the bytes after each later step with it.  When they
-    match and the factors are finite, the run is periodic with the period p
-    of steps since the mark: given the run's constants (target, variances,
-    basis, eta, 2 lambda and the start product) a step is a deterministic
-    function of the factors.  The kernel then steps p more times to collect
-    the p phases, which brings the factors back to the same bits, and stops
-    stepping: each later recorded row takes its phase's product, and the
-    factors are left at their phase's state after every advance call, so
-    the weight checks and the replay see what stepping would have left.
-    Bit patterns, not values, are compared: -0.0 and +0.0 differ, and a
-    non-finite state, which can repeat its bits, is left to the weight
-    checks.
+    (num_snapshots, n) array, and _matrix_kernel the products, into a
+    (num_snapshots, n, n) array.  Both kernels give the same bits, and each
+    stops stepping once the run is at a fixed point or in an exact orbit.
 
     memo, a caller-owned dict, serves a repeat of an earlier successful call
     (equal distribution, start factors and step, config and record_spectrum,
     arrays compared by their bytes) without stepping: the final state and
-    products that call computed, in a Trajectory over this call's
-    distribution.  A diverged run is not stored; a repeat raises again.
+    products that call computed, or that train_lockstep stored for it, in a
+    Trajectory over this call's distribution.  A diverged run is not stored;
+    a repeat raises again.
     """
     if memo is None:
         return _train(state, dist, config, record_spectrum)
@@ -531,12 +670,10 @@ def _train(
     W1, W2 = W[0], W[1]
     theta, E = np.empty((n, n)), np.empty((n, n))
     # a snapshot every probe_every steps and one after the last, each row
-    # written by the run; the step numbers are only built for a run that
-    # returns
-    full, rest = divmod(config.max_steps, config.probe_every)
-    num_snapshots = 1 + full + bool(rest)
-    products = np.empty((num_snapshots, n) if diagonal else (num_snapshots, n, n))
-    multiply, subtract, W1_dot = np.multiply, np.subtract, _matmul_for(W1)
+    # written by the run
+    steps = _snapshot_steps(config)
+    products = np.empty((len(steps), n) if diagonal else (len(steps), n, n))
+    subtract, W1_dot = np.subtract, _matmul_for(W1)
 
     def restart() -> None:
         np.copyto(W, start[:2])
@@ -545,63 +682,7 @@ def _train(
 
     def matrix_kernel() -> Callable[[int, int, int], None]:
         # built right after restart(): the ridge anchors the start product
-        anchor = theta.copy()
-        grads = np.empty_like(W)
-        gradients = _gradient_kernel(W1, W2, theta, E, v, V, config.ridge_lambda, anchor, grads)
-        # a full-shape eta, for the kernel's reason: the same products, cheaper
-        eta = np.full_like(W, config.eta)
-        copyto, tobytes = np.copyto, W.tobytes
-        # the steps taken since restart, the factors' bytes at the last mark
-        # and its step, and once they repeat: the step the orbit was found at
-        # with the factors and product of each of its phases
-        done, mark, marked = 0, tobytes(), 0
-        orbit = None
-
-        def step() -> None:
-            gradients()
-            multiply(eta, grads, grads)
-            subtract(W, grads, W)
-            W1_dot(W2, theta)
-            subtract(theta, A, E)
-
-        def collect(found: int, period: int) -> tuple[int, np.ndarray, np.ndarray]:
-            """Step once around the orbit, collecting each phase's factors and product."""
-            factors, thetas = np.empty((period, 2, n, n)), np.empty((period, n, n))
-            for phase in range(period):
-                factors[phase], thetas[phase] = W, theta
-                step()
-            return found, factors, thetas
-
-        def advance(count: int, row: int, rows: int) -> None:
-            nonlocal done, mark, marked, orbit
-            first, r, end = done, row, row + rows
-            while orbit is None and r < end:
-                for done in range(done + 1, done + count + 1):
-                    step()
-                    now = tobytes()
-                    if now == mark and np.isfinite(W).all():
-                        orbit = collect(done, done - marked)
-                        break
-                    if not done % MARK_EVERY:
-                        mark, marked = now, done
-                else:
-                    if r:
-                        copyto(products[r], theta)
-                    r += 1
-            if orbit is not None:
-                # step t of the run is at phase (t - found) % period
-                found, factors, thetas = orbit
-                period = len(factors)
-                if row and r < end:
-                    at = first + count * np.arange(r - row + 1, rows + 1)
-                    products[r:end] = thetas[(at - found) % period]
-                done = first + count * rows
-                phase = (done - found) % period
-                copyto(W, factors[phase])
-                copyto(theta, thetas[phase])
-                subtract(theta, A, E)
-
-        return advance
+        return _matrix_kernel(W, theta, E, products, A, v, V, config.eta, config.ridge_lambda)
 
     def finite() -> bool:
         return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
@@ -616,6 +697,10 @@ def _train(
             advance(1, 0, 1)
         return config.max_steps
 
+    def check() -> None:
+        if not np.isfinite(W).all():
+            raise TrainingDiverged(state.step + first_nonfinite())
+
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
     # to overflow too.  A check of the weights every FINITE_CHECK_EVERY steps
@@ -628,39 +713,71 @@ def _train(
     with np.errstate(over="ignore", invalid="ignore"):
         restart()
         products[0] = theta.diagonal() if diagonal else theta
-        # advance(count, row, rows) takes count steps rows times, and after
-        # each count records the product into the next row from row on; a row
-        # of 0 records nothing
         advance = _diagonal_kernel(W, products, A, v, config) if diagonal else matrix_kernel()
-        every, last = config.probe_every, config.max_steps
-        step, row = 0, 1
-        while step < last:
-            stop = min(step - step % FINITE_CHECK_EVERY + FINITE_CHECK_EVERY, last)
-            while step < stop:
-                at = min(row * every, last)  # the step that row records
-                if at > stop:
-                    advance(stop - step, 0, 1)
-                    step = stop
-                elif at - step < every:  # a row cut by a weight check, or the short last row
-                    advance(at - step, row, 1)
-                    step, row = at, row + 1
-                else:  # whole rows, as many as end by stop
-                    rows = min(full + 1 - row, (stop - step) // every)
-                    advance(every, row, rows)
-                    step, row = step + rows * every, row + rows
-            if step % FINITE_CHECK_EVERY == 0 and not np.isfinite(W).all():
-                raise TrainingDiverged(state.step + first_nonfinite())
+        _schedule(advance, config, check)
         # the diagonal kernel moves only W
         W1_dot(W2, theta)
         subtract(theta, A, E)
         if not finite():
             raise TrainingDiverged(state.step + first_nonfinite())
 
-    steps = np.arange(0, num_snapshots * config.probe_every, config.probe_every)
-    steps[-1] = config.max_steps
-    steps.flags.writeable = products.flags.writeable = False
+    products.flags.writeable = False
     final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
     return final_state, Trajectory(steps, products, dist, record_spectrum)
+
+
+def train_lockstep(
+    runs: Iterable[tuple[NetworkState, StageDistribution, TrainConfig]],
+    memo: dict,
+    record_spectrum: bool = True,
+) -> None:
+    """Train runs in lock step, storing in memo what train() returns for each.
+
+    Runs that share a distribution (by content), max_steps, probe_every and
+    whether they have a ridge step together on _matrix_kernel as one
+    (B, 2, n, n) stack, each with its own start state, eta and
+    ridge_lambda, through batched np.matmul calls.  Each run's arithmetic is
+    the one train() does for it, so its final state and recorded products
+    are bitwise that call's.  Each finite result is stored under _memo_key,
+    where train(state, dist, config, record_spectrum, memo) finds it and
+    returns it without stepping.  A run whose final weights or loss are not
+    finite is not stored, so its own train() call steps and raises
+    TrainingDiverged at the step it raises without the memo.
+
+    Nothing is stepped for a run already in memo, for a group of one run,
+    which train() steps at least as fast, or in the identity basis, whose
+    balanced diagonal starts train() steps on its faster diagonal kernel.
+    """
+    groups: dict[tuple, dict] = {}
+    for state, dist, config in runs:
+        if dist.basis.is_identity:
+            continue
+        key = _memo_key(state, dist, config, record_spectrum)
+        if key not in memo:
+            # the key opens with the distribution's bytes
+            shared = (*key[:4], config.max_steps, config.probe_every, config.ridge_lambda > 0)
+            groups.setdefault(shared, {})[key] = state, dist, config
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        _, dist, config = next(iter(group.values()))
+        A, v, V = dist.teacher, dist.input_variances, dist.basis.V
+        W = np.array([(state.W1, state.W2) for state, _, _ in group.values()])
+        theta = np.matmul(W[:, 0], W[:, 1])
+        E = theta - A
+        steps = _snapshot_steps(config)
+        products = np.empty((len(steps), *theta.shape))
+        products[0] = theta
+        eta = np.array([c.eta for _, _, c in group.values()]).reshape(-1, 1, 1, 1)
+        ridge_lambda = np.array([c.ridge_lambda for _, _, c in group.values()]).reshape(-1, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _schedule(_matrix_kernel(W, theta, E, products, A, v, V, eta, ridge_lambda), config, None)
+            for b, (key, (state, _, _)) in enumerate(group.items()):
+                if math.isfinite(_data_loss(E[b], v, V)) and np.isfinite(W[b]).all():
+                    rows = products[:, b].copy()
+                    rows.flags.writeable = False
+                    final_state = NetworkState(W1=W[b, 0], W2=W[b, 1], step=state.step + config.max_steps)
+                    memo[key] = final_state, steps, rows
 
 
 def derived_diag_step(

@@ -17,6 +17,7 @@ The metrics recorded per run:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .network import NetworkState, TrainConfig, _losses, check_step_size, train
+from .network import NetworkState, TrainConfig, _losses, _memo_key, check_step_size, train, train_lockstep
 from .tasks import STAGES, StageDistribution, TaskFamily, mix_distributions
 
 
@@ -106,12 +107,18 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
+def _stage_run(
+    family: TaskFamily, plan: StagePlan, state: NetworkState
+) -> tuple[NetworkState, StageDistribution, TrainConfig]:
+    """The (state, distribution, config) that train() takes to train one stage from state."""
+    return state, stage_training_distribution(family, plan), plan.train_config()
+
+
 def _train_stage(
     family: TaskFamily, plan: StagePlan, state: NetworkState, memo: dict | None = None
 ) -> NetworkState:
     """The checkpoint at the end of one stage; a ridge anchors the state it starts from."""
-    dist = stage_training_distribution(family, plan)
-    state, _ = train(state, dist, plan.train_config(), record_spectrum=False, memo=memo)
+    state, _ = train(*_stage_run(family, plan, state), record_spectrum=False, memo=memo)
     return state
 
 
@@ -150,7 +157,8 @@ def continue_from_pretrained(
     """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
 
     Given the divergence that ended stage 1 instead, it returns that failed run.
-    memo, if given, is the stage-2 train() call's (see train).
+    memo, if given, is the stage-2 train() call's, and off the identity basis
+    the stage-3 call's too (see train and run_sweep).
     """
     plans = _check_plans(plans)
     states: dict[str, NetworkState] = {}
@@ -159,7 +167,8 @@ def continue_from_pretrained(
         state = states["pretrain"] = pretrained
         for plan in plans[1:]:
             try:
-                state = _train_stage(family, plan, state, memo if plan.stage == "posttrain" else None)
+                memoized = plan.stage == "posttrain" or not family.basis.is_identity
+                state = _train_stage(family, plan, state, memo if memoized else None)
             except TrainingDiverged as exc:
                 failure = exc
                 break
@@ -244,15 +253,42 @@ def run_sweep(
     (bitwise identical to rerunning it).  Stage 2 depends only on the
     (stage-1, stage-2) plan pair, so it is trained once per pair: every
     stage-2 train() call of one sweep shares a memo, which serves a repeat
-    its checkpoint bitwise and lives as long as the sweep.  Each run is
-    yielded as soon as it completes, so a caller can record it before the
-    next one starts.  Diverged runs are yielded with their failure marked;
-    the sweep itself never aborts.
+    its checkpoint bitwise and lives as long as the sweep.
+
+    Off the identity basis, where every training takes the matrix kernel,
+    the sweep also fills that memo in lock step (train_lockstep): all the
+    stage-2 plans of a stage-1 checkpoint when it is first trained, and the
+    stage-3 plans of each run of consecutive tasks that share a (stage-1,
+    stage-2) pair before the first of them.  The stage-2 and stage-3
+    train() calls are then served from the memo, bitwise what they would
+    step.  Each run is yielded as soon as it completes, so a caller can
+    record it before the next one starts, and one lock-step group, the
+    finetunes of one stage-2 checkpoint, before the next group steps.
+    Diverged runs are yielded with their failure marked; the sweep itself
+    never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
     pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
     memo: dict = {}
-    for plans in tasks:
+    lockstep = not family.basis.is_identity
+
+    def stored(start: NetworkState | TrainingDiverged, plan: StagePlan) -> NetworkState | None:
+        """The checkpoint the memo holds for training plan from start, if any."""
+        if isinstance(start, NetworkState):
+            entry = memo.get(_memo_key(*_stage_run(family, plan, start), False))
+            return None if entry is None else entry[0]
+        return None
+
+    def step_together(start: NetworkState | TrainingDiverged | None, plans: Iterable[StagePlan]) -> None:
+        if isinstance(start, NetworkState):
+            train_lockstep([_stage_run(family, plan, start) for plan in plans], memo, record_spectrum=False)
+
+    for i, plans in enumerate(tasks):
         if plans[0] not in pretrained:
             pretrained[plans[0]] = _pretrain(family, plans[0], init_state)
+            if lockstep:
+                step_together(pretrained[plans[0]], dict.fromkeys(t[1] for t in tasks if t[0] == plans[0]))
+        if lockstep and (i == 0 or tasks[i - 1][:2] != plans[:2]):
+            group = itertools.takewhile(lambda task: task[:2] == plans[:2], tasks[i:])
+            step_together(stored(pretrained[plans[0]], plans[1]), [task[2] for task in group])
         yield continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans), memo)

@@ -291,6 +291,45 @@ def test_a_sweep_killed_in_its_second_pretraining_keeps_the_first_plans_runs(tmp
         assert (killed / name).read_bytes() == (straight / name).read_bytes()
 
 
+def test_a_random_basis_sweep_killed_in_its_second_finetune_group_keeps_the_first_groups_runs(
+    tmp_path, monkeypatch
+):
+    # off the identity basis the finetunes of each stage-2 checkpoint step as
+    # one lock-step group before the first of its runs is yielded, so the
+    # first group's 5 runs are on file when the second group starts
+    cfg = write_ini(tmp_path, "[task]\nbasis = random\nbasis_seed = 5\n")
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert main(["--config", cfg, "--out", str(straight), "sweep"]) == 0
+    original = stagelab.pipeline.train_lockstep
+    finetune_groups = []
+
+    def dies_in_the_second_finetune_group(runs, *args, **kwargs):
+        runs = list(runs)
+        if runs[0][1].label == "finetune":
+            finetune_groups.append(None)
+            if len(finetune_groups) == 2:
+                raise RuntimeError("killed")
+        return original(runs, *args, **kwargs)
+
+    monkeypatch.setattr(stagelab.pipeline, "train_lockstep", dies_in_the_second_finetune_group)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["--config", cfg, "--out", str(killed), "sweep"])
+    monkeypatch.undo()
+    kept = read_records(killed / "runs.jsonl")
+    assert [rec["run_id"] for rec in kept] == [rec["run_id"] for rec in read_records(straight / "runs.jsonl")][:5]
+    assert main(["--config", cfg, "--out", str(killed), "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+    # a resume that starts inside a group: the last 7 runs are the last
+    # group's 5 and 2 of the one before
+    lines = (killed / "runs.jsonl").read_bytes().splitlines(keepends=True)
+    (killed / "runs.jsonl").write_bytes(b"".join(lines[:-7]))
+    (killed / "sweep.csv").unlink()
+    assert main(["--config", cfg, "--out", str(killed), "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+
+
 def test_a_torn_last_record_is_dropped_and_the_resume_converges(tmp_path, capsys):
     cfg = write_ini(tmp_path, SWEEP_INI)
     straight, torn = tmp_path / "straight", tmp_path / "torn"
@@ -526,6 +565,16 @@ def test_a_usage_error_exits_2_before_anything_runs(tmp_path, capsys, argv, mess
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call_of_main(tmp_path):
+    # a usage error leaves the cached parser as it was for the next call
+    parser = stagelab.cli._build_parser()
+    with pytest.raises(SystemExit):
+        main(["--out", str(tmp_path / "bad"), "nosuch"])
+    cfg = write_ini(tmp_path, SIMULATE_INI)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "simulate"]) == 0
+    assert stagelab.cli._build_parser() is parser
 
 
 def test_options_may_follow_the_command(tmp_path):

@@ -1468,3 +1468,104 @@ def test_train_without_a_memo_builds_no_key(monkeypatch):
     train(init_scaled_identity(6, 12.0), dist, config)
     with pytest.raises(AssertionError, match="a key was built"):
         train(init_scaled_identity(6, 12.0), dist, config, memo={})
+
+
+# ---------------------------------------------------------------- lock step
+
+
+def assert_lockstep_serves_uncached_train(runs, record_spectrum=True):
+    """train_lockstep stores every run, and train() then serves each bitwise its uncached call."""
+    memo = {}
+    network.train_lockstep(runs, memo, record_spectrum)
+    assert len(memo) == len(runs)
+    with counting_trainings() as trained:
+        served = [train(*run, record_spectrum, memo) for run in runs]
+    assert trained.call_count == 0
+    for run, got in zip(runs, served, strict=True):
+        assert_same_training(got, train(*run, record_spectrum))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.1])
+def test_a_lockstep_batch_is_bitwise_uncached_train(seed, ridge_lambda):
+    # one batch of different start states (steps 0, 0 and 7) and etas, with
+    # rows recorded off the orbit-exit mark's cadence
+    family = make_reference_family(basis_mode="random", basis_seed=seed)
+    init = init_scaled_identity(6, 12.0, family.basis)
+    pretrained, _ = train(init, family.distribution("pretrain"), TrainConfig(eta=0.02, max_steps=400))
+    later = NetworkState(W1=pretrained.W1, W2=pretrained.W2, step=7)
+    dist = family.distribution("posttrain")
+    runs = [
+        (state, dist, TrainConfig(eta=eta, max_steps=300, ridge_lambda=ridge_lambda, probe_every=7))
+        for state, eta in ((init, 0.02), (pretrained, 0.008), (pretrained, 0.02), (later, 0.012))
+    ]
+    assert_lockstep_serves_uncached_train(runs)
+    assert_lockstep_serves_uncached_train(runs[:2], record_spectrum=False)
+
+
+def test_a_lockstep_batch_of_1x1_products_sums_each_from_plus_zero():
+    # the 1x1 case of test_a_1x1_product_in_another_basis_sums_from_plus_zero,
+    # in a batch whose np.matmul takes the 1x1 path once per run
+    basis = SpectralBasis(U=np.array([[-1.0]]), V=np.array([[-1.0]]))
+    for target, ridge_lambda in itertools.product((0.0, 2.0), (0.0, 0.3)):
+        dist = scalar_problem(target, basis)
+        runs = [
+            (NetworkState(W1=np.array([[w1]]), W2=np.array([[w2]])), dist,
+             TrainConfig(eta=eta, max_steps=4, ridge_lambda=ridge_lambda, probe_every=1))
+            for w1, w2, eta in ((0.0, -3.0, 0.02), (-0.0, 0.5, 0.01), (0.7, 0.7, 0.02))
+        ]
+        assert_lockstep_serves_uncached_train(runs)
+
+
+def test_a_diverging_member_is_not_stored_and_its_call_raises_at_the_uncached_step():
+    # the hot state of test_weight_checks_of_any_block_size_leave_every_bit
+    # turns non-finite at step 7 while its batch mates train on
+    family = make_reference_family(basis_mode="random", basis_seed=3)
+    dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
+    hot = init_from_spectrum(family.basis, np.full(6, 25.0))
+    calm = init_scaled_identity(6, 1.0, family.basis)
+    runs = [(calm, dist, TrainConfig(eta=0.02, max_steps=50)), (hot, dist, TrainConfig(eta=0.05, max_steps=50)),
+            (calm, dist, TrainConfig(eta=0.01, max_steps=50))]
+    memo = {}
+    network.train_lockstep(runs, memo)
+    assert len(memo) == 2 and network._memo_key(*runs[1], True) not in memo
+    with counting_trainings() as trained:
+        for run in (runs[0], runs[2]):
+            assert_same_training(train(*run, memo=memo), train(*run))
+        assert trained.call_count == 2  # the two uncached references
+        with pytest.raises(TrainingDiverged) as err:
+            train(*runs[1], memo=memo)
+    assert err.value.step == 7 and trained.call_count == 3 and len(memo) == 2
+
+
+def test_lockstep_leaves_the_memo_alone_where_train_steps_as_fast():
+    family = make_reference_family()
+    dist = family.distribution("posttrain")
+    init = init_scaled_identity(6, 12.0)
+    configs = [TrainConfig(eta=eta, max_steps=50) for eta in (0.01, 0.02)]
+    memo = {}
+    # identity-basis diagonal starts, which take the diagonal kernel
+    network.train_lockstep([(init, dist, config) for config in configs], memo)
+    assert memo == {}
+    # a single run, and runs that share no distribution, step count,
+    # probe_every or ridge with another
+    rotated = make_reference_family(basis_mode="random", basis_seed=3)
+    dist = rotated.distribution("posttrain")
+    init = init_scaled_identity(6, 12.0, rotated.basis)
+    network.train_lockstep([(init, dist, configs[0])], memo)
+    apart = [
+        (init, dist, configs[0]),
+        (init, rotated.distribution("finetune"), configs[1]),
+        (init, dist, TrainConfig(eta=0.02, max_steps=51)),
+        (init, dist, TrainConfig(eta=0.02, max_steps=50, probe_every=7)),
+        (init, dist, TrainConfig(eta=0.02, max_steps=50, ridge_lambda=0.1)),
+    ]
+    network.train_lockstep(apart, memo)
+    assert memo == {}
+    # a run already stored is not stepped again, and leaves its mate alone
+    network.train_lockstep(apart[:1] * 2, memo)
+    assert memo == {}
+    train(*apart[0], memo=memo)
+    stored = dict(memo)
+    network.train_lockstep([apart[0], (init, dist, configs[1])], memo)
+    assert memo == stored

@@ -333,13 +333,44 @@ def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_
             assert main(["--config", str(ini), "--out", str(out), "sweep"]) == 0
         return trained.call_count
 
-    # 2 stage-1, 6 stage-2 and 30 stage-3 trainings, against 30 stage-2 ones
-    assert trainings(tmp_path / "memo") == 38
+    # 2 stage-1, 6 stage-2 and 30 stage-3 trainings, against 30 stage-2 ones.
+    # In the random basis the lock-step groups step stages 2 and 3, and only
+    # the 2 stage-1 trainings reach train()'s uncached body
+    assert trainings(tmp_path / "memo") == {"identity": 38, "random": 2}[basis]
+    monkeypatch.setattr(pipeline, "train_lockstep", lambda *args, **kwargs: None)
+    assert trainings(tmp_path / "serial") == 38
     original = pipeline.train
     monkeypatch.setattr(pipeline, "train", lambda *args, memo=None, **kwargs: original(*args, **kwargs))
     assert trainings(tmp_path / "plain") == 62
     for file in ("runs.jsonl", "sweep.csv"):
-        assert (tmp_path / "memo" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
+        plain = (tmp_path / "plain" / file).read_bytes()
+        assert (tmp_path / "memo" / file).read_bytes() == plain
+        assert (tmp_path / "serial" / file).read_bytes() == plain
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
+    # the default grid, and one with a ridge and a replay mixture, which is a
+    # new distribution on every build, so its groups are found by content
+    grids = {
+        "default": "",
+        "ridge": "[pretrain]\nsteps = 400\n[sweep]\nmix_fractions = 0.0, 0.3\neta2 = 0.01, 0.02\n"
+                 "eta3 = 0.001, 0.01, 0.05\nsteps2 = 120\nsteps3 = 90\nridge_lambda = 0.1\nreplay_fraction = 0.05\n",
+    }
+    for name, grid in grids.items():
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(f"[task]\nbasis = random\nbasis_seed = {seed}\n{grid}")
+        with mock.patch.object(pipeline, "train_lockstep", wraps=pipeline.train_lockstep) as batched, \
+                mock.patch.object(network, "_train", wraps=network._train) as trained:
+            assert main(["--config", str(ini), "--out", str(tmp_path / name / "lockstep"), "sweep"]) == 0
+        # one stage-2 group per stage-1 plan and one stage-3 group per
+        # (stage-1, stage-2) pair; only stage 1 steps in train()
+        assert (batched.call_count, trained.call_count) == {"default": (8, 2), "ridge": (6, 2)}[name]
+        with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None):
+            assert main(["--config", str(ini), "--out", str(tmp_path / name / "serial"), "sweep"]) == 0
+        for file in ("runs.jsonl", "sweep.csv"):
+            serial = (tmp_path / name / "serial" / file).read_bytes()
+            assert (tmp_path / name / "lockstep" / file).read_bytes() == serial, (name, file)
 
 
 def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):
