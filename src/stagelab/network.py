@@ -29,11 +29,12 @@ step is an exact orbit, whose recorded rows take their phase's product.
 Most random-basis trainings end in such orbits, of periods from one step to
 a few dozen.
 
-train_lockstep runs the matrix kernel on a stack of runs that share a
-distribution, each run's arithmetic the one train() does for it, and
-stores each result in a memo from which train() serves it.  A step costs
-numpy dispatch far more than arithmetic at these sizes, so B runs stepped
-as one stack cost little more than one.
+_train is the one training shell: it steps one run, or runs that share a
+distribution as one stack on _matrix_kernel, each run's arithmetic the one
+it does alone.  train_lockstep stacks every start the matrix kernel takes
+and stores the results in a memo, from which train() serves them.  A step
+costs numpy dispatch far more than arithmetic at these sizes, so B runs
+stepped as one stack cost little more than one.
 """
 
 from __future__ import annotations
@@ -366,14 +367,12 @@ def aligned_spectrum(state: NetworkState, basis: SpectralBasis) -> tuple[np.ndar
 def _off_diagonals_are_zero(M: np.ndarray) -> bool:
     """Whether every off-diagonal entry of the square matrices in M is +0.0 by bit pattern.
 
-    M is a C-contiguous stack of n x n blocks.  In a row-major block the
-    n + 1 entries after each diagonal entry are n off-diagonals and the next
-    diagonal entry, so the off-diagonals are the first n of each such run: a
-    strided view of M's bits, read without a copy.
+    M is a C-contiguous stack of n x n blocks, read as int64 words without a
+    copy: its off-diagonal words are all zero when it holds no more nonzero
+    words than its diagonals do.
     """
-    m, n = len(M), M.shape[-1]
-    runs = M.view(np.int64).reshape(m, n * n)[:, 1:].reshape(m, n - 1, n + 1)
-    return not runs[..., :n].any()
+    words = M.view(np.int64).reshape(len(M), -1)
+    return np.count_nonzero(words) == np.count_nonzero(words[:, :: M.shape[-1] + 1])
 
 
 def _diagonal_kernel(
@@ -611,6 +610,13 @@ def _schedule(
             check()
 
 
+def _takes_diagonal_kernel(state: NetworkState, dist: StageDistribution) -> bool:
+    """Whether _train steps state on dist with _diagonal_kernel, by the rule in the module docstring."""
+    # factors equal bit for bit share their off-diagonals
+    balanced = dist.basis.is_identity and state.W1.tobytes() == state.W2.tobytes()
+    return balanced and _off_diagonals_are_zero(np.array((state.W1, dist.teacher)))
+
+
 def train(
     state: NetworkState,
     dist: StageDistribution,
@@ -642,49 +648,63 @@ def train(
     a repeat raises again.
     """
     if memo is None:
-        return _train(state, dist, config, record_spectrum)
+        return _train((state,), dist, (config,), record_spectrum)[0]
     key = _memo_key(state, dist, config, record_spectrum)
     if key not in memo:
-        final_state, trajectory = _train(state, dist, config, record_spectrum)
-        memo[key] = final_state, trajectory.steps, trajectory.products
-    final_state, steps, products = memo[key]
-    return final_state, Trajectory(steps, products, dist, record_spectrum)
+        memo[key] = result = _train((state,), dist, (config,), record_spectrum)[0]
+        return result
+    final_state, trajectory = memo[key]
+    return final_state, Trajectory(trajectory.steps, trajectory.products, dist, record_spectrum)
 
 
 def _train(
-    state: NetworkState, dist: StageDistribution, config: TrainConfig, record_spectrum: bool
-) -> tuple[NetworkState, Trajectory]:
-    """train() without a memo: every call steps."""
+    states: Sequence[NetworkState],
+    dist: StageDistribution,
+    configs: Sequence[TrainConfig],
+    record_spectrum: bool,
+) -> list[tuple[NetworkState, Trajectory] | None]:
+    """Train each state under its config on dist, the runs sharing max_steps, probe_every and ridge-or-not.
+
+    One run is train() without a memo: (2, n, n) factors on the kernel its
+    start picks, a weight check every FINITE_CHECK_EVERY steps, and
+    TrainingDiverged at its first non-finite step.  Several step on
+    _matrix_kernel as one (B, 2, n, n) stack, each with its own start,
+    eta, ridge_lambda and anchor, each run's arithmetic the one it does
+    alone; a member whose final weights or loss are not finite gives None.
+    """
     A, v = dist.teacher, dist.input_variances
     V = None if dist.basis.is_identity else dist.basis.V
+    config, one = configs[0], len(states) == 1
+    diagonal = one and _takes_diagonal_kernel(states[0], dist)
 
-    # the start factors and the target in one copy: the kernel is chosen from
-    # it, and restart() copies the factors back from it
-    n = state.n
-    start = np.array((state.W1, state.W2, A))
-    balanced = start[0].tobytes() == start[1].tobytes()
-    diagonal = V is None and balanced and _off_diagonals_are_zero(start)
-    # both factors live in one buffer, so the update and the finiteness check
-    # each cover them in one numpy call
-    W = np.empty((2, n, n))
-    W1, W2 = W[0], W[1]
-    theta, E = np.empty((n, n)), np.empty((n, n))
+    # the start factors, which restart() copies back, and W, which holds all
+    # of them, so the update and the finiteness check each cover them in
+    # one numpy call
+    start = np.array((states[0].W1, states[0].W2) if one else [(state.W1, state.W2) for state in states])
+    W = np.empty_like(start)
+    W1, W2 = W[..., 0, :, :], W[..., 1, :, :]
+    theta, E = np.empty(W1.shape), np.empty(W1.shape)
     # a snapshot every probe_every steps and one after the last, each row
     # written by the run
     steps = _snapshot_steps(config)
-    products = np.empty((len(steps), n) if diagonal else (len(steps), n, n))
+    products = np.empty((len(steps), start.shape[-1]) if diagonal else (len(steps), *theta.shape))
+    if one:
+        eta, ridge_lambda = config.eta, config.ridge_lambda
+    else:
+        eta = np.array([c.eta for c in configs]).reshape(-1, 1, 1, 1)
+        ridge_lambda = np.array([c.ridge_lambda for c in configs]).reshape(-1, 1, 1)
     subtract, W1_dot = np.subtract, _matmul_for(W1)
 
     def restart() -> None:
-        np.copyto(W, start[:2])
+        np.copyto(W, start)
         W1_dot(W2, theta)
         subtract(theta, A, E)
 
     def matrix_kernel() -> Callable[[int, int, int], None]:
-        # built right after restart(): the ridge anchors the start product
-        return _matrix_kernel(W, theta, E, products, A, v, V, config.eta, config.ridge_lambda)
+        # built right after restart(): the ridge anchors the start products
+        return _matrix_kernel(W, theta, E, products, A, v, V, eta, ridge_lambda)
 
-    def finite() -> bool:
+    def finite(W: np.ndarray, E: np.ndarray) -> bool:
         return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
 
     def first_nonfinite() -> int:
@@ -692,14 +712,19 @@ def _train(
         restart()
         advance = matrix_kernel()
         for step in range(config.max_steps):
-            if not finite():
+            if not finite(W, E):
                 return step
             advance(1, 0, 1)
         return config.max_steps
 
     def check() -> None:
         if not np.isfinite(W).all():
-            raise TrainingDiverged(state.step + first_nonfinite())
+            raise TrainingDiverged(states[0].step + first_nonfinite())
+
+    def result(state: NetworkState, W: np.ndarray, rows: np.ndarray) -> tuple[NetworkState, Trajectory]:
+        rows.flags.writeable = False
+        final_state = NetworkState(W1=W[0], W2=W[1], step=state.step + config.max_steps)
+        return final_state, Trajectory(steps, rows, dist, record_spectrum)
 
     # The update has no division, so a weight that turns inf or nan stays
     # non-finite, and a loss that overflows from finite weights drives them
@@ -709,21 +734,22 @@ def _train(
     # step a check after every step would find.  The diagonal kernel runs
     # coordinate by coordinate within each block, so it stops within a block
     # too.  Overflow is caught that way, so numpy's own warning about it is
-    # noise on a run that is about to raise anyway.
+    # noise on a run that is about to raise anyway.  A stack is not checked:
+    # its other members step on.
     with np.errstate(over="ignore", invalid="ignore"):
         restart()
         products[0] = theta.diagonal() if diagonal else theta
         advance = _diagonal_kernel(W, products, A, v, config) if diagonal else matrix_kernel()
-        _schedule(advance, config, check)
+        _schedule(advance, config, check if one else None)
         # the diagonal kernel moves only W
         W1_dot(W2, theta)
         subtract(theta, A, E)
-        if not finite():
-            raise TrainingDiverged(state.step + first_nonfinite())
-
-    products.flags.writeable = False
-    final_state = NetworkState(W1=W1, W2=W2, step=state.step + config.max_steps)
-    return final_state, Trajectory(steps, products, dist, record_spectrum)
+        if not one:
+            return [result(state, W[b], products[:, b].copy()) if finite(W[b], E[b]) else None
+                    for b, state in enumerate(states)]
+        if not finite(W, E):
+            raise TrainingDiverged(states[0].step + first_nonfinite())
+    return [result(states[0], W, products)]
 
 
 def train_lockstep(
@@ -734,23 +760,17 @@ def train_lockstep(
     """Train runs in lock step, storing in memo what train() returns for each.
 
     Runs that share a distribution (by content), max_steps, probe_every and
-    whether they have a ridge step together on _matrix_kernel as one
-    (B, 2, n, n) stack, each with its own start state, eta and
-    ridge_lambda, through batched np.matmul calls.  Each run's arithmetic is
-    the one train() does for it, so its final state and recorded products
-    are bitwise that call's.  Each finite result is stored under _memo_key,
-    where train(state, dist, config, record_spectrum, memo) finds it and
-    returns it without stepping.  A run whose final weights or loss are not
-    finite is not stored, so its own train() call steps and raises
-    TrainingDiverged at the step it raises without the memo.
-
-    Nothing is stepped for a run already in memo, for a group of one run,
-    which train() steps at least as fast, or in the identity basis, whose
-    balanced diagonal starts train() steps on its faster diagonal kernel.
+    ridge-or-not form a group, and a group of two or more steps as one
+    _train stack.  Each finite result is stored under _memo_key, where
+    train(state, dist, config, record_spectrum, memo) serves it without
+    stepping; a run that ends non-finite is not, so its own train() call
+    steps and raises TrainingDiverged at its own step.  Nothing steps for a
+    run already in memo, a group of one, which train() steps as fast, or a
+    start that train() puts on its faster diagonal kernel.
     """
     groups: dict[tuple, dict] = {}
     for state, dist, config in runs:
-        if dist.basis.is_identity:
+        if _takes_diagonal_kernel(state, dist):
             continue
         key = _memo_key(state, dist, config, record_spectrum)
         if key not in memo:
@@ -758,26 +778,11 @@ def train_lockstep(
             shared = (*key[:4], config.max_steps, config.probe_every, config.ridge_lambda > 0)
             groups.setdefault(shared, {})[key] = state, dist, config
     for group in groups.values():
-        if len(group) < 2:
-            continue
-        _, dist, config = next(iter(group.values()))
-        A, v, V = dist.teacher, dist.input_variances, dist.basis.V
-        W = np.array([(state.W1, state.W2) for state, _, _ in group.values()])
-        theta = np.matmul(W[:, 0], W[:, 1])
-        E = theta - A
-        steps = _snapshot_steps(config)
-        products = np.empty((len(steps), *theta.shape))
-        products[0] = theta
-        eta = np.array([c.eta for _, _, c in group.values()]).reshape(-1, 1, 1, 1)
-        ridge_lambda = np.array([c.ridge_lambda for _, _, c in group.values()]).reshape(-1, 1, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _schedule(_matrix_kernel(W, theta, E, products, A, v, V, eta, ridge_lambda), config, None)
-            for b, (key, (state, _, _)) in enumerate(group.items()):
-                if math.isfinite(_data_loss(E[b], v, V)) and np.isfinite(W[b]).all():
-                    rows = products[:, b].copy()
-                    rows.flags.writeable = False
-                    final_state = NetworkState(W1=W[b, 0], W2=W[b, 1], step=state.step + config.max_steps)
-                    memo[key] = final_state, steps, rows
+        if len(group) > 1:
+            states, dists, configs = zip(*group.values())
+            for key, result in zip(group, _train(states, dists[0], configs, record_spectrum)):
+                if result is not None:
+                    memo[key] = result
 
 
 def derived_diag_step(

@@ -13,6 +13,10 @@ The metrics recorded per run:
 * L_ft:  finetune loss at the stage-3 checkpoint,
 * L_pre: pretrain loss at the stage-3 checkpoint (what mixing/replay preserved),
 * delta: L_ret - L_im, the forgetting induced by stage 3.
+
+run_sweep trains each stage-1 plan and each (stage-1, stage-2) pair of a
+grid once, and steps together every group of runs whose starts take the
+matrix kernel (network.train_lockstep): that rule alone decides what batches.
 """
 
 from __future__ import annotations
@@ -110,16 +114,8 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
 def _stage_run(
     family: TaskFamily, plan: StagePlan, state: NetworkState
 ) -> tuple[NetworkState, StageDistribution, TrainConfig]:
-    """The (state, distribution, config) that train() takes to train one stage from state."""
+    """The (state, distribution, config) that train() takes to train one stage; a ridge anchors state."""
     return state, stage_training_distribution(family, plan), plan.train_config()
-
-
-def _train_stage(
-    family: TaskFamily, plan: StagePlan, state: NetworkState, memo: dict | None = None
-) -> NetworkState:
-    """The checkpoint at the end of one stage; a ridge anchors the state it starts from."""
-    state, _ = train(*_stage_run(family, plan, state), record_spectrum=False, memo=memo)
-    return state
 
 
 def _pretrain(
@@ -127,7 +123,7 @@ def _pretrain(
 ) -> NetworkState | TrainingDiverged:
     """The stage-1 checkpoint, or the divergence that prevented it."""
     try:
-        return _train_stage(family, plan, init_state)
+        return train(*_stage_run(family, plan, init_state), record_spectrum=False)[0]
     except TrainingDiverged as exc:
         return exc
 
@@ -157,8 +153,7 @@ def continue_from_pretrained(
     """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
 
     Given the divergence that ended stage 1 instead, it returns that failed run.
-    memo, if given, is the stage-2 train() call's, and off the identity basis
-    the stage-3 call's too (see train and run_sweep).
+    memo, if given, is both stages' train() calls' (see train and run_sweep).
     """
     plans = _check_plans(plans)
     states: dict[str, NetworkState] = {}
@@ -167,8 +162,7 @@ def continue_from_pretrained(
         state = states["pretrain"] = pretrained
         for plan in plans[1:]:
             try:
-                memoized = plan.stage == "posttrain" or not family.basis.is_identity
-                state = _train_stage(family, plan, state, memo if memoized else None)
+                state, _ = train(*_stage_run(family, plan, state), record_spectrum=False, memo=memo)
             except TrainingDiverged as exc:
                 failure = exc
                 break
@@ -247,48 +241,44 @@ def run_sweep(
 ) -> Iterator[PipelineRun]:
     """Run each (stage-1, stage-2, stage-3) plan triple, yielding the runs in task order.
 
-    Every task's plans are checked before any training.  Stage-1 training
-    depends only on the stage-1 plan, so its checkpoint is computed the first
-    time a task needs it and shared by every later task with that plan
-    (bitwise identical to rerunning it).  Stage 2 depends only on the
-    (stage-1, stage-2) plan pair, so it is trained once per pair: every
-    stage-2 train() call of one sweep shares a memo, which serves a repeat
-    its checkpoint bitwise and lives as long as the sweep.
-
-    Off the identity basis, where every training takes the matrix kernel,
-    the sweep also fills that memo in lock step (train_lockstep): all the
-    stage-2 plans of a stage-1 checkpoint when it is first trained, and the
-    stage-3 plans of each run of consecutive tasks that share a (stage-1,
-    stage-2) pair before the first of them.  The stage-2 and stage-3
-    train() calls are then served from the memo, bitwise what they would
-    step.  Each run is yielded as soon as it completes, so a caller can
-    record it before the next one starts, and one lock-step group, the
-    finetunes of one stage-2 checkpoint, before the next group steps.
-    Diverged runs are yielded with their failure marked; the sweep itself
-    never aborts.
+    Every task's plans are checked before any training.  Stage 1 depends
+    only on the stage-1 plan, so its checkpoint is trained when a task first
+    needs it and shared by every later task with that plan.  The stage-2 and
+    stage-3 train() calls share one memo per sweep, so stage 2 trains once
+    per (stage-1, stage-2) pair and later runs get its checkpoint bitwise.
+    train_lockstep fills the memo ahead of those calls from two kinds of
+    group, stepping the runs that take the matrix kernel: the stage-2 plans
+    of a stage-1 checkpoint when it is first trained, and the stage-3 plans
+    of each run of consecutive tasks that share a (stage-1, stage-2) pair,
+    from the stage-2 checkpoint if the memo holds it.  Each run is yielded
+    as soon as it completes, so a caller can record it before the next run
+    or group steps; once a group's last run is yielded, its stage-3
+    results, each read once, leave the memo.  Diverged runs are yielded
+    with their failure marked; the sweep itself never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
     pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
     memo: dict = {}
-    lockstep = not family.basis.is_identity
-
-    def stored(start: NetworkState | TrainingDiverged, plan: StagePlan) -> NetworkState | None:
-        """The checkpoint the memo holds for training plan from start, if any."""
-        if isinstance(start, NetworkState):
-            entry = memo.get(_memo_key(*_stage_run(family, plan, start), False))
-            return None if entry is None else entry[0]
-        return None
 
     def step_together(start: NetworkState | TrainingDiverged | None, plans: Iterable[StagePlan]) -> None:
         if isinstance(start, NetworkState):
             train_lockstep([_stage_run(family, plan, start) for plan in plans], memo, record_spectrum=False)
 
-    for i, plans in enumerate(tasks):
-        if plans[0] not in pretrained:
-            pretrained[plans[0]] = _pretrain(family, plans[0], init_state)
-            if lockstep:
-                step_together(pretrained[plans[0]], dict.fromkeys(t[1] for t in tasks if t[0] == plans[0]))
-        if lockstep and (i == 0 or tasks[i - 1][:2] != plans[:2]):
-            group = itertools.takewhile(lambda task: task[:2] == plans[:2], tasks[i:])
-            step_together(stored(pretrained[plans[0]], plans[1]), [task[2] for task in group])
-        yield continue_from_pretrained(family, pretrained[plans[0]], plans, make_run_id(*plans), memo)
+    for (plan1, plan2), group in itertools.groupby(tasks, key=lambda task: task[:2]):
+        finetunes = [task[2] for task in group]
+        if plan1 not in pretrained:
+            pretrained[plan1] = _pretrain(family, plan1, init_state)
+            step_together(pretrained[plan1], dict.fromkeys(task[1] for task in tasks if task[0] == plan1))
+        start, checkpoint, known = pretrained[plan1], None, len(memo)
+        if isinstance(start, NetworkState):
+            checkpoint = _memo_key(*_stage_run(family, plan2, start), False)
+            step_together(memo.get(checkpoint, (None,))[0], finetunes)
+        for plan3 in finetunes:
+            plans = plan1, plan2, plan3
+            yield continue_from_pretrained(family, start, plans, make_run_id(*plans), memo)
+        # a dict keeps insertion order, so the entries after the first known
+        # ones are this group's: its stage-3 results, each read once, and
+        # perhaps its stage-2 checkpoint, which later groups may read
+        for key in list(memo)[known:]:
+            if key != checkpoint:
+                del memo[key]

@@ -1501,6 +1501,21 @@ def test_a_lockstep_batch_is_bitwise_uncached_train(seed, ridge_lambda):
     ]
     assert_lockstep_serves_uncached_train(runs)
     assert_lockstep_serves_uncached_train(runs[:2], record_spectrum=False)
+    # identity-basis starts that train() steps on the matrix kernel: one off
+    # the diagonal, and one whose factors differ (a power-of-two rescaling
+    # of a diagonal checkpoint, which keeps its product)
+    identity = make_reference_family()
+    start = init_scaled_identity(6, 12.0)
+    diagonal, _ = train(start, identity.distribution("pretrain"), TrainConfig(eta=0.02, max_steps=400))
+    unbalanced = NetworkState(W1=2.0 * diagonal.W1, W2=0.5 * diagonal.W2)
+    dist = identity.distribution("posttrain")
+    runs = [
+        (state, dist, TrainConfig(eta=eta, max_steps=300, ridge_lambda=ridge_lambda, probe_every=7))
+        for state, eta in ((init, 0.02), (unbalanced, 0.012))
+    ]
+    assert train(start, *runs[0][1:])[1].products.ndim == 2
+    assert all(train(*run)[1].products.ndim == 3 for run in runs)
+    assert_lockstep_serves_uncached_train(runs)
 
 
 def test_a_lockstep_batch_of_1x1_products_sums_each_from_plus_zero():

@@ -32,7 +32,7 @@ from stagelab import (
 )
 from stagelab import network, pipeline
 from stagelab.cli import main
-from stagelab.records import CSV_COLUMNS
+from stagelab.records import CSV_COLUMNS, read_records
 
 
 def small_plans(mix: float = 0.5):
@@ -314,9 +314,9 @@ def test_two_sweeps_each_train_their_own_stage2(family, tau12_init):
         assert (called.call_count, trained.call_count) == (9, 1 + 2 + 4)
         second = list(run_sweep(family, tau12_init, tasks))
         assert (called.call_count, trained.call_count) == (18, 14)
-    # only stage 2 gets a memo, one dict per sweep
-    memos = [(call.args[1].label, call.kwargs["memo"]) for call in called.call_args_list]
-    assert {label for label, memo in memos if memo is not None} == {"posttrain"}
+    # stages 2 and 3 get a memo, one dict per sweep
+    memos = [(call.args[1].label, call.kwargs.get("memo")) for call in called.call_args_list]
+    assert {label for label, memo in memos if memo is not None} == {"posttrain", "finetune"}
     assert len({id(memo) for _, memo in memos if memo is not None}) == 2
     for a, b in zip(first, second, strict=True):
         assert a.metrics == b.metrics
@@ -334,9 +334,9 @@ def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_
         return trained.call_count
 
     # 2 stage-1, 6 stage-2 and 30 stage-3 trainings, against 30 stage-2 ones.
-    # In the random basis the lock-step groups step stages 2 and 3, and only
-    # the 2 stage-1 trainings reach train()'s uncached body
-    assert trainings(tmp_path / "memo") == {"identity": 38, "random": 2}[basis]
+    # In the random basis the 2 stage-1 trainings and one stack per lock-step
+    # group, 2 of stage 2 and 6 of stage 3, reach train()'s uncached body
+    assert trainings(tmp_path / "memo") == {"identity": 38, "random": 10}[basis]
     monkeypatch.setattr(pipeline, "train_lockstep", lambda *args, **kwargs: None)
     assert trainings(tmp_path / "serial") == 38
     original = pipeline.train
@@ -350,12 +350,14 @@ def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
-    # the default grid, and one with a ridge and a replay mixture, which is a
-    # new distribution on every build, so its groups are found by content
+    # the default grid; one with a ridge and a replay mixture, which is a
+    # new distribution on every build, so its groups are found by content;
+    # and one in which a member of each finetune group diverges
     grids = {
         "default": "",
         "ridge": "[pretrain]\nsteps = 400\n[sweep]\nmix_fractions = 0.0, 0.3\neta2 = 0.01, 0.02\n"
                  "eta3 = 0.001, 0.01, 0.05\nsteps2 = 120\nsteps3 = 90\nridge_lambda = 0.1\nreplay_fraction = 0.05\n",
+        "diverging": "invariant = 30, 20\n[pretrain]\neta = 0.005\n[sweep]\neta2 = 0.002, 0.004\neta3 = 0.001, 0.05\n",
     }
     for name, grid in grids.items():
         ini = tmp_path / f"{name}.ini"
@@ -364,13 +366,37 @@ def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
                 mock.patch.object(network, "_train", wraps=network._train) as trained:
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "lockstep"), "sweep"]) == 0
         # one stage-2 group per stage-1 plan and one stage-3 group per
-        # (stage-1, stage-2) pair; only stage 1 steps in train()
-        assert (batched.call_count, trained.call_count) == {"default": (8, 2), "ridge": (6, 2)}[name]
+        # (stage-1, stage-2) pair, each stepped as one stack; stage 1 steps in
+        # train(), and so does each diverging finetune, which is not stored
+        want = {"default": (8, 2 + 8), "ridge": (6, 2 + 6), "diverging": (6, 2 + 6 + 4)}[name]
+        assert (batched.call_count, trained.call_count) == want
         with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None):
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "serial"), "sweep"]) == 0
         for file in ("runs.jsonl", "sweep.csv"):
             serial = (tmp_path / name / "serial" / file).read_bytes()
             assert (tmp_path / name / "lockstep" / file).read_bytes() == serial, (name, file)
+        failed = [rec["failed_stage"] for rec in read_records(tmp_path / name / "lockstep" / "runs.jsonl")]
+        assert failed.count("finetune") == {"default": 0, "ridge": 0, "diverging": 4}[name]
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+def test_a_sweep_drops_each_finetune_result_once_its_group_is_yielded(basis):
+    # every stage-3 result is read once, by the call it was stored for, so a
+    # finished default sweep's memo holds at most its 6 stage-2 checkpoints
+    cfg = loads_config(f"[task]\nbasis = {basis}\nbasis_seed = 4\n")
+    family = cfg.task_family()
+    memos = []
+
+    def capturing(runs, memo, *args, **kwargs):
+        memos.append(memo)
+        return network.train_lockstep(runs, memo, *args, **kwargs)
+
+    with mock.patch.object(pipeline, "train_lockstep", capturing):
+        runs = list(run_sweep(family, cfg.init_state(family), itertools.product(*cfg.sweep_plans())))
+    assert len(runs) == 30 and all(run.succeeded for run in runs)
+    assert len({id(memo) for memo in memos}) == 1
+    assert len(memos[0]) <= 6
+    assert {state.step for state, _ in memos[0].values()} <= {3000 + 250}
 
 
 def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):
