@@ -30,11 +30,15 @@ Most random-basis trainings end in such orbits, of periods from one step to
 a few dozen.
 
 _train is the one training shell: it steps one run, or runs that share a
-distribution as one stack on _matrix_kernel, each run's arithmetic the one
-it does alone.  train_lockstep stacks every start the matrix kernel takes
-and stores the results in a memo, from which train() serves them.  A step
-costs numpy dispatch far more than arithmetic at these sizes, so B runs
-stepped as one stack cost little more than one.
+basis as one stack on _matrix_kernel, each run's arithmetic the one it does
+alone.  A stack's factors are laid out (2, B, n, n), so W1 and W2 and both
+gradient slots are contiguous (B, n, n) stacks, and each run brings its own
+teacher, stacked to (B, n, n), and variances, (B, 1, n), so the runs of a
+stack may train on different distributions of the basis.  train_lockstep
+stacks every start the matrix kernel takes and stores the results in a
+memo, from which train() serves them.  A step costs numpy dispatch far more
+than arithmetic at these sizes, so B runs stepped as one stack cost little
+more than one.
 """
 
 from __future__ import annotations
@@ -254,17 +258,19 @@ def _gradient_kernel(
 ) -> Callable[[], None]:
     """The update kernel: a closure that writes (dL/dW1, dL/dW2) into out's two factor slots.
 
-    It serves one run, with (n, n) matrices and out of shape (2, n, n), or B
-    runs in lock step, with (B, n, n) stacks, out of shape (B, 2, n, n) and
-    ridge_lambda one value per run, shape (B, 1, 1); all of them share v
-    and V, and every run's ridge_lambda is positive or none is.  Each call
-    reads the current contents of W1, W2, theta = W1 @ W2 and the residual
-    E = theta - A, so a loop that updates those buffers in place calls it
-    once per step; out must not alias any of them.  Its results are bitwise
-    those of the allocating expressions 2.0 * (E * v),
-    2.0 * ((E @ V) * v) @ V.T and G + 2.0 * lam * (theta - anchor), followed
-    by G @ W2.T and W1.T @ G, run by run, although it issues them through
-    cheaper calls.  Each rewrite is exact:
+    It serves one run, with (n, n) matrices, v of shape (n,) and out of
+    shape (2, n, n), or B runs in lock step, with C-contiguous (B, n, n)
+    stacks, each run's variances in v, shape (B, 1, n), its ridge_lambda in
+    an array of shape (B, 1, 1) and out of shape (2, B, n, n), whose two
+    slots are contiguous stacks.  The runs of a stack share V, and every
+    run's ridge_lambda is positive or none is.  Each call reads the current
+    contents of W1, W2, theta = W1 @ W2 and the residual E = theta - A, so a
+    loop that updates those buffers in place calls it once per step; out
+    must not alias any of them.  Its results are bitwise those of the
+    allocating expressions 2.0 * (E * v), 2.0 * ((E @ V) * v) @ V.T and
+    G + 2.0 * lam * (theta - anchor), followed by G @ W2.T and W1.T @ G, run
+    by run, although it issues them through cheaper calls.  Each rewrite is
+    exact:
 
     - x + x stands for 2.0 * x.  Both round the same real number 2x, so they
       agree in every range, subnormal and overflow included.  Folding the 2
@@ -282,16 +288,27 @@ def _gradient_kernel(
       gemm call as np.matmul without numpy's function dispatch, and
       np.matmul otherwise, which makes that call once per matrix of a stack
       (and whose 1x1 product sums from +0.0).
+    - A stack's E @ V and work @ V.T, whose right operand every run shares,
+      are each one gemm of the (B n, n) matrix the C-contiguous stack is,
+      by the bound dot of that view, for n >= 2.  Each row of a product is
+      that row of the left operand times the right one, and the gemm sums
+      each entry's n terms in one order however many rows surround it, so
+      each run's rows round as its own product's.  test_network's
+      test_a_flattened_gemm_is_bitwise_per_matrix_matmul holds this gemm
+      to np.matmul of each matrix, with signed zeros, subnormals and
+      magnitudes near 1e+-150.  At n = 1 np.matmul stays, for its +0.0.
     """
-    shape = theta.shape
+    shape, n = theta.shape, theta.shape[-1]
     G, work = np.empty((2, *shape))
     v = np.broadcast_to(v, shape).copy()
     lam2 = np.broadcast_to(2.0 * ridge_lambda, shape).copy()
     ridge = bool(np.all(lam2 > 0))
-    out1, out2 = out[..., 0, :, :], out[..., 1, :, :]
+    out1, out2 = out
     # a closure finds its own names faster than numpy's attributes
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    E_dot, work_dot, G_dot, W1T_dot = (_matmul_for(M) for M in (E, work, G, W1.swapaxes(-1, -2)))
+    # a view of rows for the gemm calls whose right operand is V or V.T
+    E_rows, work_rows, G_rows = (M.reshape(-1, n) if n > 1 else M for M in (E, work, G))
+    E_dot, work_dot, G_dot, W1T_dot = (_matmul_for(M) for M in (E_rows, work_rows, G, W1.swapaxes(-1, -2)))
     VT, W2T = None if V is None else V.T, W2.swapaxes(-1, -2)
 
     def gradients() -> None:
@@ -299,10 +316,10 @@ def _gradient_kernel(
             multiply(E, v, G)
             add(G, G, G)
         else:
-            E_dot(V, work)
+            E_dot(V, work_rows)
             multiply(work, v, work)
             add(work, work, work)
-            work_dot(VT, G)
+            work_dot(VT, G_rows)
         if ridge:
             subtract(theta, ridge_anchor, work)
             multiply(lam2, work, work)
@@ -486,12 +503,14 @@ def _matrix_kernel(
 ) -> Callable[[int, int, int], None]:
     """The update of every state the diagonal kernel does not take, for one run or a stack in lock step.
 
-    W holds the factors, shape (2, n, n) for one run or (B, 2, n, n) for B
-    runs, theta = W1 @ W2 and E = theta - A their current products and
-    residuals, and products one row per snapshot, each of theta's shape.
-    The runs of a stack share A, v and V, and each has its own eta, shape
-    (B, 1, 1, 1), and ridge_lambda, shape (B, 1, 1), as _gradient_kernel
-    takes them.  The ridge anchors the current products.
+    W holds the factors, shape (2, n, n) for one run or (2, B, n, n) for B
+    runs, so W1 = W[0] and W2 = W[1] are contiguous stacks; theta = W1 @ W2
+    and E = theta - A are their current products and residuals, and
+    products holds one row per snapshot, each of theta's shape.  The runs
+    of a stack share V, and each has its own teacher in A, shape (B, n, n),
+    variances in v, shape (B, 1, n), eta, shape (1, B, 1, 1), and
+    ridge_lambda, shape (B, 1, 1), as _gradient_kernel takes them.  The
+    ridge anchors the current products.
 
     The kernel takes the factors' bytes as a mark every MARK_EVERY steps
     and compares the bytes after each later step with it.  When they match
@@ -513,7 +532,7 @@ def _matrix_kernel(
     and after each count records the product into the next row of products
     from row on; a row of 0 records nothing.
     """
-    W1, W2 = W[..., 0, :, :], W[..., 1, :, :]
+    W1, W2 = W
     W1_dot = _matmul_for(W1)
     multiply, subtract, copyto, tobytes = np.multiply, np.subtract, np.copyto, W.tobytes
     grads = np.empty_like(W)
@@ -648,10 +667,10 @@ def train(
     a repeat raises again.
     """
     if memo is None:
-        return _train((state,), dist, (config,), record_spectrum)[0]
+        return _train((state,), (dist,), (config,), record_spectrum)[0]
     key = _memo_key(state, dist, config, record_spectrum)
     if key not in memo:
-        memo[key] = result = _train((state,), dist, (config,), record_spectrum)[0]
+        memo[key] = result = _train((state,), (dist,), (config,), record_spectrum)[0]
         return result
     final_state, trajectory = memo[key]
     return final_state, Trajectory(trajectory.steps, trajectory.products, dist, record_spectrum)
@@ -659,40 +678,46 @@ def train(
 
 def _train(
     states: Sequence[NetworkState],
-    dist: StageDistribution,
+    dists: Sequence[StageDistribution],
     configs: Sequence[TrainConfig],
     record_spectrum: bool,
 ) -> list[tuple[NetworkState, Trajectory] | None]:
-    """Train each state under its config on dist, the runs sharing max_steps, probe_every and ridge-or-not.
+    """Train each state under its config on its distribution, the runs sharing a basis and a schedule.
 
-    One run is train() without a memo: (2, n, n) factors on the kernel its
+    A schedule is max_steps, probe_every and whether there is a ridge.  One
+    run is train() without a memo: (2, n, n) factors on the kernel its
     start picks, a weight check every FINITE_CHECK_EVERY steps, and
     TrainingDiverged at its first non-finite step.  Several step on
-    _matrix_kernel as one (B, 2, n, n) stack, each with its own start,
-    eta, ridge_lambda and anchor, each run's arithmetic the one it does
-    alone; a member whose final weights or loss are not finite gives None.
+    _matrix_kernel as one stack: factors of shape (2, B, n, n), the
+    teachers stacked to shape (B, n, n) and the variances to (B, 1, n),
+    each run with its own start, distribution, eta, ridge_lambda and anchor,
+    each run's arithmetic the one it does alone; a member whose final
+    weights or loss are not finite gives None.
     """
-    A, v = dist.teacher, dist.input_variances
+    dist, config, one = dists[0], configs[0], len(states) == 1
     V = None if dist.basis.is_identity else dist.basis.V
-    config, one = configs[0], len(states) == 1
     diagonal = one and _takes_diagonal_kernel(states[0], dist)
 
     # the start factors, which restart() copies back, and W, which holds all
     # of them, so the update and the finiteness check each cover them in
     # one numpy call
-    start = np.array((states[0].W1, states[0].W2) if one else [(state.W1, state.W2) for state in states])
+    if one:
+        start = np.array((states[0].W1, states[0].W2))
+        A, v = dist.teacher, dist.input_variances
+        eta, ridge_lambda = config.eta, config.ridge_lambda
+    else:
+        start = np.array(([state.W1 for state in states], [state.W2 for state in states]))
+        A = np.array([d.teacher for d in dists])
+        v = np.array([d.input_variances for d in dists])[:, None, :]
+        eta = np.array([c.eta for c in configs]).reshape(1, -1, 1, 1)
+        ridge_lambda = np.array([c.ridge_lambda for c in configs]).reshape(-1, 1, 1)
     W = np.empty_like(start)
-    W1, W2 = W[..., 0, :, :], W[..., 1, :, :]
+    W1, W2 = W
     theta, E = np.empty(W1.shape), np.empty(W1.shape)
     # a snapshot every probe_every steps and one after the last, each row
     # written by the run
     steps = _snapshot_steps(config)
     products = np.empty((len(steps), start.shape[-1]) if diagonal else (len(steps), *theta.shape))
-    if one:
-        eta, ridge_lambda = config.eta, config.ridge_lambda
-    else:
-        eta = np.array([c.eta for c in configs]).reshape(-1, 1, 1, 1)
-        ridge_lambda = np.array([c.ridge_lambda for c in configs]).reshape(-1, 1, 1)
     subtract, W1_dot = np.subtract, _matmul_for(W1)
 
     def restart() -> None:
@@ -704,7 +729,7 @@ def _train(
         # built right after restart(): the ridge anchors the start products
         return _matrix_kernel(W, theta, E, products, A, v, V, eta, ridge_lambda)
 
-    def finite(W: np.ndarray, E: np.ndarray) -> bool:
+    def finite(W: np.ndarray, E: np.ndarray, v: np.ndarray) -> bool:
         return math.isfinite(_data_loss(E, v, V)) and bool(np.isfinite(W).all())
 
     def first_nonfinite() -> int:
@@ -712,7 +737,7 @@ def _train(
         restart()
         advance = matrix_kernel()
         for step in range(config.max_steps):
-            if not finite(W, E):
+            if not finite(W, E, v):
                 return step
             advance(1, 0, 1)
         return config.max_steps
@@ -721,7 +746,9 @@ def _train(
         if not np.isfinite(W).all():
             raise TrainingDiverged(states[0].step + first_nonfinite())
 
-    def result(state: NetworkState, W: np.ndarray, rows: np.ndarray) -> tuple[NetworkState, Trajectory]:
+    def result(
+        state: NetworkState, dist: StageDistribution, W: np.ndarray, rows: np.ndarray
+    ) -> tuple[NetworkState, Trajectory]:
         rows.flags.writeable = False
         final_state = NetworkState(W1=W[0], W2=W[1], step=state.step + config.max_steps)
         return final_state, Trajectory(steps, rows, dist, record_spectrum)
@@ -745,11 +772,14 @@ def _train(
         W1_dot(W2, theta)
         subtract(theta, A, E)
         if not one:
-            return [result(state, W[b], products[:, b].copy()) if finite(W[b], E[b]) else None
-                    for b, state in enumerate(states)]
-        if not finite(W, E):
+            return [
+                result(state, dists[b], W[:, b], products[:, b].copy()) if finite(W[:, b], E[b], v[b])
+                else None
+                for b, state in enumerate(states)
+            ]
+        if not finite(W, E, v):
             raise TrainingDiverged(states[0].step + first_nonfinite())
-    return [result(states[0], W, products)]
+    return [result(states[0], dist, W, products)]
 
 
 def train_lockstep(
@@ -759,14 +789,15 @@ def train_lockstep(
 ) -> None:
     """Train runs in lock step, storing in memo what train() returns for each.
 
-    Runs that share a distribution (by content), max_steps, probe_every and
-    ridge-or-not form a group, and a group of two or more steps as one
-    _train stack.  Each finite result is stored under _memo_key, where
-    train(state, dist, config, record_spectrum, memo) serves it without
-    stepping; a run that ends non-finite is not, so its own train() call
-    steps and raises TrainingDiverged at its own step.  Nothing steps for a
-    run already in memo, a group of one, which train() steps as fast, or a
-    start that train() puts on its faster diagonal kernel.
+    Runs that share a basis (U and V by their bytes), max_steps, probe_every
+    and ridge-or-not form a group, whatever their distributions, and a
+    group of two or more steps as one _train stack.  Each finite result is
+    stored under _memo_key, where train(state, dist, config,
+    record_spectrum, memo) serves it without stepping; a run that ends
+    non-finite is not, so its own train() call steps and raises
+    TrainingDiverged at its own step.  Nothing steps for a run already in
+    memo, a group of one, which train() steps as fast, or a start that
+    train() puts on its faster diagonal kernel.
     """
     groups: dict[tuple, dict] = {}
     for state, dist, config in runs:
@@ -774,13 +805,12 @@ def train_lockstep(
             continue
         key = _memo_key(state, dist, config, record_spectrum)
         if key not in memo:
-            # the key opens with the distribution's bytes
-            shared = (*key[:4], config.max_steps, config.probe_every, config.ridge_lambda > 0)
+            # the key's third and fourth entries are the basis's bytes
+            shared = (*key[2:4], config.max_steps, config.probe_every, config.ridge_lambda > 0)
             groups.setdefault(shared, {})[key] = state, dist, config
     for group in groups.values():
         if len(group) > 1:
-            states, dists, configs = zip(*group.values())
-            for key, result in zip(group, _train(states, dists[0], configs, record_spectrum)):
+            for key, result in zip(group, _train(*zip(*group.values()), record_spectrum)):
                 if result is not None:
                     memo[key] = result
 

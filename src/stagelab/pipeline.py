@@ -21,15 +21,25 @@ matrix kernel (network.train_lockstep): that rule alone decides what batches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .network import NetworkState, TrainConfig, _losses, _memo_key, check_step_size, train, train_lockstep
+from .network import (
+    NetworkState,
+    TrainConfig,
+    _losses,
+    _memo_key,
+    _takes_diagonal_kernel,
+    check_step_size,
+    train,
+    train_lockstep,
+)
 from .tasks import STAGES, StageDistribution, TaskFamily, mix_distributions
 
 
@@ -111,19 +121,26 @@ def _check_plans(plans: Sequence[StagePlan]) -> tuple[StagePlan, StagePlan, Stag
     return plans[0], plans[1], plans[2]
 
 
-def _stage_run(
-    family: TaskFamily, plan: StagePlan, state: NetworkState
-) -> tuple[NetworkState, StageDistribution, TrainConfig]:
-    """The (state, distribution, config) that train() takes to train one stage; a ridge anchors state."""
-    return state, stage_training_distribution(family, plan), plan.train_config()
+def _stage_runs(family: TaskFamily) -> Callable[[StagePlan], tuple[StageDistribution, TrainConfig]]:
+    """resolve(plan): the distribution and TrainConfig that train() takes for a plan, each built once.
+
+    A ridge anchors the state it starts from.  A plan resolved again gets
+    the same objects, so a mixture is built once and its teacher with it.
+    """
+
+    @functools.cache
+    def resolve(plan: StagePlan) -> tuple[StageDistribution, TrainConfig]:
+        return stage_training_distribution(family, plan), plan.train_config()
+
+    return resolve
 
 
-def _pretrain(
-    family: TaskFamily, plan: StagePlan, init_state: NetworkState
+def _checkpoint(
+    state: NetworkState, dist: StageDistribution, config: TrainConfig, memo: dict | None = None
 ) -> NetworkState | TrainingDiverged:
-    """The stage-1 checkpoint, or the divergence that prevented it."""
+    """The state a stage's training ends at, or the divergence that prevented it."""
     try:
-        return train(*_stage_run(family, plan, init_state), record_spectrum=False)[0]
+        return train(state, dist, config, record_spectrum=False, memo=memo)[0]
     except TrainingDiverged as exc:
         return exc
 
@@ -140,7 +157,9 @@ def run_pipeline(
     stages are preserved and the failed stage is named on the result.
     """
     plans = _check_plans(plans)
-    return continue_from_pretrained(family, _pretrain(family, plans[0], init_state), plans, run_id)
+    resolve = _stage_runs(family)
+    pretrained = _checkpoint(init_state, *resolve(plans[0]))
+    return continue_from_pretrained(family, pretrained, plans, run_id, resolve=resolve)
 
 
 def continue_from_pretrained(
@@ -149,20 +168,24 @@ def continue_from_pretrained(
     plans: Sequence[StagePlan],
     run_id: str,
     memo: dict | None = None,
+    resolve: Callable[[StagePlan], tuple[StageDistribution, TrainConfig]] | None = None,
 ) -> PipelineRun:
     """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
 
     Given the divergence that ended stage 1 instead, it returns that failed run.
-    memo, if given, is both stages' train() calls' (see train and run_sweep).
+    memo, if given, is both stages' train() calls' (see train and run_sweep),
+    and resolve, if given, the _stage_runs function that gives each stage's
+    distribution and TrainConfig.
     """
     plans = _check_plans(plans)
+    resolve = _stage_runs(family) if resolve is None else resolve
     states: dict[str, NetworkState] = {}
     failure = pretrained if isinstance(pretrained, TrainingDiverged) else None
     if failure is None:
         state = states["pretrain"] = pretrained
         for plan in plans[1:]:
             try:
-                state, _ = train(*_stage_run(family, plan, state), record_spectrum=False, memo=memo)
+                state, _ = train(state, *resolve(plan), record_spectrum=False, memo=memo)
             except TrainingDiverged as exc:
                 failure = exc
                 break
@@ -241,44 +264,77 @@ def run_sweep(
 ) -> Iterator[PipelineRun]:
     """Run each (stage-1, stage-2, stage-3) plan triple, yielding the runs in task order.
 
-    Every task's plans are checked before any training.  Stage 1 depends
-    only on the stage-1 plan, so its checkpoint is trained when a task first
-    needs it and shared by every later task with that plan.  The stage-2 and
-    stage-3 train() calls share one memo per sweep, so stage 2 trains once
-    per (stage-1, stage-2) pair and later runs get its checkpoint bitwise.
-    train_lockstep fills the memo ahead of those calls from two kinds of
-    group, stepping the runs that take the matrix kernel: the stage-2 plans
-    of a stage-1 checkpoint when it is first trained, and the stage-3 plans
-    of each run of consecutive tasks that share a (stage-1, stage-2) pair,
-    from the stage-2 checkpoint if the memo holds it.  Each run is yielded
-    as soon as it completes, so a caller can record it before the next run
-    or group steps; once a group's last run is yielded, its stage-3
-    results, each read once, leave the memo.  Diverged runs are yielded
-    with their failure marked; the sweep itself never aborts.
+    Every task's plans are checked before any training, and each distinct
+    plan's distribution and TrainConfig are resolved once.  Stage 1 depends
+    only on the stage-1 plan, so its checkpoint is trained once and shared
+    by every task with that plan.  The stage-2 and stage-3 train() calls
+    share one memo per sweep, so stage 2 trains once per (stage-1, stage-2)
+    pair and later runs get its checkpoint bitwise.  train_lockstep steps
+    the runs that take the matrix kernel as one stack per group it is
+    offered, and fills the memo ahead of the train() calls:
+
+    - before the first task, every stage-1 plan;
+    - then every (stage-1, stage-2) pair whose stage-1 checkpoint that
+      stack stored; a stage-1 plan it did not store, as on the diagonal
+      kernel, trains when a task first needs it, and its stage-2 plans
+      are offered then;
+    - for each run of consecutive tasks that share a (stage-1, stage-2)
+      pair, its stage-3 plans, from the stage-2 checkpoint, which the sweep
+      trains into the memo first if it is not there yet.
+
+    Each run is yielded as soon as it completes, so a caller can record it
+    before the next run or group steps; the stage-1 and stage-2 stacks
+    yield nothing, and a crash loses at most one stage-3 group.  Once a
+    group's last run is yielded, its stage-3 results, each read once, leave
+    the memo.  Diverged runs are yielded with their failure marked; the
+    sweep itself never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
-    pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
+    resolve = _stage_runs(family)
+    pairs = dict.fromkeys(task[:2] for task in tasks)
+    stage1 = {plan1: (init_state, *resolve(plan1)) for plan1, _ in pairs}
     memo: dict = {}
 
-    def step_together(start: NetworkState | TrainingDiverged | None, plans: Iterable[StagePlan]) -> None:
-        if isinstance(start, NetworkState):
-            train_lockstep([_stage_run(family, plan, start) for plan in plans], memo, record_spectrum=False)
+    def step_together(runs: list[tuple[NetworkState, StagePlan]]) -> None:
+        if runs:
+            train_lockstep([(state, *resolve(plan)) for state, plan in runs], memo, record_spectrum=False)
 
+    def offer_stage2(starts: dict[StagePlan, NetworkState]) -> None:
+        step_together([(starts[plan1], plan2) for plan1, plan2 in pairs if plan1 in starts])
+
+    # every stage-1 plan as one stack, then every (stage-1, stage-2) pair
+    # whose stage-1 checkpoint that stack stored
+    step_together([(init_state, plan1) for plan1 in stage1])
+    stacked = {plan1: key for plan1, run in stage1.items() if (key := _memo_key(*run, False)) in memo}
+    offer_stage2({plan1: memo[key][0] for plan1, key in stacked.items()})
+    pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
     for (plan1, plan2), group in itertools.groupby(tasks, key=lambda task: task[:2]):
-        finetunes = [task[2] for task in group]
         if plan1 not in pretrained:
-            pretrained[plan1] = _pretrain(family, plan1, init_state)
-            step_together(pretrained[plan1], dict.fromkeys(task[1] for task in tasks if task[0] == plan1))
-        start, checkpoint, known = pretrained[plan1], None, len(memo)
+            # train() serves a stacked plan from the memo, where it is read once
+            key = stacked.get(plan1)
+            pretrained[plan1] = start = _checkpoint(*stage1[plan1], memo if key else None)
+            if key:
+                del memo[key]
+            elif isinstance(start, NetworkState):
+                offer_stage2({plan1: start})
+        start, checkpoint = pretrained[plan1], None
         if isinstance(start, NetworkState):
-            checkpoint = _memo_key(*_stage_run(family, plan2, start), False)
-            step_together(memo.get(checkpoint, (None,))[0], finetunes)
+            dist2, config2 = resolve(plan2)
+            checkpoint = _memo_key(start, dist2, config2, False)
+            if checkpoint not in memo and not _takes_diagonal_kernel(start, dist2):
+                # a stage-2 plan no stack took: its checkpoint, stored now,
+                # starts its finetunes' stack, unless it diverges
+                _checkpoint(start, dist2, config2, memo)
+        known = len(memo)
+        finetunes = [task[2] for task in group]
+        if checkpoint in memo:
+            step_together([(memo[checkpoint][0], plan3) for plan3 in finetunes])
         for plan3 in finetunes:
             plans = plan1, plan2, plan3
-            yield continue_from_pretrained(family, start, plans, make_run_id(*plans), memo)
+            yield continue_from_pretrained(family, start, plans, make_run_id(*plans), memo, resolve)
         # a dict keeps insertion order, so the entries after the first known
         # ones are this group's: its stage-3 results, each read once, and
         # perhaps its stage-2 checkpoint, which later groups may read
-        for key in list(memo)[known:]:
-            if key != checkpoint:
-                del memo[key]
+        for stored in list(memo)[known:]:
+            if stored != checkpoint:
+                del memo[stored]

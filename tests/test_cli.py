@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import stagelab.checks
 import stagelab.cli
 import stagelab.config
+import stagelab.network
 import stagelab.pipeline
 import stagelab.records
 import stagelab.tasks
@@ -325,6 +326,33 @@ def test_a_random_basis_sweep_killed_in_its_second_finetune_group_keeps_the_firs
     lines = (killed / "runs.jsonl").read_bytes().splitlines(keepends=True)
     (killed / "runs.jsonl").write_bytes(b"".join(lines[:-7]))
     (killed / "sweep.csv").unlink()
+    assert main(["--config", cfg, "--out", str(killed), "sweep"]) == 0
+    for name in ("runs.jsonl", "sweep.csv"):
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_a_random_basis_sweep_killed_in_its_stage1_stack_keeps_no_record(tmp_path, monkeypatch):
+    # off the identity basis every stage-1 plan steps in one stack before
+    # the first task, so a crash there leaves no record, and a resume
+    # writes the uncut bytes
+    cfg = write_ini(tmp_path, "[task]\nbasis = random\nbasis_seed = 1\n")
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    assert main(["--config", cfg, "--out", str(straight), "sweep"]) == 0
+    original = stagelab.network._train
+    stacks = []
+
+    def dies_in_the_stage1_stack(states, dists, *args):
+        if len(states) > 1 and dists[0].label == "pretrain":
+            stacks.append(sorted(dist.label for dist in dists))
+            raise RuntimeError("killed")
+        return original(states, dists, *args)
+
+    monkeypatch.setattr(stagelab.network, "_train", dies_in_the_stage1_stack)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["--config", cfg, "--out", str(killed), "sweep"])
+    monkeypatch.undo()
+    assert stacks == [["mix(pretrain, posttrain, 0.5)", "pretrain"]]
+    assert not (killed / "runs.jsonl").exists() or read_records(killed / "runs.jsonl") == []
     assert main(["--config", cfg, "--out", str(killed), "sweep"]) == 0
     for name in ("runs.jsonl", "sweep.csv"):
         assert (killed / name).read_bytes() == (straight / name).read_bytes()

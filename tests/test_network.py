@@ -1474,10 +1474,11 @@ def test_train_without_a_memo_builds_no_key(monkeypatch):
 
 
 def assert_lockstep_serves_uncached_train(runs, record_spectrum=True):
-    """train_lockstep stores every run, and train() then serves each bitwise its uncached call."""
+    """train_lockstep stores every run from one stack, and train() then serves each bitwise its uncached call."""
     memo = {}
-    network.train_lockstep(runs, memo, record_spectrum)
-    assert len(memo) == len(runs)
+    with counting_trainings() as trained:
+        network.train_lockstep(runs, memo, record_spectrum)
+    assert trained.call_count == 1 and len(memo) == len(runs)
     with counting_trainings() as trained:
         served = [train(*run, record_spectrum, memo) for run in runs]
     assert trained.call_count == 0
@@ -1516,6 +1517,92 @@ def test_a_lockstep_batch_is_bitwise_uncached_train(seed, ridge_lambda):
     assert train(start, *runs[0][1:])[1].products.ndim == 2
     assert all(train(*run)[1].products.ndim == 3 for run in runs)
     assert_lockstep_serves_uncached_train(runs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.1])
+def test_a_stack_of_runs_on_different_distributions_is_bitwise_uncached_train(seed, ridge_lambda):
+    # one stack of pretraining mixes and replay mixtures of one basis, each
+    # run with its own teacher and variances, from two starts
+    family = make_reference_family(basis_mode="random", basis_seed=seed)
+    pre, post = family.distribution("pretrain"), family.distribution("posttrain")
+    init = init_scaled_identity(6, 12.0, family.basis)
+    pretrained, _ = train(init, pre, TrainConfig(eta=0.02, max_steps=400))
+    dists = [mix_distributions(pre, post, mix) for mix in (0.0, 0.25, 0.5)]
+    dists += [mix_distributions(post, pre, replay) for replay in (0.01, 0.05)]
+    runs = [
+        (state, dist, TrainConfig(eta=eta, max_steps=300, ridge_lambda=ridge_lambda, probe_every=7))
+        for state, (dist, eta) in itertools.product((init, pretrained), zip(dists, (0.02, 0.008, 0.02, 0.012, 0.02)))
+    ]
+    assert_lockstep_serves_uncached_train(runs)
+    # identity-basis starts that train() steps on the matrix kernel, one off
+    # the diagonal and one unbalanced, on the three stage distributions
+    identity = make_reference_family()
+    diagonal, _ = train(init_scaled_identity(6, 12.0), identity.distribution("pretrain"),
+                        TrainConfig(eta=0.02, max_steps=400))
+    unbalanced = NetworkState(W1=2.0 * diagonal.W1, W2=0.5 * diagonal.W2)
+    runs = [
+        (state, identity.distribution(stage), TrainConfig(eta=0.02, max_steps=300, ridge_lambda=ridge_lambda,
+                                                          probe_every=7))
+        for state, stage in itertools.product((init, unbalanced), ("pretrain", "posttrain", "finetune"))
+    ]
+    assert all(train(*run)[1].products.ndim == 3 for run in runs)
+    assert_lockstep_serves_uncached_train(runs)
+    # n = 1, one target per run
+    basis = SpectralBasis(U=np.array([[-1.0]]), V=np.array([[-1.0]]))
+    runs = [
+        (NetworkState(W1=np.array([[w1]]), W2=np.array([[w2]])), scalar_problem(target, basis),
+         TrainConfig(eta=0.02, max_steps=4, ridge_lambda=ridge_lambda, probe_every=1))
+        for (w1, w2), target in itertools.product(((0.0, -3.0), (-0.0, 0.5), (0.7, 0.7)), (0.0, 2.0))
+    ]
+    assert_lockstep_serves_uncached_train(runs)
+
+
+def test_runs_in_different_bases_never_share_a_stack():
+    # two runs in each of three bases, one of them the identity, otherwise alike
+    families = [make_reference_family(basis_mode="random", basis_seed=seed) for seed in (3, 4)]
+    families.append(make_reference_family())
+    init, config = init_scaled_identity(6, 12.0, families[0].basis), TrainConfig(eta=0.02, max_steps=50)
+    runs = [(init, family.distribution(stage), config) for family in families for stage in ("pretrain", "posttrain")]
+    memo = {}
+    with counting_trainings() as trained:
+        network.train_lockstep(runs, memo)
+    assert trained.call_count == 3 and len(memo) == 6
+    for call in trained.call_args_list:
+        states, dists, *_ = call.args
+        assert len(states) == 2
+        assert len({(d.basis.U.tobytes(), d.basis.V.tobytes()) for d in dists}) == 1
+    with counting_trainings() as trained:
+        for run in runs:
+            assert_same_training(train(*run, memo=memo), train(*run))
+    assert trained.call_count == len(runs)  # the uncached references only
+
+
+# magnitudes from subnormal through about 1e+-150 (whose products and sums
+# of seven stay finite), with both zeros
+GEMM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, 1e-150, -1e150]),
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(min_value=-9.99, max_value=9.99),
+        st.sampled_from([-155, -150, -148, -3, -1, 0, 1, 3, 145, 148, 150]),
+    ),
+)
+
+
+@given(data=st.data(), n=st.integers(2, 7), B=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_a_flattened_gemm_is_bitwise_per_matrix_matmul(data, n, B):
+    # the stacked gradient kernel's E @ V and work @ V.T: one (B n, n) gemm
+    # through the bound dot of the stack's row view, against np.matmul of
+    # each matrix of the stack
+    E = np.array(data.draw(st.lists(GEMM_ENTRIES, min_size=B * n * n, max_size=B * n * n))).reshape(B, n, n)
+    V = np.array(data.draw(st.lists(GEMM_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    for right in (V, V.T):
+        got = np.empty((B, n, n))
+        network._matmul_for(E.reshape(-1, n))(right, got.reshape(-1, n))
+        for b in range(B):
+            assert_same_bits(got[b], np.matmul(E[b], right))
 
 
 def test_a_lockstep_batch_of_1x1_products_sums_each_from_plus_zero():
@@ -1562,15 +1649,15 @@ def test_lockstep_leaves_the_memo_alone_where_train_steps_as_fast():
     # identity-basis diagonal starts, which take the diagonal kernel
     network.train_lockstep([(init, dist, config) for config in configs], memo)
     assert memo == {}
-    # a single run, and runs that share no distribution, step count,
-    # probe_every or ridge with another
+    # a single run, and runs that share no basis, step count, probe_every
+    # or ridge with another
     rotated = make_reference_family(basis_mode="random", basis_seed=3)
     dist = rotated.distribution("posttrain")
     init = init_scaled_identity(6, 12.0, rotated.basis)
     network.train_lockstep([(init, dist, configs[0])], memo)
     apart = [
         (init, dist, configs[0]),
-        (init, rotated.distribution("finetune"), configs[1]),
+        (init, make_reference_family(basis_mode="random", basis_seed=4).distribution("posttrain"), configs[1]),
         (init, dist, TrainConfig(eta=0.02, max_steps=51)),
         (init, dist, TrainConfig(eta=0.02, max_steps=50, probe_every=7)),
         (init, dist, TrainConfig(eta=0.02, max_steps=50, ridge_lambda=0.1)),

@@ -334,14 +334,16 @@ def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_
         return trained.call_count
 
     # 2 stage-1, 6 stage-2 and 30 stage-3 trainings, against 30 stage-2 ones.
-    # In the random basis the 2 stage-1 trainings and one stack per lock-step
-    # group, 2 of stage 2 and 6 of stage 3, reach train()'s uncached body
-    assert trainings(tmp_path / "memo") == {"identity": 38, "random": 10}[basis]
+    # In the random basis one stack per lock-step group reaches train()'s
+    # uncached body: 1 of stage 1, 1 of stage 2 and 6 of stage 3
+    assert trainings(tmp_path / "memo") == {"identity": 38, "random": 1 + 1 + 6}[basis]
     monkeypatch.setattr(pipeline, "train_lockstep", lambda *args, **kwargs: None)
     assert trainings(tmp_path / "serial") == 38
     original = pipeline.train
     monkeypatch.setattr(pipeline, "train", lambda *args, memo=None, **kwargs: original(*args, **kwargs))
-    assert trainings(tmp_path / "plain") == 62
+    # in the random basis the sweep's own call that stores each stage-2
+    # checkpoint no stack took trains too: 6 more
+    assert trainings(tmp_path / "plain") == {"identity": 62, "random": 68}[basis]
     for file in ("runs.jsonl", "sweep.csv"):
         plain = (tmp_path / "plain" / file).read_bytes()
         assert (tmp_path / "memo" / file).read_bytes() == plain
@@ -365,10 +367,10 @@ def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
         with mock.patch.object(pipeline, "train_lockstep", wraps=pipeline.train_lockstep) as batched, \
                 mock.patch.object(network, "_train", wraps=network._train) as trained:
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "lockstep"), "sweep"]) == 0
-        # one stage-2 group per stage-1 plan and one stage-3 group per
-        # (stage-1, stage-2) pair, each stepped as one stack; stage 1 steps in
-        # train(), and so does each diverging finetune, which is not stored
-        want = {"default": (8, 2 + 8), "ridge": (6, 2 + 6), "diverging": (6, 2 + 6 + 4)}[name]
+        # one stage-1 group, one stage-2 group and one stage-3 group per
+        # (stage-1, stage-2) pair, each stepped as one stack; each diverging
+        # finetune, which is not stored, steps again in its own train() call
+        want = {"default": (8, 1 + 1 + 6), "ridge": (6, 1 + 1 + 4), "diverging": (6, 1 + 1 + 4 + 4)}[name]
         assert (batched.call_count, trained.call_count) == want
         with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None):
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "serial"), "sweep"]) == 0
@@ -377,6 +379,50 @@ def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
             assert (tmp_path / name / "lockstep" / file).read_bytes() == serial, (name, file)
         failed = [rec["failed_stage"] for rec in read_records(tmp_path / name / "lockstep" / "runs.jsonl")]
         assert failed.count("finetune") == {"default": 0, "ridge": 0, "diverging": 4}[name]
+
+
+def test_the_finetunes_of_a_lone_stage2_plan_step_as_one_stack(tmp_path):
+    # one (stage-1, stage-2) pair: no stack takes stage 1 or stage 2, so the
+    # sweep stores the stage-2 checkpoint before its 5 finetunes, which then
+    # step as one stack
+    ini = tmp_path / "lone.ini"
+    ini.write_text("[task]\nbasis = random\nbasis_seed = 3\n[sweep]\nmix_fractions = 0.0\neta2 = 0.02\n")
+    with mock.patch.object(pipeline, "train_lockstep", wraps=pipeline.train_lockstep) as batched, \
+            mock.patch.object(network, "_train", wraps=network._train) as trained:
+        assert main(["--config", str(ini), "--out", str(tmp_path / "lockstep"), "sweep"]) == 0
+    assert (batched.call_count, trained.call_count) == (3, 1 + 1 + 1)
+    assert [len(call.args[0]) for call in trained.call_args_list] == [1, 1, 5]
+    with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None), \
+            mock.patch.object(network, "_train", wraps=network._train) as trained:
+        assert main(["--config", str(ini), "--out", str(tmp_path / "serial"), "sweep"]) == 0
+    assert trained.call_count == 1 + 1 + 5
+    for file in ("runs.jsonl", "sweep.csv"):
+        assert (tmp_path / "lockstep" / file).read_bytes() == (tmp_path / "serial" / file).read_bytes()
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+def test_a_sweep_resolves_each_plan_once(basis, monkeypatch):
+    # the default grid's 10 distinct plans (2 stage-1, 3 stage-2, 5 stage-3):
+    # one TrainConfig and one training distribution each, for its 30 runs
+    cfg = loads_config(f"[task]\nbasis = {basis}\nbasis_seed = 4\n")
+    family = cfg.task_family()
+    configs, dists = [], []
+    train_config, training_distribution = StagePlan.train_config, pipeline.stage_training_distribution
+
+    def counted_config(plan):
+        configs.append(plan)
+        return train_config(plan)
+
+    def counted_distribution(family, plan):
+        dists.append(plan)
+        return training_distribution(family, plan)
+
+    monkeypatch.setattr(StagePlan, "train_config", counted_config)
+    monkeypatch.setattr(pipeline, "stage_training_distribution", counted_distribution)
+    runs = list(run_sweep(family, cfg.init_state(family), itertools.product(*cfg.sweep_plans())))
+    assert len(runs) == 30 and all(run.succeeded for run in runs)
+    assert len(configs) == len(set(configs)) == 10
+    assert dists == configs
 
 
 @pytest.mark.parametrize("basis", ["identity", "random"])
