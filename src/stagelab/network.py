@@ -35,10 +35,11 @@ alone.  A stack's factors are laid out (2, B, n, n), so W1 and W2 and both
 gradient slots are contiguous (B, n, n) stacks, and each run brings its own
 teacher, stacked to (B, n, n), and variances, (B, 1, n), so the runs of a
 stack may train on different distributions of the basis.  train_lockstep
-stacks every start the matrix kernel takes and stores the results in a
-memo, from which train() serves them.  A step costs numpy dispatch far more
-than arithmetic at these sizes, so B runs stepped as one stack cost little
-more than one.
+trains every start the matrix kernel takes, as stacks where runs share a
+schedule, and stores each result, or its TrainingDiverged, in a memo from
+which train() serves it.  A step costs numpy dispatch far more than
+arithmetic at these sizes, so B runs stepped as one stack cost little more
+than one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, MutableMapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ class Trajectory:
         """The recorded steps, the same array as steps.
 
         It stays only because bench/spans.py reads len(trajectory.snapshots),
-        and goes when the tracer reads steps instead (ROADMAP item 8).
+        and goes when the tracer reads steps (ROADMAP item 15's benchmark step).
         """
         return self.steps
 
@@ -641,7 +642,7 @@ def train(
     dist: StageDistribution,
     config: TrainConfig,
     record_spectrum: bool = True,
-    memo: dict | None = None,
+    memo: MutableMapping | None = None,
 ) -> tuple[NetworkState, Trajectory]:
     """Run max_steps of full-batch gradient descent, recording theta every probe_every steps.
 
@@ -659,21 +660,31 @@ def train(
     (num_snapshots, n, n) array.  Both kernels give the same bits, and each
     stops stepping once the run is at a fixed point or in an exact orbit.
 
-    memo, a caller-owned dict, serves a repeat of an earlier successful call
-    (equal distribution, start factors and step, config and record_spectrum,
-    arrays compared by their bytes) without stepping: the final state and
-    products that call computed, or that train_lockstep stored for it, in a
-    Trajectory over this call's distribution.  A diverged run is not stored;
-    a repeat raises again.
+    memo, a caller-owned mapping, serves a repeat of an earlier call (equal
+    distribution, start factors and step, config and record_spectrum, arrays
+    compared by their bytes) without stepping: the final state and products
+    that call computed, or that train_lockstep stored for it, in a
+    Trajectory over this call's distribution, or the TrainingDiverged it
+    raised, at the same step.
     """
     if memo is None:
         return _train((state,), (dist,), (config,), record_spectrum)[0]
     key = _memo_key(state, dist, config, record_spectrum)
     if key not in memo:
-        memo[key] = result = _train((state,), (dist,), (config,), record_spectrum)[0]
-        return result
-    final_state, trajectory = memo[key]
+        memo[key] = _train_alone((state, dist, config), record_spectrum)
+    stored = memo[key]
+    if isinstance(stored, TrainingDiverged):
+        raise TrainingDiverged(stored.step, str(stored))
+    final_state, trajectory = stored
     return final_state, Trajectory(trajectory.steps, trajectory.products, dist, record_spectrum)
+
+
+def _train_alone(run: tuple, record_spectrum: bool) -> tuple[NetworkState, Trajectory] | TrainingDiverged:
+    """Train run = (state, dist, config) alone: its result, or its TrainingDiverged without frames."""
+    try:
+        return _train(*zip(run), record_spectrum)[0]
+    except TrainingDiverged as exc:
+        return exc.with_traceback(None)
 
 
 def _train(
@@ -784,35 +795,40 @@ def _train(
 
 def train_lockstep(
     runs: Iterable[tuple[NetworkState, StageDistribution, TrainConfig]],
-    memo: dict,
+    memo: MutableMapping,
     record_spectrum: bool = True,
-) -> None:
-    """Train runs in lock step, storing in memo what train() returns for each.
+) -> list[NetworkState | TrainingDiverged | None]:
+    """Train runs in lock step into memo, from which train() serves each, and return their ends.
 
-    Runs that share a basis (U and V by their bytes), max_steps, probe_every
-    and ridge-or-not form a group, whatever their distributions, and a
-    group of two or more steps as one _train stack.  Each finite result is
-    stored under _memo_key, where train(state, dist, config,
-    record_spectrum, memo) serves it without stepping; a run that ends
-    non-finite is not, so its own train() call steps and raises
-    TrainingDiverged at its own step.  Nothing steps for a run already in
-    memo, a group of one, which train() steps as fast, or a start that
-    train() puts on its faster diagonal kernel.
+    Every run whose start takes the matrix kernel is stored under _memo_key,
+    where train(state, dist, config, record_spectrum, memo) serves it
+    without stepping: its final state and products, or the TrainingDiverged
+    that call raises, at its own step.  Runs that share a basis (U and V by
+    their bytes), max_steps, probe_every and ridge-or-not form a group,
+    whatever their distributions.  A group of two or more steps as one
+    _train stack, and a member that ends non-finite is replayed alone once,
+    to find its step; a group of one steps alone.  Nothing steps for a run
+    already in memo.
+
+    Returns each run's final state or TrainingDiverged, in the order of
+    runs, and None for a start that train() puts on its faster diagonal
+    kernel, which is left to train().
     """
-    groups: dict[tuple, dict] = {}
+    keys, groups = [], {}
     for state, dist, config in runs:
-        if _takes_diagonal_kernel(state, dist):
-            continue
-        key = _memo_key(state, dist, config, record_spectrum)
-        if key not in memo:
+        key = None if _takes_diagonal_kernel(state, dist) else _memo_key(state, dist, config, record_spectrum)
+        keys.append(key)
+        if key is not None and key not in memo:
             # the key's third and fourth entries are the basis's bytes
             shared = (*key[2:4], config.max_steps, config.probe_every, config.ridge_lambda > 0)
             groups.setdefault(shared, {})[key] = state, dist, config
     for group in groups.values():
-        if len(group) > 1:
-            for key, result in zip(group, _train(*zip(*group.values()), record_spectrum)):
-                if result is not None:
-                    memo[key] = result
+        stacked = _train(*zip(*group.values()), record_spectrum) if len(group) > 1 else [None]
+        for (key, run), result in zip(group.items(), stacked):
+            # a group of one, or a stack member that ended non-finite, steps alone
+            memo[key] = _train_alone(run, record_spectrum) if result is None else result
+    ends = [None if key is None else memo[key] for key in keys]
+    return [end[0] if isinstance(end, tuple) else end for end in ends]
 
 
 def derived_diag_step(

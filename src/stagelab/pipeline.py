@@ -14,18 +14,20 @@ The metrics recorded per run:
 * L_pre: pretrain loss at the stage-3 checkpoint (what mixing/replay preserved),
 * delta: L_ret - L_im, the forgetting induced by stage 3.
 
-run_sweep trains each stage-1 plan and each (stage-1, stage-2) pair of a
-grid once, and steps together every group of runs whose starts take the
-matrix kernel (network.train_lockstep): that rule alone decides what batches.
+run_sweep trains a grid's plan tree (stage-1 plans, then (stage-1, stage-2)
+pairs, then finetunes) one level at a time, each node once, each level as
+one network.train_lockstep call into a memo that keeps results and
+divergences alike: the kernel rule in network alone decides what batches.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, MutableMapping, Sequence
 
 import numpy as np
 
@@ -34,8 +36,6 @@ from .network import (
     NetworkState,
     TrainConfig,
     _losses,
-    _memo_key,
-    _takes_diagonal_kernel,
     check_step_size,
     train,
     train_lockstep,
@@ -136,7 +136,7 @@ def _stage_runs(family: TaskFamily) -> Callable[[StagePlan], tuple[StageDistribu
 
 
 def _checkpoint(
-    state: NetworkState, dist: StageDistribution, config: TrainConfig, memo: dict | None = None
+    state: NetworkState, dist: StageDistribution, config: TrainConfig, memo: MutableMapping | None = None
 ) -> NetworkState | TrainingDiverged:
     """The state a stage's training ends at, or the divergence that prevented it."""
     try:
@@ -167,7 +167,7 @@ def continue_from_pretrained(
     pretrained: NetworkState | TrainingDiverged,
     plans: Sequence[StagePlan],
     run_id: str,
-    memo: dict | None = None,
+    memo: MutableMapping | None = None,
     resolve: Callable[[StagePlan], tuple[StageDistribution, TrainConfig]] | None = None,
 ) -> PipelineRun:
     """Stages 2 and 3 from a stage-1 checkpoint, then the metrics.
@@ -265,76 +265,54 @@ def run_sweep(
     """Run each (stage-1, stage-2, stage-3) plan triple, yielding the runs in task order.
 
     Every task's plans are checked before any training, and each distinct
-    plan's distribution and TrainConfig are resolved once.  Stage 1 depends
-    only on the stage-1 plan, so its checkpoint is trained once and shared
-    by every task with that plan.  The stage-2 and stage-3 train() calls
-    share one memo per sweep, so stage 2 trains once per (stage-1, stage-2)
-    pair and later runs get its checkpoint bitwise.  train_lockstep steps
-    the runs that take the matrix kernel as one stack per group it is
-    offered, and fills the memo ahead of the train() calls:
+    plan's distribution and TrainConfig are resolved once.  The plans form a
+    tree whose nodes are the stage-1 plans, the (stage-1, stage-2) pairs and
+    the triples, and the sweep trains it one level at a time, each node once
+    and each level as one train_lockstep call into the sweep's memo:
 
-    - before the first task, every stage-1 plan;
-    - then every (stage-1, stage-2) pair whose stage-1 checkpoint that
-      stack stored; a stage-1 plan it did not store, as on the diagonal
-      kernel, trains when a task first needs it, and its stage-2 plans
-      are offered then;
-    - for each run of consecutive tasks that share a (stage-1, stage-2)
-      pair, its stage-3 plans, from the stage-2 checkpoint, which the sweep
-      trains into the memo first if it is not there yet.
+    - level 1, before the first task: every stage-1 plan;
+    - level 2: the pairs of each stage-1 checkpoint level 1 trained, and
+      those of a stage-1 plan it left to train() (on the diagonal kernel)
+      once that plan's first task has trained it;
+    - level 3, before the first of consecutive tasks that share a pair:
+      their triples, from the pair's stage-2 checkpoint.
+
+    Each run's train() calls are then served from the memo, or train a node
+    train_lockstep left to them and store it too.  The memo keeps results
+    and divergences alike, so a diverged node trains once and each run below
+    it fails without training it again.  A group's finetune results go into
+    a layer over the memo that is dropped with the group.
 
     Each run is yielded as soon as it completes, so a caller can record it
-    before the next run or group steps; the stage-1 and stage-2 stacks
-    yield nothing, and a crash loses at most one stage-3 group.  Once a
-    group's last run is yielded, its stage-3 results, each read once, leave
-    the memo.  Diverged runs are yielded with their failure marked; the
-    sweep itself never aborts.
+    before the next run or group steps; levels 1 and 2 yield nothing, and a
+    crash loses at most one finetune group.  Diverged runs are yielded with
+    their failure marked; the sweep itself never aborts.
     """
     tasks = [_check_plans(plans) for plans in tasks]
     resolve = _stage_runs(family)
-    pairs = dict.fromkeys(task[:2] for task in tasks)
-    stage1 = {plan1: (init_state, *resolve(plan1)) for plan1, _ in pairs}
     memo: dict = {}
 
-    def step_together(runs: list[tuple[NetworkState, StagePlan]]) -> None:
-        if runs:
-            train_lockstep([(state, *resolve(plan)) for state, plan in runs], memo, record_spectrum=False)
+    def level(starts: dict, nodes: Iterable[tuple], into: MutableMapping = memo) -> dict:
+        """Train, in one train_lockstep call, each node whose parent node[:-1] ended at a checkpoint in starts.
 
-    def offer_stage2(starts: dict[StagePlan, NetworkState]) -> None:
-        step_together([(starts[plan1], plan2) for plan1, plan2 in pairs if plan1 in starts])
+        A node is a tuple of plans from stage 1 on, under the root ().  Returns each trained node's end: its
+        final state or TrainingDiverged, or None where train_lockstep leaves it to train().
+        """
+        nodes = [node for node in nodes if isinstance(starts.get(node[:-1]), NetworkState)]
+        runs = [(starts[node[:-1]], *resolve(node[-1])) for node in nodes]
+        return dict(zip(nodes, train_lockstep(runs, into, record_spectrum=False))) if runs else {}
 
-    # every stage-1 plan as one stack, then every (stage-1, stage-2) pair
-    # whose stage-1 checkpoint that stack stored
-    step_together([(init_state, plan1) for plan1 in stage1])
-    stacked = {plan1: key for plan1, run in stage1.items() if (key := _memo_key(*run, False)) in memo}
-    offer_stage2({plan1: memo[key][0] for plan1, key in stacked.items()})
+    pairs = dict.fromkeys(task[:2] for task in tasks)
+    ends = level({(): init_state}, dict.fromkeys(pair[:1] for pair in pairs))
+    ends |= level(ends, pairs)
     pretrained: dict[StagePlan, NetworkState | TrainingDiverged] = {}
-    for (plan1, plan2), group in itertools.groupby(tasks, key=lambda task: task[:2]):
+    for (plan1, _), group in itertools.groupby(tasks, key=lambda task: task[:2]):
         if plan1 not in pretrained:
-            # train() serves a stacked plan from the memo, where it is read once
-            key = stacked.get(plan1)
-            pretrained[plan1] = start = _checkpoint(*stage1[plan1], memo if key else None)
-            if key:
-                del memo[key]
-            elif isinstance(start, NetworkState):
-                offer_stage2({plan1: start})
-        start, checkpoint = pretrained[plan1], None
-        if isinstance(start, NetworkState):
-            dist2, config2 = resolve(plan2)
-            checkpoint = _memo_key(start, dist2, config2, False)
-            if checkpoint not in memo and not _takes_diagonal_kernel(start, dist2):
-                # a stage-2 plan no stack took: its checkpoint, stored now,
-                # starts its finetunes' stack, unless it diverges
-                _checkpoint(start, dist2, config2, memo)
-        known = len(memo)
-        finetunes = [task[2] for task in group]
-        if checkpoint in memo:
-            step_together([(memo[checkpoint][0], plan3) for plan3 in finetunes])
-        for plan3 in finetunes:
-            plans = plan1, plan2, plan3
-            yield continue_from_pretrained(family, start, plans, make_run_id(*plans), memo, resolve)
-        # a dict keeps insertion order, so the entries after the first known
-        # ones are this group's: its stage-3 results, each read once, and
-        # perhaps its stage-2 checkpoint, which later groups may read
-        for stored in list(memo)[known:]:
-            if stored != checkpoint:
-                del memo[stored]
+            # served from the memo, or trained now if level 1 left it to train()
+            pretrained[plan1] = _checkpoint(init_state, *resolve(plan1), memo)
+            if ends[plan1,] is None:
+                ends |= level({(plan1,): pretrained[plan1]}, pairs)
+        start, layer, group = pretrained[plan1], collections.ChainMap({}, memo), list(group)
+        level(ends, group, layer)
+        for plans in group:
+            yield continue_from_pretrained(family, start, plans, make_run_id(*plans), layer, resolve)

@@ -171,7 +171,11 @@ def record_number(record: Mapping[str, Any], key: str, kind: type = float) -> An
 
 
 def existing_run_ids(path: str | os.PathLike) -> set[str]:
-    """run_id values already present in a records file (empty set if absent)."""
+    """run_id values already present in a records file (empty set if absent).
+
+    No command calls it.  It stays only because bench/spans.py lists it in
+    its table of traced functions, until the benchmark drops it there.
+    """
     if not os.path.exists(path):
         return set()
     return {rec["run_id"] for rec in read_records(path) if "run_id" in rec}

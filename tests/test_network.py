@@ -1444,7 +1444,7 @@ def test_a_memo_misses_when_any_input_differs():
         assert_same_training(got, train(*args))
 
 
-def test_a_diverging_call_is_not_stored_and_a_repeat_raises_at_the_same_step():
+def test_a_diverging_call_is_stored_and_a_repeat_raises_at_the_same_step():
     family = make_reference_family(basis_mode="random", basis_seed=3)
     dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
     hot = init_from_spectrum(family.basis, np.full(6, 25.0))
@@ -1454,8 +1454,10 @@ def test_a_diverging_call_is_not_stored_and_a_repeat_raises_at_the_same_step():
         for _ in range(2):
             with pytest.raises(TrainingDiverged) as err:
                 train(hot, dist, config, memo=memo)
-            assert err.value.step == 7 and memo == {}
-    assert trained.call_count == 2
+            assert err.value.step == 7 and str(err.value) == "training diverged at step 7"
+            (stored,) = memo.values()
+            assert isinstance(stored, TrainingDiverged) and stored.step == 7 and stored.__traceback__ is None
+    assert trained.call_count == 1
 
 
 def test_train_without_a_memo_builds_no_key(monkeypatch):
@@ -1477,13 +1479,14 @@ def assert_lockstep_serves_uncached_train(runs, record_spectrum=True):
     """train_lockstep stores every run from one stack, and train() then serves each bitwise its uncached call."""
     memo = {}
     with counting_trainings() as trained:
-        network.train_lockstep(runs, memo, record_spectrum)
+        ends = network.train_lockstep(runs, memo, record_spectrum)
     assert trained.call_count == 1 and len(memo) == len(runs)
     with counting_trainings() as trained:
         served = [train(*run, record_spectrum, memo) for run in runs]
     assert trained.call_count == 0
-    for run, got in zip(runs, served, strict=True):
+    for run, got, end in zip(runs, served, ends, strict=True):
         assert_same_training(got, train(*run, record_spectrum))
+        assert end is got[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1619,9 +1622,10 @@ def test_a_lockstep_batch_of_1x1_products_sums_each_from_plus_zero():
         assert_lockstep_serves_uncached_train(runs)
 
 
-def test_a_diverging_member_is_not_stored_and_its_call_raises_at_the_uncached_step():
+def test_a_diverging_member_is_stored_and_its_call_raises_at_the_uncached_step():
     # the hot state of test_weight_checks_of_any_block_size_leave_every_bit
-    # turns non-finite at step 7 while its batch mates train on
+    # turns non-finite at step 7 while its batch mates train on; the stack
+    # replays it alone once, to find that step
     family = make_reference_family(basis_mode="random", basis_seed=3)
     dist = mix_distributions(family.distribution("posttrain"), family.distribution("pretrain"), 0.3)
     hot = init_from_spectrum(family.basis, np.full(6, 25.0))
@@ -1629,15 +1633,21 @@ def test_a_diverging_member_is_not_stored_and_its_call_raises_at_the_uncached_st
     runs = [(calm, dist, TrainConfig(eta=0.02, max_steps=50)), (hot, dist, TrainConfig(eta=0.05, max_steps=50)),
             (calm, dist, TrainConfig(eta=0.01, max_steps=50))]
     memo = {}
-    network.train_lockstep(runs, memo)
-    assert len(memo) == 2 and network._memo_key(*runs[1], True) not in memo
+    with counting_trainings() as trained:
+        ends = network.train_lockstep(runs, memo)
+    assert [len(call.args[0]) for call in trained.call_args_list] == [3, 1]
+    assert len(memo) == 3 and memo[network._memo_key(*runs[1], True)] is ends[1]
+    assert isinstance(ends[1], TrainingDiverged) and ends[1].step == 7
     with counting_trainings() as trained:
         for run in (runs[0], runs[2]):
             assert_same_training(train(*run, memo=memo), train(*run))
         assert trained.call_count == 2  # the two uncached references
         with pytest.raises(TrainingDiverged) as err:
             train(*runs[1], memo=memo)
-    assert err.value.step == 7 and trained.call_count == 3 and len(memo) == 2
+    assert err.value.step == 7 and trained.call_count == 2 and len(memo) == 3
+    with pytest.raises(TrainingDiverged) as err:
+        train(*runs[1])
+    assert err.value.step == 7
 
 
 def test_lockstep_leaves_the_memo_alone_where_train_steps_as_fast():
@@ -1646,15 +1656,16 @@ def test_lockstep_leaves_the_memo_alone_where_train_steps_as_fast():
     init = init_scaled_identity(6, 12.0)
     configs = [TrainConfig(eta=eta, max_steps=50) for eta in (0.01, 0.02)]
     memo = {}
-    # identity-basis diagonal starts, which take the diagonal kernel
-    network.train_lockstep([(init, dist, config) for config in configs], memo)
-    assert memo == {}
+    # identity-basis diagonal starts, which take the diagonal kernel, are
+    # left to train()
+    with counting_trainings() as trained:
+        assert network.train_lockstep([(init, dist, config) for config in configs], memo) == [None, None]
+    assert memo == {} and trained.call_count == 0
     # a single run, and runs that share no basis, step count, probe_every
-    # or ridge with another
+    # or ridge with another, each step alone and are stored
     rotated = make_reference_family(basis_mode="random", basis_seed=3)
     dist = rotated.distribution("posttrain")
     init = init_scaled_identity(6, 12.0, rotated.basis)
-    network.train_lockstep([(init, dist, configs[0])], memo)
     apart = [
         (init, dist, configs[0]),
         (init, make_reference_family(basis_mode="random", basis_seed=4).distribution("posttrain"), configs[1]),
@@ -1662,12 +1673,17 @@ def test_lockstep_leaves_the_memo_alone_where_train_steps_as_fast():
         (init, dist, TrainConfig(eta=0.02, max_steps=50, probe_every=7)),
         (init, dist, TrainConfig(eta=0.02, max_steps=50, ridge_lambda=0.1)),
     ]
-    network.train_lockstep(apart, memo)
-    assert memo == {}
-    # a run already stored is not stepped again, and leaves its mate alone
-    network.train_lockstep(apart[:1] * 2, memo)
-    assert memo == {}
-    train(*apart[0], memo=memo)
+    with counting_trainings() as trained:
+        network.train_lockstep(apart[:1], memo)
+        ends = network.train_lockstep(apart, memo)
+    assert [len(call.args[0]) for call in trained.call_args_list] == [1] * 5 and len(memo) == 5
+    for run, end in zip(apart, ends, strict=True):
+        assert_same_training(train(*run, memo=memo), train(*run))
+        assert end is memo[network._memo_key(*run, True)][0]
+    # a run already stored is not stepped again, and its mate steps alone
     stored = dict(memo)
-    network.train_lockstep([apart[0], (init, dist, configs[1])], memo)
-    assert memo == stored
+    with counting_trainings() as trained:
+        network.train_lockstep(apart[:1] * 2, memo)
+        assert memo == stored and trained.call_count == 0
+        network.train_lockstep([apart[0], (init, dist, configs[1])], memo)
+    assert [len(call.args[0]) for call in trained.call_args_list] == [1] and len(memo) == 6

@@ -35,6 +35,11 @@ from stagelab.cli import main
 from stagelab.records import CSV_COLUMNS, read_records
 
 
+def leaves_every_run_to_train(runs, *args, **kwargs):
+    """A train_lockstep that trains and stores nothing: the sweep's serial reference."""
+    return [None for _ in runs]
+
+
 def small_plans(mix: float = 0.5):
     return (
         StagePlan("pretrain", 300, 0.02, mix_fraction=mix),
@@ -314,10 +319,10 @@ def test_two_sweeps_each_train_their_own_stage2(family, tau12_init):
         assert (called.call_count, trained.call_count) == (9, 1 + 2 + 4)
         second = list(run_sweep(family, tau12_init, tasks))
         assert (called.call_count, trained.call_count) == (18, 14)
-    # stages 2 and 3 get a memo, one dict per sweep
-    memos = [(call.args[1].label, call.kwargs.get("memo")) for call in called.call_args_list]
-    assert {label for label, memo in memos if memo is not None} == {"posttrain", "finetune"}
-    assert len({id(memo) for _, memo in memos if memo is not None}) == 2
+    # every stage gets the sweep's memo or a group's layer over it, one memo per sweep
+    memos = [call.kwargs["memo"] for call in called.call_args_list]
+    assert None not in memos
+    assert len({id(getattr(memo, "maps", [memo])[-1]) for memo in memos}) == 2
     for a, b in zip(first, second, strict=True):
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.finetuned.W1, b.finetuned.W1)
@@ -337,13 +342,12 @@ def test_a_default_sweep_writes_the_bytes_it_writes_without_the_memo(basis, tmp_
     # In the random basis one stack per lock-step group reaches train()'s
     # uncached body: 1 of stage 1, 1 of stage 2 and 6 of stage 3
     assert trainings(tmp_path / "memo") == {"identity": 38, "random": 1 + 1 + 6}[basis]
-    monkeypatch.setattr(pipeline, "train_lockstep", lambda *args, **kwargs: None)
+    monkeypatch.setattr(pipeline, "train_lockstep", leaves_every_run_to_train)
     assert trainings(tmp_path / "serial") == 38
     original = pipeline.train
     monkeypatch.setattr(pipeline, "train", lambda *args, memo=None, **kwargs: original(*args, **kwargs))
-    # in the random basis the sweep's own call that stores each stage-2
-    # checkpoint no stack took trains too: 6 more
-    assert trainings(tmp_path / "plain") == {"identity": 62, "random": 68}[basis]
+    # 2 stage-1 trainings and one of stages 2 and 3 for each of the 30 runs
+    assert trainings(tmp_path / "plain") == 2 + 30 + 30
     for file in ("runs.jsonl", "sweep.csv"):
         plain = (tmp_path / "plain" / file).read_bytes()
         assert (tmp_path / "memo" / file).read_bytes() == plain
@@ -369,10 +373,10 @@ def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "lockstep"), "sweep"]) == 0
         # one stage-1 group, one stage-2 group and one stage-3 group per
         # (stage-1, stage-2) pair, each stepped as one stack; each diverging
-        # finetune, which is not stored, steps again in its own train() call
+        # finetune is replayed alone once, to find its step
         want = {"default": (8, 1 + 1 + 6), "ridge": (6, 1 + 1 + 4), "diverging": (6, 1 + 1 + 4 + 4)}[name]
         assert (batched.call_count, trained.call_count) == want
-        with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None):
+        with mock.patch.object(pipeline, "train_lockstep", leaves_every_run_to_train):
             assert main(["--config", str(ini), "--out", str(tmp_path / name / "serial"), "sweep"]) == 0
         for file in ("runs.jsonl", "sweep.csv"):
             serial = (tmp_path / name / "serial" / file).read_bytes()
@@ -382,9 +386,8 @@ def test_a_lockstep_sweep_writes_the_bytes_of_a_serial_one(seed, tmp_path):
 
 
 def test_the_finetunes_of_a_lone_stage2_plan_step_as_one_stack(tmp_path):
-    # one (stage-1, stage-2) pair: no stack takes stage 1 or stage 2, so the
-    # sweep stores the stage-2 checkpoint before its 5 finetunes, which then
-    # step as one stack
+    # one (stage-1, stage-2) pair: stage 1 and stage 2 are each a level of
+    # one run, stepped alone, and the 5 finetunes step as one stack
     ini = tmp_path / "lone.ini"
     ini.write_text("[task]\nbasis = random\nbasis_seed = 3\n[sweep]\nmix_fractions = 0.0\neta2 = 0.02\n")
     with mock.patch.object(pipeline, "train_lockstep", wraps=pipeline.train_lockstep) as batched, \
@@ -392,12 +395,39 @@ def test_the_finetunes_of_a_lone_stage2_plan_step_as_one_stack(tmp_path):
         assert main(["--config", str(ini), "--out", str(tmp_path / "lockstep"), "sweep"]) == 0
     assert (batched.call_count, trained.call_count) == (3, 1 + 1 + 1)
     assert [len(call.args[0]) for call in trained.call_args_list] == [1, 1, 5]
-    with mock.patch.object(pipeline, "train_lockstep", lambda *args, **kwargs: None), \
+    with mock.patch.object(pipeline, "train_lockstep", leaves_every_run_to_train), \
             mock.patch.object(network, "_train", wraps=network._train) as trained:
         assert main(["--config", str(ini), "--out", str(tmp_path / "serial"), "sweep"]) == 0
     assert trained.call_count == 1 + 1 + 5
     for file in ("runs.jsonl", "sweep.csv"):
         assert (tmp_path / "lockstep" / file).read_bytes() == (tmp_path / "serial" / file).read_bytes()
+
+
+@pytest.mark.parametrize("basis, eta1, lone", [("random", 0.005, 2), ("identity", 0.02, 4)])
+def test_a_diverging_stage2_plan_trains_once(basis, eta1, lone, tmp_path, monkeypatch):
+    # stage 2 diverges for both pairs with eta2 = 0.05, so 4 of the 8 runs
+    # fail there.  In a random basis each diverging pair is replayed alone
+    # once, after the stage-2 stack, to find its step; in the identity basis
+    # train() trains each of the 4 pairs alone.  No finetune run trains its
+    # stage 2 again, and the bytes are those of a serial sweep without a memo
+    ini = tmp_path / "diverging.ini"
+    ini.write_text(f"[task]\nbasis = {basis}\nbasis_seed = 3\ninvariant = 30, 20\n[pretrain]\neta = {eta1}\n"
+                   "[sweep]\neta2 = 0.002, 0.05\neta3 = 0.001, 0.002\n")
+
+    def lone_posttrainings(out):
+        with mock.patch.object(network, "_train", wraps=network._train) as trained:
+            assert main(["--config", str(ini), "--out", str(out), "sweep"]) == 0
+        return sum(len(call.args[0]) == 1 and call.args[1][0].label == "posttrain" for call in trained.call_args_list)
+
+    assert lone_posttrainings(tmp_path / "tree") == lone
+    failed = [rec["failed_stage"] for rec in read_records(tmp_path / "tree" / "runs.jsonl")]
+    assert failed == [None, None, "posttrain", "posttrain"] * 2
+    monkeypatch.setattr(pipeline, "train_lockstep", leaves_every_run_to_train)
+    original = pipeline.train
+    monkeypatch.setattr(pipeline, "train", lambda *args, memo=None, **kwargs: original(*args, **kwargs))
+    assert lone_posttrainings(tmp_path / "serial") == 8
+    for file in ("runs.jsonl", "sweep.csv"):
+        assert (tmp_path / "tree" / file).read_bytes() == (tmp_path / "serial" / file).read_bytes()
 
 
 @pytest.mark.parametrize("basis", ["identity", "random"])
@@ -427,8 +457,9 @@ def test_a_sweep_resolves_each_plan_once(basis, monkeypatch):
 
 @pytest.mark.parametrize("basis", ["identity", "random"])
 def test_a_sweep_drops_each_finetune_result_once_its_group_is_yielded(basis):
-    # every stage-3 result is read once, by the call it was stored for, so a
-    # finished default sweep's memo holds at most its 6 stage-2 checkpoints
+    # a group's stage-3 results go into a layer over the sweep's memo that
+    # goes with the group, so a finished default sweep's memo holds at most
+    # its 2 stage-1 checkpoints and 6 stage-2 ones, and no finetune result
     cfg = loads_config(f"[task]\nbasis = {basis}\nbasis_seed = 4\n")
     family = cfg.task_family()
     memos = []
@@ -440,9 +471,10 @@ def test_a_sweep_drops_each_finetune_result_once_its_group_is_yielded(basis):
     with mock.patch.object(pipeline, "train_lockstep", capturing):
         runs = list(run_sweep(family, cfg.init_state(family), itertools.product(*cfg.sweep_plans())))
     assert len(runs) == 30 and all(run.succeeded for run in runs)
-    assert len({id(memo) for memo in memos}) == 1
-    assert len(memos[0]) <= 6
-    assert {state.step for state, _ in memos[0].values()} <= {3000 + 250}
+    memo = memos[0]
+    assert all(layer is memo or (len(layer.maps) == 2 and layer.maps[1] is memo) for layer in memos)
+    assert len(memo) <= 2 + 6
+    assert {state.step for state, _ in memo.values()} <= {3000, 3000 + 250}
 
 
 def test_mixed_pretraining_retains_the_specialized_skill(frontier_sweep):
